@@ -22,6 +22,7 @@ from .fields import Field, StatePair
 
 __all__ = [
     "ConstraintReport",
+    "running_integral",
     "cumulative_integral",
     "compute_wx",
     "reconstruct_w",
@@ -42,6 +43,18 @@ class ConstraintReport:
         return asdict(self)
 
 
+def running_integral(full: np.ndarray, h: float) -> np.ndarray:
+    """Composite-trapezoid running integral along the last axis, exactly 0 at x = 0.
+
+    ``full`` holds the integrand at all n+2 nodes, both ends included; the
+    result has the same shape and holds int_0^{x_j} at every node.  Leading
+    axes are a batch; each row is summed in the same order as a single one.
+    """
+    out = np.zeros(full.shape)
+    np.cumsum(0.5 * h * (full[..., :-1] + full[..., 1:]), axis=-1, out=out[..., 1:])
+    return out
+
+
 def cumulative_integral(f: Field) -> Field:
     """Composite-trapezoid running integral int_0^{x_j} f, zero at x = 0.
 
@@ -49,9 +62,7 @@ def cumulative_integral(f: Field) -> Field:
     last trapezoid cells; the result carries (0, full-interval integral)
     as its own boundary pair.  Exact for piecewise-linear integrands.
     """
-    full = f.values_full()
-    increments = 0.5 * f.grid.h * (full[:-1] + full[1:])
-    acc = np.concatenate(([0.0], np.cumsum(increments)))
+    acc = running_integral(f.values_full(), f.grid.h)
     return Field(f.grid, acc[1:-1], boundary=(0.0, float(acc[-1])))
 
 

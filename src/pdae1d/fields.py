@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Grid1D", "Field", "SineCoeffs", "StatePair", "sine_mode"]
+__all__ = ["Grid1D", "Field", "SineCoeffs", "StatePair", "pair_norm", "sine_mode"]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -178,10 +178,7 @@ class StatePair:
 
     def norm(self) -> float:
         """Product-space norm sqrt(||u||^2 + ||v||^2) in the discrete L2 sense."""
-        h = self.grid.h
-        return float(
-            np.sqrt(h * (np.dot(self.u.values, self.u.values) + np.dot(self.v.values, self.v.values)))
-        )
+        return pair_norm((self.u.values, self.v.values), self.grid.h)
 
     def __add__(self, other: "StatePair") -> "StatePair":
         return StatePair(self.u + other.u, self.v + other.v)
@@ -193,6 +190,12 @@ class StatePair:
         return StatePair(self.u * scalar, self.v * scalar)
 
     __rmul__ = __mul__
+
+
+def pair_norm(values, h: float) -> float:
+    """:meth:`StatePair.norm` of nodal values ``(u, v)`` on a grid of spacing h."""
+    u, v = values
+    return float(np.sqrt(h * (np.dot(u, u) + np.dot(v, v))))
 
 
 def sine_mode(grid: Grid1D, k: int, amplitude: float = 1.0) -> Field:

@@ -1,37 +1,58 @@
 """Time marching for the constrained reaction-diffusion pair.
 
-Three one-step methods share the split "stiff diffusion + mild reaction":
+Three one-step methods share the split "stiff diffusion + mild reaction",
+all written in the exact sine eigenbasis of the discrete Laplacian, where
+diffusion is diagonal with z_k = d * lambda_k * dt per component:
 
 * exponential Euler, exact on the diffusion part,
-  U_{n+1} = S(dt) U_n + dt * phi1(dt * A) R(U_n, t_n);
+  c_{n+1} = exp(z) c_n + dt * phi1(z) DST(R(U_n, t_n));
+* IMEX Euler, implicit in the diffusion and explicit in the reaction; the
+  inverse of (I - dt * d * Laplacian) is the exact diagonal 1/(1 - z), so
+  c_{n+1} = (c_n + dt * DST(R(U_n, t_n))) / (1 - z);
 * a Picard fixed-point solve of the variation-of-constants integral on
-  each slab, with trapezoid quadrature over a few substep samples;
-* IMEX Euler, implicit in the diffusion and explicit in the reaction,
-  (I - dt * A) U_{n+1} = U_n + dt * R(U_n, t_n).
+  each slab, with trapezoid quadrature over a few substep samples.
 
-``solve`` marches any of them at fixed step size, reconstructs the
-constrained profile at snapshot stamps, and stops early when the state
-norm crosses the blow-up threshold (a detection heuristic: the reported
-time is a candidate, not a proven maximal existence time).
+Inside ``solve`` an exponential-Euler or IMEX state is a (2, n) array of
+sine coefficients held together with its nodal values (which the
+reaction, the norm and the snapshots need), and each step is one batched
+inverse and one batched forward sine transform.  A Picard march goes slab
+by slab through ``picard_slab``, whose sweeps each transform all substep
+samples at once.  ``Field``/``StatePair`` objects are built only at
+snapshots and at the public one-step functions, which wrap the same
+kernels.  ``solve`` reconstructs the constrained profile at snapshot
+stamps, and stops early when the state norm crosses the blow-up threshold
+(a detection heuristic: the reported time is a candidate, not a proven
+maximal existence time).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .constraint import ConstraintReport, constraint_residual, reconstruct_w
-from .fields import Field, StatePair
-from .nonlinearity import CoefficientSet, SourcePair, eval_reaction, zero_sources
-from .spectral import (
-    _to_coeffs,
-    _to_values,
+from .fields import Field, Grid1D, StatePair, pair_norm
+from .nonlinearity import (
+    CoefficientSet,
+    SourcePair,
+    _reaction_terms,
+    eval_reaction,
+    zero_sources,
+)
+
+# phi1_apply, semigroup_apply and solve_shifted stay bound here because
+# perfbench/tracing.py wraps every module binding of them
+from .spectral import (  # noqa: F401
     laplacian_eigenvalues,
+    phi1,
     phi1_apply,
     semigroup_apply,
     solve_shifted,
+    to_coeffs,
+    to_values,
 )
 
 __all__ = [
@@ -67,6 +88,9 @@ class SolveConfig:
             raise ValueError("dt and t_end must be positive")
         if self.dt > self.t_end:
             raise ValueError("dt must not exceed t_end")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"t_end={self.t_end} is not a whole number of steps of dt={self.dt}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         if self.picard_max_iter < 1:
@@ -122,30 +146,132 @@ class PicardResult(NamedTuple):
 
 
 class PicardConvergenceError(RuntimeError):
-    """Raised when the slab fixed point fails to contract within the budget."""
+    """Raised when a slab's fixed point does not contract within the budget.
 
-    def __init__(self, t: float, iterations: int, diff_norms: tuple[float, ...]):
+    A sweep that leaves the iterate non-finite raises it at once, with
+    ``non_finite`` set and a message starting with "non-finite state".
+    """
+
+    def __init__(
+        self, t: float, iterations: int, diff_norms: tuple[float, ...], non_finite: bool = False
+    ):
         self.t = t
         self.iterations = iterations
         self.diff_norms = diff_norms
+        self.non_finite = non_finite
         self.contraction_estimate = (
             diff_norms[-1] / diff_norms[-2]
             if len(diff_norms) >= 2 and diff_norms[-2] > 0
             else float("nan")
         )
-        super().__init__(
-            f"no convergence after {iterations} sweeps at t={t}; "
-            f"last contraction estimate {self.contraction_estimate:.3g}"
-        )
+        if non_finite:
+            message = f"non-finite state after {iterations} sweeps at t={t}"
+        else:
+            message = (
+                f"no convergence after {iterations} sweeps at t={t}; "
+                f"last contraction estimate {self.contraction_estimate:.3g}"
+            )
+        super().__init__(message)
 
 
-def _rhs(state, t, sources, coefficients, reaction):
-    if reaction:
-        return eval_reaction(state, t, sources, coefficients)
-    grid = state.grid
-    if sources is None:
-        return StatePair.zeros(grid)
-    return StatePair(Field(grid, sources.f(t).values), Field(grid, sources.g(t).values))
+def _exponents(grid: Grid1D, c: CoefficientSet, dt: float) -> np.ndarray:
+    # z_k = d * dt * lambda_k per component, shape (2, n)
+    lam = laplacian_eigenvalues(grid)
+    return np.stack((c.d_u * dt * lam, c.d_v * dt * lam))
+
+
+def _diagonal_step(method: str, grid: Grid1D, dt: float, sources: SourcePair, c: CoefficientSet):
+    """exp_euler or imex as the diagonal update c <- a*c + b*DST(R(values) + S(t)).
+
+    Returns ``step(coeffs, values, t) -> (coeffs, values)`` on the (2, n)
+    sine coefficients and nodal values of one state.
+    """
+    z = _exponents(grid, c, dt)
+    if method == "exp_euler":
+        a, b = np.exp(z), dt * phi1(z)
+    else:
+        a, b = 1.0 / (1.0 - z), dt / (1.0 - z)
+
+    def step(coeffs, values, t):
+        coeffs = a * coeffs + b * to_coeffs(eval_reaction(values, t, sources, c))
+        return coeffs, to_values(coeffs)
+
+    return step
+
+
+@lru_cache(maxsize=16)
+def _picard_weights(grid: Grid1D, delta: float, m: int, c: CoefficientSet):
+    """Drift E^i and history weight K of a slab with m samples delta apart.
+
+    E is the propagator over one substep gap; K[i, q] is the trapezoid
+    weight times E^(i - q).  Cached, so a march builds them once.
+    """
+    drift = np.exp(np.arange(m)[:, None, None] * _exponents(grid, c, delta))
+    kernel = np.zeros((m,) + drift.shape)
+    for i in range(1, m):
+        kernel[i, : i + 1] = delta * drift[i::-1]  # E^(i - q) for q = 0..i
+        kernel[i, [0, i]] *= 0.5
+    drift.flags.writeable = kernel.flags.writeable = False
+    return drift, kernel
+
+
+def _picard_sweeps(
+    grid: Grid1D, values: np.ndarray, t: float, dt: float, config: SolveConfig,
+    sources: SourcePair, c: CoefficientSet,
+) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Fixed-point sweeps of one slab, all m substep samples at once.
+
+    Sample i of an iterate is E^i c_0 + sum_q K[i, q] F_q, with F_q the
+    reaction-plus-source coefficients at sample q.  Returns the end values
+    and the per-sweep changes.
+    """
+    m = config.picard_substeps
+    delta = dt / (m - 1)
+    drift, kernel = _picard_weights(grid, delta, m, c)
+    forcing = np.empty(drift.shape)
+    for i in range(m):
+        forcing[i, 0] = sources.f(t + i * delta).values
+        forcing[i, 1] = sources.g(t + i * delta).values
+    start = drift * to_coeffs(values)
+    iterate = start
+    diff_norms: list[float] = []
+    for _ in range(config.picard_max_iter):
+        rhs = to_coeffs(_reaction_terms(to_values(iterate), c) + forcing)
+        new = start + np.einsum("iqkn,qkn->ikn", kernel, rhs)
+        # Parseval on the unit interval: ||f||_2^2 = (1/2) sum c_k^2
+        diffs = 0.5 * np.sum((new - iterate) ** 2, axis=(1, 2))
+        diff_norms.append(float(np.sqrt(np.max(diffs))))
+        iterate = new
+        finite = np.all(np.isfinite(iterate))
+        if finite and diff_norms[-1] >= config.picard_tol:
+            continue
+        end = to_values(iterate[-1]) if finite else iterate[-1]
+        if not np.all(np.isfinite(end)):
+            raise PicardConvergenceError(t, len(diff_norms), tuple(diff_norms), non_finite=True)
+        return end, tuple(diff_norms)
+    raise PicardConvergenceError(t, config.picard_max_iter, tuple(diff_norms))
+
+
+def _pair(grid: Grid1D, values) -> StatePair:
+    return StatePair(Field(grid, values[0]), Field(grid, values[1]))
+
+
+def _values(state: StatePair) -> np.ndarray:
+    return np.stack((state.u.values, state.v.values))
+
+
+def _step_inputs(dt: float, state: StatePair, sources, coefficients):
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    c = coefficients if coefficients is not None else CoefficientSet()
+    return c, sources if sources is not None else zero_sources(state.grid)
+
+
+def _diagonal_one_step(method, state, t, dt, sources, coefficients) -> StatePair:
+    c, src = _step_inputs(dt, state, sources, coefficients)
+    step = _diagonal_step(method, state.grid, dt, src, c)
+    values = _values(state)
+    return _pair(state.grid, step(to_coeffs(values), values, t)[1])
 
 
 def step_exp_euler(
@@ -154,19 +280,13 @@ def step_exp_euler(
     dt: float,
     sources: SourcePair | None = None,
     coefficients: CoefficientSet | None = None,
-    reaction: bool = True,
 ) -> StatePair:
     """One exponential-Euler step from time t.
 
     Exact on the diffusion part; the reaction is frozen at the left
-    endpoint and weighted by phi1.  ``reaction=False`` drops the quadratic
-    coupling but keeps the sources (linear-regime test hook).
+    endpoint and weighted by phi1.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    c = coefficients if coefficients is not None else CoefficientSet()
-    rhs = _rhs(state, t, sources, c, reaction)
-    return semigroup_apply(state, dt, c.d_u, c.d_v) + dt * phi1_apply(rhs, dt, c.d_u, c.d_v)
+    return _diagonal_one_step("exp_euler", state, t, dt, sources, coefficients)
 
 
 def step_imex(
@@ -175,31 +295,14 @@ def step_imex(
     dt: float,
     sources: SourcePair | None = None,
     coefficients: CoefficientSet | None = None,
-    reaction: bool = True,
 ) -> StatePair:
     """One IMEX Euler step: implicit diffusion, explicit reaction.
 
-    Componentwise (I - dt*d*Laplacian) u_next = u + dt*rhs_u, solved through
-    the shifted resolvent with shift 1/(dt*d); unconditionally stable in the
-    diffusion part.
+    Componentwise (I - dt*d*Laplacian) u_next = u + dt*rhs_u, solved
+    exactly in the sine eigenbasis, where the inverse is the diagonal
+    1/(1 - dt*d*lambda_k); unconditionally stable in the diffusion part.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    c = coefficients if coefficients is not None else CoefficientSet()
-    rhs = _rhs(state, t, sources, c, reaction)
-    grid = state.grid
-    out = []
-    for comp, r, d in ((state.u, rhs.u, c.d_u), (state.v, rhs.v, c.d_v)):
-        shift = 1.0 / (dt * d)
-        target = Field(grid, shift * (comp.values + dt * r.values))
-        out.append(solve_shifted(target, shift))
-    return StatePair(out[0], out[1])
-
-
-def _running_integral(weighted: np.ndarray, h: float) -> np.ndarray:
-    # trapezoid from the zero left end: I(x_1) = h/2 * w_1, then cell sums
-    inner = np.cumsum(0.5 * h * (weighted[:-1] + weighted[1:]))
-    return 0.5 * h * weighted[0] + np.concatenate(([0.0], inner))
+    return _diagonal_one_step("imex", state, t, dt, sources, coefficients)
 
 
 def picard_slab(
@@ -209,7 +312,6 @@ def picard_slab(
     config: SolveConfig,
     sources: SourcePair | None = None,
     coefficients: CoefficientSet | None = None,
-    reaction: bool = True,
 ) -> PicardResult:
     """Fixed-point solve of the variation-of-constants integral on [t, t+dt].
 
@@ -217,79 +319,13 @@ def picard_slab(
     the slab; each sweep replaces it by the semigroup drift plus the
     trapezoid quadrature of the propagated reaction history.  Sweeping
     stops when the max-over-samples product-norm change drops below
-    ``picard_tol``; exhausting ``picard_max_iter`` raises
-    :class:`PicardConvergenceError` with a contraction estimate attached.
+    ``picard_tol``.  A sweep that leaves the iterate non-finite, or
+    exhausting ``picard_max_iter``, raises :class:`PicardConvergenceError`
+    (the former with ``non_finite`` set).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    c = coefficients if coefficients is not None else CoefficientSet()
-    src = sources if sources is not None else zero_sources(state.grid)
-    grid = state.grid
-    n = grid.n_interior
-    h = grid.h
-    m = config.picard_substeps
-    delta = dt / (m - 1)
-    lam = laplacian_eigenvalues(grid)
-
-    def gap_powers(d):
-        # E[q] = exp(d * lam * q * delta), the propagator over q substep gaps
-        powers = np.empty((m, n))
-        powers[0] = 1.0
-        one_gap = np.exp(d * lam * delta)
-        for q in range(1, m):
-            powers[q] = powers[q - 1] * one_gap
-        return powers
-
-    eu, ev = gap_powers(c.d_u), gap_powers(c.d_v)
-    cu0 = _to_coeffs(state.u.values, n)
-    cv0 = _to_coeffs(state.v.values, n)
-
-    # initial iterate: pure semigroup drift at every sample
-    cu = eu * cu0
-    cv = ev * cv0
-    taus = t + delta * np.arange(m)
-
-    def reaction_coeffs(cu_s, cv_s):
-        fu = np.empty((m, n))
-        fv = np.empty((m, n))
-        for i in range(m):
-            uv = _to_values(cu_s[i])
-            vv = _to_values(cv_s[i])
-            if reaction:
-                integral = _running_integral(c.p_u * uv + c.p_v * vv, h)
-                ru = -uv * integral
-                rv = vv * integral
-            else:
-                ru = np.zeros(n)
-                rv = np.zeros(n)
-            fu[i] = _to_coeffs(ru + src.f(taus[i]).values, n)
-            fv[i] = _to_coeffs(rv + src.g(taus[i]).values, n)
-        return fu, fv
-
-    diff_norms: list[float] = []
-    for sweep in range(1, config.picard_max_iter + 1):
-        fu, fv = reaction_coeffs(cu, cv)
-        new_cu = np.empty_like(cu)
-        new_cv = np.empty_like(cv)
-        new_cu[0] = cu0
-        new_cv[0] = cv0
-        for i in range(1, m):
-            acc_u = 0.5 * (eu[i] * fu[0] + fu[i])
-            acc_v = 0.5 * (ev[i] * fv[0] + fv[i])
-            for q in range(1, i):
-                acc_u = acc_u + eu[i - q] * fu[q]
-                acc_v = acc_v + ev[i - q] * fv[q]
-            new_cu[i] = eu[i] * cu0 + delta * acc_u
-            new_cv[i] = ev[i] * cv0 + delta * acc_v
-        # Parseval on the unit interval: ||f||_2^2 = (1/2) sum c_k^2
-        diffs = 0.5 * (np.sum((new_cu - cu) ** 2, axis=1) + np.sum((new_cv - cv) ** 2, axis=1))
-        diff = float(np.sqrt(np.max(diffs)))
-        diff_norms.append(diff)
-        cu, cv = new_cu, new_cv
-        if diff < config.picard_tol:
-            end = StatePair(Field(grid, _to_values(cu[-1])), Field(grid, _to_values(cv[-1])))
-            return PicardResult(end, sweep, tuple(diff_norms))
-    raise PicardConvergenceError(t, config.picard_max_iter, tuple(diff_norms))
+    c, src = _step_inputs(dt, state, sources, coefficients)
+    end, diff_norms = _picard_sweeps(state.grid, _values(state), t, dt, config, src, c)
+    return PicardResult(_pair(state.grid, end), len(diff_norms), diff_norms)
 
 
 def solve(
@@ -303,10 +339,13 @@ def solve(
     Snapshots (state, reconstructed profile, constraint report) are stored
     every ``snapshot_every`` steps plus always at t = 0 and at the final
     accepted step.  Crossing the blow-up threshold stops the march with a
-    candidate detection time; a failed step keeps the partial trajectory.
+    candidate detection time; a Picard slab that does not converge or a
+    step that leaves a non-finite state ends it as a step failure that
+    keeps the partial trajectory.
     """
     c = coefficients if coefficients is not None else CoefficientSet()
-    src = sources if sources is not None else zero_sources(state0.grid)
+    grid = state0.grid
+    src = sources if sources is not None else zero_sources(grid)
     traj = Trajectory([], [], [], [], RunStatus.completed())
 
     def snapshot(t_now: float, state: StatePair):
@@ -321,32 +360,38 @@ def solve(
         traj.status = RunStatus.blowup_detected(0.0)
         return traj
 
-    n_steps = max(1, int(round(config.t_end / config.dt)))
+    picard = config.method == "picard"
+    if not picard:
+        step = _diagonal_step(config.method, grid, config.dt, src, c)
+        values = _values(state0)
+        coeffs = to_coeffs(values)
     state = state0
+    n_steps = round(config.t_end / config.dt)
     for k in range(1, n_steps + 1):
         t_prev = (k - 1) * config.dt
-        try:
-            if config.method == "exp_euler":
-                state = step_exp_euler(state, t_prev, config.dt, src, c)
-            elif config.method == "imex":
-                state = step_imex(state, t_prev, config.dt, src, c)
-            else:
+        if picard:
+            # a slab goes through picard_slab, whose result records its sweeps
+            try:
                 result = picard_slab(state, t_prev, config.dt, config, src, c)
-                state = result.state
-                traj.picard_iterations_total += result.iterations
-        except PicardConvergenceError as err:
-            traj.status = RunStatus.step_failure(t_prev, str(err))
-            return traj
-        except ValueError as err:
-            traj.status = RunStatus.step_failure(t_prev, f"non-finite state: {err}")
-            return traj
+            except PicardConvergenceError as err:
+                traj.status = RunStatus.step_failure(t_prev, str(err))
+                return traj
+            state = result.state
+            values = (state.u.values, state.v.values)
+            traj.picard_iterations_total += result.iterations
+        else:
+            coeffs, values = step(coeffs, values, t_prev)
+            if not np.all(np.isfinite(values)):
+                traj.status = RunStatus.step_failure(t_prev, "non-finite state")
+                return traj
+            state = None  # built only if this step is snapshotted
         traj.steps_taken = k
         t_now = k * config.dt
-        if state.norm() >= config.blowup_threshold:
-            snapshot(t_now, state)
+        blowup = pair_norm(values, grid.h) >= config.blowup_threshold
+        if blowup or k % config.snapshot_every == 0 or k == n_steps:
+            snapshot(t_now, state if state is not None else _pair(grid, values))
+        if blowup:
             traj.status = RunStatus.blowup_detected(t_now)
             return traj
-        if k % config.snapshot_every == 0 or k == n_steps:
-            snapshot(t_now, state)
     traj.status = RunStatus.completed()
     return traj

@@ -15,7 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from .constraint import cumulative_integral
+# cumulative_integral stays bound here because perfbench/tracing.py wraps
+# every module binding of it
+from .constraint import cumulative_integral  # noqa: F401
+from .constraint import running_integral
 from .fields import Field, Grid1D, StatePair
 
 __all__ = [
@@ -143,26 +146,52 @@ def tabulated_sources(grid: Grid1D, path: str) -> SourcePair:
     )
 
 
+def _reaction_terms(values: np.ndarray, c: CoefficientSet, ends=None) -> np.ndarray:
+    """Source-free reaction (-u*I, +v*I) of nodal pairs shaped (..., 2, n).
+
+    I is the trapezoid running integral of p_u*u + p_v*v, evaluated at the
+    interior nodes; ``ends`` holds the pair's values at x = 0 and x = 1,
+    shaped (..., 2, 2), and defaults to the Dirichlet zeros.  Leading axes
+    are a batch.
+    """
+    n = values.shape[-1]
+    full = np.zeros(values.shape[:-1] + (n + 2,))
+    full[..., 1:-1] = values
+    if ends is not None:
+        full[..., [0, -1]] = ends
+    integral = running_integral(c.p_u * full[..., 0, :] + c.p_v * full[..., 1, :], 1.0 / (n + 1))
+    out = np.empty(values.shape)
+    out[..., 0, :] = -values[..., 0, :] * integral[..., 1:-1]
+    out[..., 1, :] = values[..., 1, :] * integral[..., 1:-1]
+    return out
+
+
 def eval_reaction(
-    state: StatePair,
+    state: StatePair | np.ndarray,
     t: float = 0.0,
     sources: SourcePair | None = None,
     coefficients: CoefficientSet | None = None,
-) -> StatePair:
+) -> StatePair | np.ndarray:
     """Non-diffusive right-hand side (-u*I + f(t), +v*I + g(t)).
 
     I is the trapezoid running integral of p_u*u + p_v*v evaluated at the
-    interior nodes.
+    interior nodes; a StatePair's boundary pairs enter it as end values.
+    ``state`` is a StatePair, or Dirichlet nodal values shaped (..., 2, n)
+    as the integrators hold them; the result comes back in the same form.
     """
     c = coefficients if coefficients is not None else CoefficientSet()
-    grid = state.grid
-    integral = cumulative_integral(c.p_u * state.u + c.p_v * state.v).values
-    first = -state.u.values * integral
-    second = state.v.values * integral
+    pair = isinstance(state, StatePair)
+    if pair:
+        values = np.stack((state.u.values, state.v.values))
+        out = _reaction_terms(values, c, ends=(state.u.boundary, state.v.boundary))
+    else:
+        out = _reaction_terms(state, c)
     if sources is not None:
-        first = first + sources.f(t).values
-        second = second + sources.g(t).values
-    return StatePair(Field(grid, first), Field(grid, second))
+        out[..., 0, :] += sources.f(t).values
+        out[..., 1, :] += sources.g(t).values
+    if pair:
+        return StatePair(Field(state.grid, out[0]), Field(state.grid, out[1]))
+    return out
 
 
 def lipschitz_ratio(

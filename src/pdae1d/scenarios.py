@@ -132,23 +132,27 @@ def mms_state(spec: MmsSpec, grid: Grid1D, t: float) -> StatePair:
     )
 
 
-def _mms_integral(spec: MmsSpec, c: CoefficientSet, t: float, x: np.ndarray) -> np.ndarray:
-    # closed form of int_0^x (p_u*u + p_v*v) ds for the manufactured pair
-    decay = np.exp(-t)
-    return decay * (
+def _mms_source_fns(spec: MmsSpec, c: CoefficientSet, x: np.ndarray):
+    """(f, g) as functions of t on the nodes x; the spatial profiles are fixed."""
+    sin_1 = np.sin(np.pi * x)
+    sin_2 = np.sin(2.0 * np.pi * x)
+    # closed form of int_0^x (p_u*u + p_v*v) ds for the manufactured pair, over exp(-t)
+    mass = (
         c.p_u * spec.a * (1.0 - np.cos(np.pi * x)) / np.pi
         + c.p_v * spec.b * (1.0 - np.cos(2.0 * np.pi * x)) / (2.0 * np.pi)
     )
 
-
-def _mms_sources_at(spec: MmsSpec, c: CoefficientSet, t: float, x: np.ndarray):
-    decay = np.exp(-t)
-    u = spec.a * decay * np.sin(np.pi * x)
-    v = spec.b * decay * np.sin(2.0 * np.pi * x)
-    integral = _mms_integral(spec, c, t, x)
     # time derivative is -u (resp. -v); second space derivative brings pi^2 factors
-    f = (c.d_u * np.pi**2 - 1.0) * u + u * integral
-    g = (4.0 * np.pi**2 * c.d_v - 1.0) * v - v * integral
+    def f(t: float) -> np.ndarray:
+        decay = np.exp(-t)
+        u = spec.a * decay * sin_1
+        return (c.d_u * np.pi**2 - 1.0) * u + u * (decay * mass)
+
+    def g(t: float) -> np.ndarray:
+        decay = np.exp(-t)
+        v = spec.b * decay * sin_2
+        return (4.0 * np.pi**2 * c.d_v - 1.0) * v - v * (decay * mass)
+
     return f, g
 
 
@@ -162,15 +166,10 @@ def build_mms_sources(
     its own discretization error.
     """
     c = coefficients if coefficients is not None else CoefficientSet()
-    x = grid.nodes
-
-    def f(t: float) -> Field:
-        return Field(grid, _mms_sources_at(spec, c, t, x)[0])
-
-    def g(t: float) -> Field:
-        return Field(grid, _mms_sources_at(spec, c, t, x)[1])
-
-    return SourcePair(f=f, g=g, kind="mms")
+    f_at, g_at = _mms_source_fns(spec, c, grid.nodes)
+    return SourcePair(
+        f=lambda t: Field(grid, f_at(t)), g=lambda t: Field(grid, g_at(t)), kind="mms"
+    )
 
 
 def mms_source_table(
@@ -181,9 +180,10 @@ def mms_source_table(
 ) -> list[tuple[float, float, float, float]]:
     """Rows (t, x, f, g) over all nodes, boundary points included."""
     c = coefficients if coefficients is not None else CoefficientSet()
+    f_at, g_at = _mms_source_fns(spec, c, grid.nodes_full)
     rows = []
     for t in times:
-        f, g = _mms_sources_at(spec, c, float(t), grid.nodes_full)
+        f, g = f_at(float(t)), g_at(float(t))
         for x, fv, gv in zip(grid.nodes_full, f, g):
             rows.append((float(t), float(x), float(fv), float(gv)))
     return rows
@@ -280,19 +280,19 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     try:
         state0 = initial_state(cfg, grid)
         sources = scenario_sources(cfg, grid, coefficients)
+        solve_cfg = SolveConfig(
+            dt=cfg.dt,
+            t_end=cfg.t_end,
+            method=cfg.method,
+            picard_max_iter=cfg.picard_max_iter,
+            picard_tol=cfg.picard_tol,
+            picard_substeps=cfg.picard_substeps,
+            blowup_threshold=cfg.blowup_threshold,
+            snapshot_every=cfg.snapshot_every,
+        )
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    solve_cfg = SolveConfig(
-        dt=cfg.dt,
-        t_end=cfg.t_end,
-        method=cfg.method,
-        picard_max_iter=cfg.picard_max_iter,
-        picard_tol=cfg.picard_tol,
-        picard_substeps=cfg.picard_substeps,
-        blowup_threshold=cfg.blowup_threshold,
-        snapshot_every=cfg.snapshot_every,
-    )
     traj = solve(state0, solve_cfg, sources, coefficients)
 
     summary = {

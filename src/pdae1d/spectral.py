@@ -22,6 +22,8 @@ from .fields import Field, Grid1D, SineCoeffs, StatePair
 
 __all__ = [
     "laplacian_eigenvalues",
+    "to_coeffs",
+    "to_values",
     "dst_forward",
     "dst_inverse",
     "discrete_laplacian",
@@ -51,13 +53,20 @@ def laplacian_eigenvalues(grid: Grid1D) -> np.ndarray:
     return _eigenvalues(grid.n_interior)
 
 
-def _to_coeffs(values: np.ndarray, n_interior: int) -> np.ndarray:
-    # DST-I with weight 2/(n+1): c_k = (2/(n+1)) sum_j f_j sin(k*pi*x_j)
-    return _dst(values, type=1) / (n_interior + 1)
+def to_coeffs(values: np.ndarray) -> np.ndarray:
+    """Sine coefficients c_k = (2/(n+1)) sum_j f_j sin(k*pi*x_j) along the last axis.
+
+    Leading axes are a batch: one call transforms a whole stack of nodal
+    arrays.  Inverse of :func:`to_values`.
+    """
+    return _dst(values, type=1) / (values.shape[-1] + 1)
 
 
-def _to_values(coeffs: np.ndarray) -> np.ndarray:
-    # inverse of _to_coeffs: f_j = sum_k c_k sin(k*pi*x_j)
+def to_values(coeffs: np.ndarray) -> np.ndarray:
+    """Nodal values f_j = sum_k c_k sin(k*pi*x_j) along the last axis.
+
+    Batched like :func:`to_coeffs`, of which it is the inverse.
+    """
     return 0.5 * _dst(coeffs, type=1)
 
 
@@ -67,12 +76,12 @@ def dst_forward(f: Field) -> SineCoeffs:
     c_k = (2/(n+1)) * sum_j f_j sin(k*pi*x_j); inverse of :func:`dst_inverse`.
     Boundary values, if any, are ignored: the basis is Dirichlet.
     """
-    return SineCoeffs(f.grid, _to_coeffs(f.values, f.grid.n_interior))
+    return SineCoeffs(f.grid, to_coeffs(f.values))
 
 
 def dst_inverse(c: SineCoeffs) -> Field:
     """Synthesize the field f_j = sum_k c_k sin(k*pi*x_j)."""
-    return Field(c.grid, _to_values(c.coeffs))
+    return Field(c.grid, to_values(c.coeffs))
 
 
 def discrete_laplacian(f: Field) -> Field:
@@ -89,8 +98,7 @@ def discrete_laplacian(f: Field) -> Field:
 
 
 def _scale_modes(f: Field, factors: np.ndarray) -> Field:
-    n = f.grid.n_interior
-    return Field(f.grid, _to_values(factors * _to_coeffs(f.values, n)))
+    return Field(f.grid, to_values(factors * to_coeffs(f.values)))
 
 
 def semigroup_apply_field(f: Field, t: float, diffusion: float = 1.0) -> Field:

@@ -226,7 +226,7 @@ def check_semigroup(
     cu[:n_low] = rng.uniform(-1.0, 1.0, n_low)
     cv[:n_low] = rng.uniform(-1.0, 1.0, n_low)
     smooth_states.append(
-        StatePair(Field(grid, spectral._to_values(cu)), Field(grid, spectral._to_values(cv)))
+        StatePair(Field(grid, spectral.to_values(cu)), Field(grid, spectral.to_values(cv)))
     )
     t0 = 0.01 / abs(lam[n_low - 1])
     for state in smooth_states:

@@ -10,6 +10,7 @@ from pdae1d import (
     cumulative_integral,
     reconstruct_w,
 )
+from pdae1d.constraint import running_integral
 
 
 def fine_running_integral(fn, x, points=1_000_001):
@@ -63,6 +64,20 @@ class TestCumulativeIntegral:
         rng = np.random.default_rng(1)
         f = Field(grid, rng.uniform(-1.0, 1.0, 9), boundary=(0.3, -0.2))
         assert cumulative_integral(f).boundary[0] == 0.0
+
+
+    def test_running_integral_on_a_stack_matches_each_row(self):
+        grid = Grid1D(37)
+        rng = np.random.default_rng(17)
+        full = rng.uniform(-1.0, 1.0, (5, 2, grid.n_interior + 2))
+        stacked = running_integral(full, grid.h)
+        for s in range(5):
+            for k in range(2):
+                row = full[s, k]
+                ref = cumulative_integral(Field(grid, row[1:-1], boundary=(row[0], row[-1])))
+                assert stacked[s, k, 0] == 0.0
+                assert np.array_equal(stacked[s, k, 1:-1], ref.values)
+                assert stacked[s, k, -1] == ref.boundary[1]
 
 
 class TestComputeWx:

@@ -7,11 +7,14 @@ from pdae1d import (
     CoefficientSet,
     Field,
     Grid1D,
+    MmsSpec,
     PicardConvergenceError,
     SolveConfig,
     SourcePair,
     StatePair,
+    build_mms_sources,
     laplacian_eigenvalues,
+    mms_state,
     picard_slab,
     sine_mode,
     solve,
@@ -19,6 +22,9 @@ from pdae1d import (
     step_imex,
     zero_sources,
 )
+from pdae1d import spectral
+
+METHODS = ("exp_euler", "imex", "picard")
 
 
 def dense_laplacian(n):
@@ -87,7 +93,7 @@ class TestExpEuler:
         dt = 0.01
         marched = state
         for k in range(10):
-            marched = step_exp_euler(marched, k * dt, dt, reaction=False)
+            marched = step_exp_euler(marched, k * dt, dt, coefficients=CoefficientSet(p_u=0, p_v=0))
         propagator = expm(10 * dt * dense_laplacian(12))
         assert np.max(np.abs(marched.u.values - propagator @ state.u.values)) < 1e-9
         assert np.max(np.abs(marched.v.values - propagator @ state.v.values)) < 1e-9
@@ -120,10 +126,10 @@ class TestImex:
         grid = Grid1D(14)
         lam = laplacian_eigenvalues(grid)
         dt, diffusion = 0.05, 1.5
-        coefficients = CoefficientSet(d_u=diffusion, d_v=1.0)
+        coefficients = CoefficientSet(d_u=diffusion, d_v=1.0, p_u=0, p_v=0)
         for k in (1, 4, 14):
             state = StatePair(sine_mode(grid, k), Field.zeros(grid))
-            out = step_imex(state, 0.0, dt, coefficients=coefficients, reaction=False)
+            out = step_imex(state, 0.0, dt, coefficients=coefficients)
             expected = state.u.values / (1.0 - dt * diffusion * lam[k - 1])
             np.testing.assert_allclose(out.u.values, expected, rtol=1e-12, atol=1e-15)
 
@@ -270,6 +276,108 @@ class TestSolve:
         assert traj.picard_iterations_total >= traj.steps_taken
 
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_overflowing_source_is_a_non_finite_failure(self, method):
+        grid = Grid1D(16)
+        huge = Field(grid, np.full(16, 1e308))
+        cfg = SolveConfig(dt=0.5, t_end=1.0, method=method)
+        traj = solve(StatePair.zeros(grid), cfg, SourcePair(f=lambda t: huge, g=lambda t: huge))
+        assert traj.status.kind == "step_failure"
+        assert traj.status.t == 0.0
+        assert "non-finite" in traj.status.reason
+        assert traj.times == [0.0]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_source_on_another_grid_raises(self, method):
+        coarse = sine_mode(Grid1D(8), 1)
+        cfg = SolveConfig(dt=0.01, t_end=0.02, method=method)
+        with pytest.raises(ValueError):
+            solve(decay_state(Grid1D(16)), cfg, SourcePair(f=lambda t: coarse, g=lambda t: coarse))
+
+
+def public_step(method, state, t, cfg, sources):
+    """One step through the public one-step functions; returns (state, Picard sweeps)."""
+    if method == "exp_euler":
+        return step_exp_euler(state, t, cfg.dt, sources), 0
+    if method == "imex":
+        return step_imex(state, t, cfg.dt, sources), 0
+    result = picard_slab(state, t, cfg.dt, cfg, sources)
+    return result.state, result.iterations
+
+
+class TestArrayCore:
+    @pytest.mark.parametrize("method", ["exp_euler", "imex"])
+    def test_one_step_with_frozen_source_matches_dense_formula(self, method):
+        # no coupling, so a step is exp(M) x + dt phi1(M) s or (I - M)^-1 (x + dt s)
+        n, dt = 12, 0.03
+        grid = Grid1D(n)
+        u0, v0, f, g = np.random.default_rng(7).uniform(-1.0, 1.0, (4, n))
+        c = CoefficientSet(d_u=0.7, d_v=1.9, p_u=0, p_v=0)
+        sources = SourcePair(f=lambda t: Field(grid, f), g=lambda t: Field(grid, g))
+        step = step_exp_euler if method == "exp_euler" else step_imex
+        out = step(StatePair(Field(grid, u0), Field(grid, v0)), 0.0, dt, sources, c)
+        identity = np.eye(n)
+        for got, x0, s, d in ((out.u.values, u0, f, c.d_u), (out.v.values, v0, g, c.d_v)):
+            m = dt * d * dense_laplacian(n)
+            if method == "exp_euler":
+                want = expm(m) @ x0 + dt * np.linalg.solve(m, expm(m) - identity) @ s
+            else:
+                want = np.linalg.solve(identity - m, x0 + dt * s)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [255, 256])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_solve_matches_a_loop_of_public_steps(self, method, n):
+        grid = Grid1D(n)
+        spec = MmsSpec()
+        sources = build_mms_sources(spec, grid)
+        cfg = SolveConfig(dt=0.01, t_end=0.05, method=method)
+        traj = solve(mms_state(spec, grid, 0.0), cfg, sources)
+        assert traj.status.kind == "completed" and traj.steps_taken == 5
+        state, sweeps = traj.states[0], 0
+        for k in range(5):
+            state, used = public_step(method, state, k * cfg.dt, cfg, sources)
+            sweeps += used
+            assert (traj.states[k + 1] - state).norm() <= 1e-13 * state.norm()
+        assert traj.picard_iterations_total == sweeps
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_batched_transforms_per_step_and_sweep(self, method, monkeypatch):
+        shapes = []
+        dst = spectral._dst
+
+        def counting(x, *args, **kwargs):
+            shapes.append(x.shape)
+            return dst(x, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_dst", counting)
+        grid = Grid1D(31)
+        spec = MmsSpec()
+        cfg = SolveConfig(dt=0.01, t_end=0.06, method=method, snapshot_every=2)
+        traj = solve(mms_state(spec, grid, 0.0), cfg, build_mms_sources(spec, grid))
+        assert traj.steps_taken == 6
+        pair, samples = (2, 31), (cfg.picard_substeps, 2, 31)
+        if method == "picard":
+            # a forward and an inverse transform of all samples per sweep,
+            # and per slab the start coefficients and the end values
+            assert traj.picard_iterations_total >= traj.steps_taken
+            assert shapes.count(samples) == 2 * traj.picard_iterations_total
+            assert shapes.count(pair) == 2 * traj.steps_taken
+            assert len(shapes) == 2 * (traj.picard_iterations_total + traj.steps_taken)
+        else:
+            # the initial state once per march, then two per step
+            assert shapes == [pair] * (1 + 2 * traj.steps_taken)
+
+    def test_picard_slab_raises_on_a_non_finite_sweep(self):
+        grid = Grid1D(16)
+        huge = Field(grid, np.full(16, 1e308))
+        cfg = SolveConfig(dt=0.5, t_end=1.0, method="picard")
+        with pytest.raises(PicardConvergenceError, match="^non-finite state") as caught:
+            picard_slab(StatePair.zeros(grid), 0.0, 0.5, cfg, SourcePair(f=lambda t: huge, g=lambda t: huge))
+        assert caught.value.non_finite
+        assert caught.value.iterations < cfg.picard_max_iter
+
+
 class TestSolveConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -283,6 +391,7 @@ class TestSolveConfig:
             {"dt": 0.1, "t_end": 1.0, "picard_tol": 0.0},
             {"dt": 0.1, "t_end": 1.0, "blowup_threshold": 0.0},
             {"dt": 0.1, "t_end": 1.0, "snapshot_every": 0},
+            {"dt": 0.3, "t_end": 1.0},
         ],
     )
     def test_validation(self, kwargs):

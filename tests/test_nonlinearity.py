@@ -7,6 +7,7 @@ from pdae1d import (
     Grid1D,
     SourcePair,
     StatePair,
+    cumulative_integral,
     eval_reaction,
     h1_seminorm,
     lipschitz_ratio,
@@ -81,6 +82,32 @@ class TestEvalReaction:
             out = eval_reaction(state, 0.0, zero_sources(grid))
             assert np.all(out.u.values <= 0.0)
             assert np.all(out.v.values >= 0.0)
+
+
+    def test_stack_of_nodal_pairs_matches_each_pair(self):
+        grid = Grid1D(20)
+        rng = np.random.default_rng(23)
+        c = CoefficientSet(p_u=0.7, p_v=-1.3)
+        sources = SourcePair(f=lambda t: sine_mode(grid, 2, t), g=lambda t: sine_mode(grid, 5, -t))
+        states = [random_state(grid, rng) for _ in range(3)]
+        stack = np.array([[s.u.values, s.v.values] for s in states])
+        out = eval_reaction(stack, 0.4, sources, c)
+        assert out.shape == (3, 2, grid.n_interior)
+        for s, row in zip(states, out):
+            ref = eval_reaction(s, 0.4, sources, c)
+            assert np.array_equal(row[0], ref.u.values) and np.array_equal(row[1], ref.v.values)
+
+
+    def test_boundary_pairs_enter_the_running_integral(self):
+        grid = Grid1D(20)
+        rng = np.random.default_rng(29)
+        c = CoefficientSet(p_u=0.7, p_v=-1.3)
+        u = Field(grid, rng.uniform(-1.0, 1.0, grid.n_interior), boundary=(0.4, -2.0))
+        v = Field(grid, rng.uniform(-1.0, 1.0, grid.n_interior), boundary=(1.5, 0.25))
+        out = eval_reaction(StatePair(u, v), coefficients=c)
+        integral = cumulative_integral(c.p_u * u + c.p_v * v).values
+        assert np.array_equal(out.u.values, -u.values * integral)
+        assert np.array_equal(out.v.values, v.values * integral)
 
 
 class TestLipschitzRatio:

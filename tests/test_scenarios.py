@@ -32,6 +32,18 @@ class TestMmsSources:
         assert np.all(sources.f(0.3).values == 0.0)
         assert np.all(sources.g(0.3).values == 0.0)
 
+    def test_sources_equal_the_table_interior(self):
+        grid = Grid1D(21)
+        spec = MmsSpec(1.3, -0.6)
+        c = CoefficientSet(d_u=0.8, d_v=1.7, p_u=1.1, p_v=0.4)
+        sources = build_mms_sources(spec, grid, c)
+        times = (0.0, 0.013, 0.25, 1.7)
+        rows = np.array(mms_source_table(spec, grid, times, c))
+        rows = rows.reshape(len(times), grid.n_interior + 2, 4)
+        for t, table in zip(times, rows):
+            assert np.array_equal(sources.f(t).values, table[1:-1, 2])
+            assert np.array_equal(sources.g(t).values, table[1:-1, 3])
+
     def test_midpoint_closed_form(self):
         # a=1, b=0, unit coefficients, t=0, x=1/2: f = pi^2 - 1 + 1/pi
         grid = Grid1D(31)
@@ -313,6 +325,14 @@ class TestCli:
         config.write_text(json.dumps({"scenario": "decay", "dx": 1}))
         assert main(["run", "--config", str(config)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_t_end_off_the_step_grid_exits_1(self, tmp_path, capsys):
+        code = main(
+            ["run", "--dt", "0.3", "--t-end", "1.0", "--output-dir", str(tmp_path / "off")]
+        )
+        assert code == 1
+        assert "error: t_end=1.0 is not a whole number of steps" in capsys.readouterr().err
+        assert not (tmp_path / "off").exists()
 
     def test_growth_probe_exit_code_propagates(self, tmp_path):
         code = main(

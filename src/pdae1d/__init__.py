@@ -16,7 +16,7 @@ from .constraint import (
     cumulative_integral,
     reconstruct_w,
 )
-from .fields import Field, Grid1D, SineCoeffs, StatePair, sine_mode
+from .fields import Field, Grid1D, StatePair, sine_mode
 from .integrators import (
     PicardConvergenceError,
     PicardResult,
@@ -50,14 +50,10 @@ from .scenarios import (
 )
 from .spectral import (
     discrete_laplacian,
-    dst_forward,
-    dst_inverse,
     laplacian_eigenvalues,
     phi1,
     phi1_apply,
-    phi1_apply_field,
     semigroup_apply,
-    semigroup_apply_field,
     solve_shifted,
 )
 from .verification import (

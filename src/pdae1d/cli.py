@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .fields import Grid1D
+from .integrators import METHODS
 from .nonlinearity import CoefficientSet
 from .scenarios import (
+    CONFIG_TYPES,
+    SCENARIOS,
     MmsSpec,
     ScenarioConfig,
+    _fmt,
     mms_source_table,
+    read_config,
     run_convergence,
     run_scenario,
     run_verification,
@@ -28,64 +32,36 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; explicit flags override its values")
-    parser.add_argument("--scenario", choices=("decay", "mms", "growth_probe", "custom"))
-    parser.add_argument("--n-interior", type=int, dest="n_interior")
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--t-end", type=float, dest="t_end")
-    parser.add_argument("--method", choices=("exp_euler", "picard", "imex"))
-    parser.add_argument("--d-u", type=float, dest="d_u")
-    parser.add_argument("--d-v", type=float, dest="d_v")
-    parser.add_argument("--p-u", type=float, dest="p_u")
-    parser.add_argument("--p-v", type=float, dest="p_v")
-    parser.add_argument("--ic-file", dest="ic_file")
-    parser.add_argument("--source-file", dest="source_file")
-    parser.add_argument("--blowup-threshold", type=float, dest="blowup_threshold")
-    parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--snapshot-every", type=int, dest="snapshot_every")
-    parser.add_argument("--mms-a", type=float, dest="mms_a")
-    parser.add_argument("--mms-b", type=float, dest="mms_b")
-    parser.add_argument("--picard-max-iter", type=int, dest="picard_max_iter")
-    parser.add_argument("--picard-tol", type=float, dest="picard_tol")
-    parser.add_argument("--picard-substeps", type=int, dest="picard_substeps")
+    choices = {"scenario": SCENARIOS, "method": METHODS}
+    for name, (kind, _) in CONFIG_TYPES.items():
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, dest=name, type=kind, choices=choices.get(name))
 
 
 def _config_from_args(args: argparse.Namespace, fallback: dict | None = None) -> ScenarioConfig:
     # precedence: explicit flags > config file > subcommand fallbacks > dataclass defaults
     raw: dict = dict(fallback or {})
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        if isinstance(loaded, dict) and "config" in loaded and "status" in loaded:
-            loaded = loaded["config"]
-        raw.update(loaded)
-    for name in ScenarioConfig.__dataclass_fields__:
-        value = getattr(args, name, None)
+        raw.update(read_config(args.config))
+    for name in CONFIG_TYPES:
+        value = getattr(args, name)
         if value is not None:
             raw[name] = value
     return ScenarioConfig.from_dict(raw)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        cfg = _config_from_args(args)
-    except (OSError, ValueError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    cfg = _config_from_args(args)
     code = run_scenario(cfg)
     print(f"scenario={cfg.scenario} method={cfg.method} exit={code} artifacts={cfg.output_dir}")
     return code
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    try:
-        cfg = _config_from_args(
-            args, fallback={"scenario": "mms", "n_interior": 256, "dt": 1e-5, "t_end": 0.2}
-        )
-        rows = run_convergence(cfg, dt_levels=args.dt_levels, n_levels=args.n_levels)
-    except (OSError, ValueError, json.JSONDecodeError, RuntimeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    cfg = _config_from_args(
+        args, fallback={"scenario": "mms", "n_interior": 256, "dt": 1e-5, "t_end": 0.2}
+    )
+    rows = run_convergence(cfg, dt_levels=args.dt_levels, n_levels=args.n_levels)
     for row in rows:
         print(
             f"dt={row['dt']:g} n={row['n_interior']} "
@@ -117,9 +93,7 @@ def _cmd_mms_sources(args: argparse.Namespace) -> int:
     spec = MmsSpec(args.mms_a, args.mms_b)
     coefficients = CoefficientSet(args.d_u, args.d_v, args.p_u, args.p_v)
     rows = mms_source_table(spec, grid, args.times, coefficients)
-    lines = ["# t x f g"] + [
-        " ".join(format(v + 0.0, ".17g") for v in row) for row in rows
-    ]
+    lines = ["# t x f g"] + [" ".join(_fmt(v) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
@@ -183,8 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; bad input is reported as an ``error:`` line and exit 1."""
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (OSError, ValueError, RuntimeError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ enforced.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +38,6 @@ class ConstraintReport:
     w_at_0: float
     wx_at_0: float
     w_at_1: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def running_integral(full: np.ndarray, h: float) -> np.ndarray:

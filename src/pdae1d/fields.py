@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Grid1D", "Field", "SineCoeffs", "StatePair", "pair_norm", "sine_mode"]
+__all__ = ["Grid1D", "Field", "StatePair", "pair_norm", "sine_mode"]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -87,15 +87,9 @@ class Field:
         return cls(grid, np.zeros(grid.n_interior))
 
     @classmethod
-    def sample(cls, grid: Grid1D, fn: Callable, with_boundary: bool = False) -> "Field":
-        """Evaluate a vectorized callable at the interior nodes.
-
-        With ``with_boundary`` the end values are sampled too instead of
-        defaulting to the Dirichlet pair (0, 0).
-        """
-        values = np.asarray(fn(grid.nodes), dtype=float)
-        boundary = (float(fn(0.0)), float(fn(1.0))) if with_boundary else (0.0, 0.0)
-        return cls(grid, values, boundary)
+    def sample(cls, grid: Grid1D, fn: Callable) -> "Field":
+        """Evaluate a vectorized callable at the interior nodes."""
+        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
 
     def values_full(self) -> np.ndarray:
         """Values at all nodes, boundary pair included."""
@@ -136,24 +130,6 @@ class Field:
 
 
 @dataclass(frozen=True, eq=False)
-class SineCoeffs:
-    """Coefficients in the discrete sine basis s_k(x_j) = sin(k*pi*x_j)."""
-
-    grid: Grid1D
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        if c.shape != (self.grid.n_interior,):
-            raise ValueError(
-                f"expected {self.grid.n_interior} coefficients, got shape {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", _freeze(c))
-
-
-@dataclass(frozen=True, eq=False)
 class StatePair:
     """The evolving pair (u, v) of Dirichlet unknowns on a shared grid."""
 
@@ -171,10 +147,6 @@ class StatePair:
     @classmethod
     def zeros(cls, grid: Grid1D) -> "StatePair":
         return cls(Field.zeros(grid), Field.zeros(grid))
-
-    @classmethod
-    def sample(cls, grid: Grid1D, fu: Callable, fv: Callable) -> "StatePair":
-        return cls(Field.sample(grid, fu), Field.sample(grid, fv))
 
     def norm(self) -> float:
         """Product-space norm sqrt(||u||^2 + ||v||^2) in the discrete L2 sense."""

@@ -25,6 +25,7 @@ __all__ = [
     "CoefficientSet",
     "SourcePair",
     "zero_sources",
+    "read_node_table",
     "tabulated_sources",
     "eval_reaction",
     "lipschitz_ratio",
@@ -67,81 +68,77 @@ def zero_sources(grid: Grid1D) -> SourcePair:
     return SourcePair(f=lambda t: zero, g=lambda t: zero, kind="zero")
 
 
-def _parse_table(path: str) -> np.ndarray:
+def read_node_table(path: str, grid: Grid1D, columns: tuple[str, ...]):
+    """Read a table of nodal values on ``grid``; returns ``(times, values)``.
+
+    ``columns`` names the table's columns: ``("x", ...)`` for one profile,
+    ``("t", "x", ...)`` for time slabs.  '#' starts a comment; entries are
+    separated by commas or whitespace and must be finite.  Each slab lists
+    either the n interior nodes or all n + 2 nodes, in any order, with x
+    within 1e-12 of the grid.  ``times`` holds the sorted distinct t (None
+    for a profile); ``values`` is shaped (slabs, columns after x, n) and
+    holds the interior nodes in grid order.
+    """
     rows = []
     with open(path) as fh:
         for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
+            parts = line.split("#", 1)[0].replace(",", " ").split()
+            if not parts:
                 continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}: expected 4 columns (t, x, f, g), got {len(parts)}")
-            rows.append([float(p) for p in parts])
+            if len(parts) != len(columns):
+                raise ValueError(
+                    f"{path}: expected {len(columns)} columns ({', '.join(columns)}), "
+                    f"got {len(parts)}"
+                )
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError as err:
+                raise ValueError(f"{path}: {err}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    data = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: table entries must be finite")
+    keyed = columns[0] != "x"
+    times = np.unique(data[:, 0]) if keyed else None
+    n = grid.n_interior
+    slabs = []
+    for t in times if keyed else (None,):
+        block = data[data[:, 0] == t, 1:] if keyed else data
+        block = block[np.argsort(block[:, 0])]
+        where = f" (slab t={t})" if keyed else ""
+        full = block.shape[0] == n + 2
+        if not full and block.shape[0] != n:
+            raise ValueError(
+                f"{path}{where}: {block.shape[0]} rows; expected {n} interior or {n + 2} full nodes"
+            )
+        nodes = grid.nodes_full if full else grid.nodes
+        if not np.allclose(block[:, 0], nodes, rtol=0.0, atol=1e-12):
+            raise ValueError(f"{path}{where}: x values do not align with the grid")
+        slabs.append((block[1:-1] if full else block)[:, 1:].T)
+    return times, np.asarray(slabs)
 
 
 def tabulated_sources(grid: Grid1D, path: str) -> SourcePair:
-    """Sources from a table with columns (t, x, f, g).
+    """Sources from a table with columns (t, x, f, g), read by :func:`read_node_table`.
 
-    The x values of every time slab must align exactly with the grid nodes,
-    either all nodes including the ends or the interior nodes alone.
     Evaluation interpolates linearly in t and clamps outside the tabulated
-    range.
+    range; values at x = 0 and x = 1, if tabulated, are checked and dropped.
     """
-    data = _parse_table(path)
-    times = np.unique(data[:, 0])
-    n = grid.n_interior
-    f_slabs, g_slabs = [], []
-    for t in times:
-        block = data[data[:, 0] == t]
-        order = np.argsort(block[:, 1])
-        block = block[order]
-        xs = block[:, 1]
-        if xs.shape[0] == n + 2:
-            target = grid.nodes_full
-            sl = slice(1, n + 1)
-        elif xs.shape[0] == n:
-            target = grid.nodes
-            sl = slice(0, n)
-        else:
-            raise ValueError(
-                f"{path}: slab t={t} has {xs.shape[0]} rows; expected {n} interior "
-                f"or {n + 2} full nodes"
-            )
-        if not np.allclose(xs, target, rtol=0.0, atol=1e-12):
-            raise ValueError(f"{path}: x values of slab t={t} do not align with the grid")
-        fv = block[:, 2][sl] if xs.shape[0] == n + 2 else block[:, 2]
-        gv = block[:, 3][sl] if xs.shape[0] == n + 2 else block[:, 3]
-        fb = (block[0, 2], block[-1, 2]) if xs.shape[0] == n + 2 else (0.0, 0.0)
-        gb = (block[0, 3], block[-1, 3]) if xs.shape[0] == n + 2 else (0.0, 0.0)
-        f_slabs.append((fv, fb))
-        g_slabs.append((gv, gb))
+    times, slabs = read_node_table(path, grid, ("t", "x", "f", "g"))
 
-    def interpolate(slabs, t):
+    def interpolate(component, t):
         if t <= times[0]:
-            vals, bnd = slabs[0]
-            return Field(grid, vals, bnd)
+            return Field(grid, slabs[0, component])
         if t >= times[-1]:
-            vals, bnd = slabs[-1]
-            return Field(grid, vals, bnd)
+            return Field(grid, slabs[-1, component])
         i = int(np.searchsorted(times, t, side="right")) - 1
-        t0, t1 = times[i], times[i + 1]
-        theta = (t - t0) / (t1 - t0)
-        v0, b0 = slabs[i]
-        v1, b1 = slabs[i + 1]
-        vals = (1.0 - theta) * v0 + theta * v1
-        bnd = (
-            (1.0 - theta) * b0[0] + theta * b1[0],
-            (1.0 - theta) * b0[1] + theta * b1[1],
-        )
-        return Field(grid, vals, bnd)
+        theta = (t - times[i]) / (times[i + 1] - times[i])
+        return Field(grid, (1.0 - theta) * slabs[i, component] + theta * slabs[i + 1, component])
 
     return SourcePair(
-        f=lambda t: interpolate(f_slabs, t),
-        g=lambda t: interpolate(g_slabs, t),
+        f=lambda t: interpolate(0, t),
+        g=lambda t: interpolate(1, t),
         kind="custom-tabulated",
     )
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+import typing
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .integrators import METHODS, SolveConfig, Trajectory, solve
 from .nonlinearity import (
     CoefficientSet,
     SourcePair,
+    read_node_table,
     source_time_lipschitz,
     tabulated_sources,
     zero_sources,
@@ -35,6 +37,7 @@ from .verification import report_to_dict, run_checks
 
 __all__ = [
     "ScenarioConfig",
+    "read_config",
     "MmsSpec",
     "mms_state",
     "build_mms_sources",
@@ -91,22 +94,57 @@ class ScenarioConfig:
         default = 1e3 if self.scenario == "growth_probe" else 1e6
         return replace(self, blowup_threshold=default)
 
+    def solve_config(self, **overrides) -> SolveConfig:
+        """The marching parameters of the resolved config, with ``overrides`` applied."""
+        cfg = self.resolved()
+        params = {f.name: getattr(cfg, f.name) for f in fields(SolveConfig)}
+        return SolveConfig(**{**params, **overrides})
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
+        """Config from JSON-like values; unknown keys and mistyped values are rejected.
+
+        An int is accepted for a float field, and None only for a field
+        whose default is None.
+        """
+        unknown = set(raw) - set(CONFIG_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in raw.items():
+            kind, nullable = CONFIG_TYPES[key]
+            if value is None and nullable:
+                continue
+            accepted = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
         return cls(**raw)
 
     @classmethod
     def from_json(cls, path: str) -> "ScenarioConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
-        # a previously written run summary is accepted as a config carrier
-        if isinstance(raw, dict) and "config" in raw and "status" in raw:
-            raw = raw["config"]
-        return cls.from_dict(raw)
+        return cls.from_dict(read_config(path))
+
+
+def _field_type(hint) -> tuple[type, bool]:
+    args = typing.get_args(hint)  # (T, NoneType) for a "T | None" field
+    return (args[0], True) if args else (hint, False)
+
+
+# config field name -> (its type, whether None is allowed), in field order
+CONFIG_TYPES = {
+    name: _field_type(hint) for name, hint in typing.get_type_hints(ScenarioConfig).items()
+}
+
+
+def read_config(path: str) -> dict:
+    """Config values from a JSON object, or from a run summary that carries one."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    # a previously written run summary is accepted as a config carrier
+    if isinstance(raw, dict) and "config" in raw and "status" in raw:
+        raw = raw["config"]
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: a config must be a JSON object")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -190,29 +228,8 @@ def mms_source_table(
 
 
 def _read_profile(path: str, grid: Grid1D) -> StatePair:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}: expected 3 columns (x, u, v), got {len(parts)}")
-            rows.append([float(p) for p in parts])
-    data = np.asarray(rows, dtype=float)
-    data = data[np.argsort(data[:, 0])]
-    n = grid.n_interior
-    if data.shape[0] == n + 2:
-        if not np.allclose(data[:, 0], grid.nodes_full, rtol=0.0, atol=1e-12):
-            raise ValueError(f"{path}: x values do not align with the grid")
-        data = data[1:-1]
-    elif data.shape[0] == n:
-        if not np.allclose(data[:, 0], grid.nodes, rtol=0.0, atol=1e-12):
-            raise ValueError(f"{path}: x values do not align with the grid")
-    else:
-        raise ValueError(f"{path}: {data.shape[0]} rows; expected {n} interior or {n + 2} full nodes")
-    return StatePair(Field(grid, data[:, 1]), Field(grid, data[:, 2]))
+    _, values = read_node_table(path, grid, ("x", "u", "v"))
+    return StatePair(Field(grid, values[0, 0]), Field(grid, values[0, 1]))
 
 
 def initial_state(cfg: ScenarioConfig, grid: Grid1D) -> StatePair:
@@ -275,21 +292,12 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     0 = completed, 1 = step failure or I/O failure, 2 = blow-up detected.
     """
     cfg = cfg.resolved()
-    grid = Grid1D(cfg.n_interior)
-    coefficients = CoefficientSet(cfg.d_u, cfg.d_v, cfg.p_u, cfg.p_v)
     try:
+        grid = Grid1D(cfg.n_interior)
+        coefficients = CoefficientSet(cfg.d_u, cfg.d_v, cfg.p_u, cfg.p_v)
         state0 = initial_state(cfg, grid)
         sources = scenario_sources(cfg, grid, coefficients)
-        solve_cfg = SolveConfig(
-            dt=cfg.dt,
-            t_end=cfg.t_end,
-            method=cfg.method,
-            picard_max_iter=cfg.picard_max_iter,
-            picard_tol=cfg.picard_tol,
-            picard_substeps=cfg.picard_substeps,
-            blowup_threshold=cfg.blowup_threshold,
-            snapshot_every=cfg.snapshot_every,
-        )
+        solve_cfg = cfg.solve_config()
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -355,16 +363,7 @@ def _terminal_error(cfg: ScenarioConfig, n_interior: int, dt: float) -> float:
     coefficients = CoefficientSet(cfg.d_u, cfg.d_v, cfg.p_u, cfg.p_v)
     spec = MmsSpec(cfg.mms_a, cfg.mms_b)
     sources = build_mms_sources(spec, grid, coefficients)
-    solve_cfg = SolveConfig(
-        dt=dt,
-        t_end=cfg.t_end,
-        method=cfg.method,
-        picard_max_iter=cfg.picard_max_iter,
-        picard_tol=cfg.picard_tol,
-        picard_substeps=cfg.picard_substeps,
-        blowup_threshold=1e6,
-        snapshot_every=10**9,
-    )
+    solve_cfg = cfg.solve_config(dt=dt, blowup_threshold=1e6, snapshot_every=10**9)
     traj = solve(mms_state(spec, grid, 0.0), solve_cfg, sources, coefficients)
     if traj.status.kind != "completed":
         raise RuntimeError(f"manufactured run did not complete: {traj.status}")

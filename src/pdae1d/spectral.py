@@ -18,20 +18,16 @@ import numpy as np
 from scipy.fft import dst as _dst
 from scipy.linalg import solve_banded
 
-from .fields import Field, Grid1D, SineCoeffs, StatePair
+from .fields import Field, Grid1D, StatePair
 
 __all__ = [
     "laplacian_eigenvalues",
     "to_coeffs",
     "to_values",
-    "dst_forward",
-    "dst_inverse",
     "discrete_laplacian",
     "semigroup_apply",
-    "semigroup_apply_field",
     "phi1",
     "phi1_apply",
-    "phi1_apply_field",
     "solve_shifted",
 ]
 
@@ -70,20 +66,6 @@ def to_values(coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * _dst(coeffs, type=1)
 
 
-def dst_forward(f: Field) -> SineCoeffs:
-    """Project a field onto the sine eigenbasis.
-
-    c_k = (2/(n+1)) * sum_j f_j sin(k*pi*x_j); inverse of :func:`dst_inverse`.
-    Boundary values, if any, are ignored: the basis is Dirichlet.
-    """
-    return SineCoeffs(f.grid, to_coeffs(f.values))
-
-
-def dst_inverse(c: SineCoeffs) -> Field:
-    """Synthesize the field f_j = sum_k c_k sin(k*pi*x_j)."""
-    return Field(c.grid, to_values(c.coeffs))
-
-
 def discrete_laplacian(f: Field) -> Field:
     """Second difference (f_{j-1} - 2 f_j + f_{j+1}) / h^2 with implicit zero ends.
 
@@ -97,16 +79,12 @@ def discrete_laplacian(f: Field) -> Field:
     return Field(f.grid, out / f.grid.h**2)
 
 
-def _scale_modes(f: Field, factors: np.ndarray) -> Field:
-    return Field(f.grid, to_values(factors * to_coeffs(f.values)))
-
-
-def semigroup_apply_field(f: Field, t: float, diffusion: float = 1.0) -> Field:
-    """Apply the heat semigroup exp(t * diffusion * Laplacian) to one field."""
-    if t < 0:
-        raise ValueError("the heat semigroup is defined for t >= 0 only")
-    lam = laplacian_eigenvalues(f.grid)
-    return _scale_modes(f, np.exp(diffusion * t * lam))
+def _weigh_modes(state: StatePair, weight, t: float, d_u: float, d_v: float) -> StatePair:
+    """Scale each component's sine coefficients by weight(d * t * lambda_k)."""
+    lam = laplacian_eigenvalues(state.grid)
+    factors = weight(np.stack((d_u * t * lam, d_v * t * lam)))
+    values = to_values(factors * to_coeffs(np.stack((state.u.values, state.v.values))))
+    return StatePair(Field(state.grid, values[0]), Field(state.grid, values[1]))
 
 
 def semigroup_apply(state: StatePair, t: float, d_u: float = 1.0, d_v: float = 1.0) -> StatePair:
@@ -115,10 +93,9 @@ def semigroup_apply(state: StatePair, t: float, d_u: float = 1.0, d_v: float = 1
     Componentwise in the sine basis each coefficient is scaled by
     exp(d * lambda_k * t); the map is a contraction of the product norm.
     """
-    return StatePair(
-        semigroup_apply_field(state.u, t, d_u),
-        semigroup_apply_field(state.v, t, d_v),
-    )
+    if t < 0:
+        raise ValueError("the heat semigroup is defined for t >= 0 only")
+    return _weigh_modes(state, np.exp, t, d_u, d_v)
 
 
 def phi1(z):
@@ -137,19 +114,11 @@ def phi1(z):
     return float(out) if np.ndim(z) == 0 else out
 
 
-def phi1_apply_field(f: Field, t: float, diffusion: float = 1.0) -> Field:
+def phi1_apply(state: StatePair, t: float, d_u: float = 1.0, d_v: float = 1.0) -> StatePair:
+    """Scale each sine coefficient by phi1(d * lambda_k * t), per component, t > 0."""
     if t <= 0:
         raise ValueError("phi1 weight requires t > 0")
-    lam = laplacian_eigenvalues(f.grid)
-    return _scale_modes(f, phi1(diffusion * t * lam))
-
-
-def phi1_apply(state: StatePair, t: float, d_u: float = 1.0, d_v: float = 1.0) -> StatePair:
-    """Scale each sine coefficient by phi1(d * lambda_k * t), per component."""
-    return StatePair(
-        phi1_apply_field(state.u, t, d_u),
-        phi1_apply_field(state.v, t, d_v),
-    )
+    return _weigh_modes(state, phi1, t, d_u, d_v)
 
 
 def _shifted_matvec(u: np.ndarray, lam: float, h2: float) -> np.ndarray:

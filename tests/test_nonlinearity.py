@@ -241,6 +241,18 @@ class TestTabulatedSources:
         with pytest.raises(ValueError):
             tabulated_sources(grid, str(path))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_entries_rejected_with_the_file_name(self, tmp_path, bad):
+        grid = Grid1D(5)
+        path = tmp_path / "nonfinite.csv"
+        self.write_table(path, grid, (0.0, 1.0), lambda t, x: t * x, lambda t, x: 1.0)
+        lines = path.read_text().splitlines()
+        t, x, f, g = lines[9].split(",")
+        lines[9] = ",".join((t, x, f, bad) if bad == "nan" else (t, x, bad, g))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="nonfinite.csv: table entries must be finite"):
+            tabulated_sources(grid, str(path))
+
     def test_wrong_column_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.0, 0.5, 1.0\n")

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -10,13 +12,16 @@ from pdae1d import (
     Grid1D,
     MmsSpec,
     ScenarioConfig,
+    SolveConfig,
     build_mms_sources,
     mms_source_table,
     mms_state,
     run_convergence,
     run_scenario,
 )
-from pdae1d.cli import main
+from pdae1d.cli import build_parser, main
+from pdae1d.integrators import METHODS
+from pdae1d.scenarios import CONFIG_TYPES, SCENARIOS, read_config
 
 
 def mms_truth(spec, c, t, x):
@@ -134,6 +139,37 @@ class TestScenarioConfig:
             .blowup_threshold
             == 7.0
         )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dt", "0.1"), ("n_interior", 1.5), ("seed", True), ("t_end", None), ("method", 3)],
+    )
+    def test_mistyped_value_rejected_by_name(self, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            ScenarioConfig.from_dict({key: value})
+
+    def test_int_fits_float_field_and_none_fits_optional_field(self):
+        cfg = ScenarioConfig.from_dict({"dt": 1, "t_end": 2, "ic_file": None, "mms_a": 0})
+        assert (cfg.dt, cfg.t_end, cfg.ic_file, cfg.mms_a) == (1, 2, None, 0)
+
+    def test_solve_config_is_the_resolved_marching_subset(self):
+        cfg = ScenarioConfig(
+            scenario="growth_probe", dt=0.01, t_end=0.5, method="picard", picard_substeps=3
+        )
+        expected = SolveConfig(
+            dt=0.01, t_end=0.5, method="picard", picard_substeps=3, blowup_threshold=1e3
+        )
+        assert cfg.solve_config() == expected
+        assert cfg.solve_config(dt=0.05, snapshot_every=7) == dataclasses.replace(
+            expected, dt=0.05, snapshot_every=7
+        )
+
+    def test_config_file_must_hold_an_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        for document in ([1, 2], "decay", {"config": [1], "status": {}}):
+            path.write_text(json.dumps(document))
+            with pytest.raises(ValueError, match="must be a JSON object"):
+                read_config(str(path))
 
     def test_roundtrip_through_summary_json(self, tmp_path):
         cfg = ScenarioConfig(
@@ -281,7 +317,88 @@ class TestDeterminism:
         assert texts[0] == texts[1]
 
 
+def subcommand_options(name):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest: action for action in sub.choices[name]._actions}
+
+
 class TestCli:
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    def test_every_config_field_has_a_flag(self, command):
+        options = subcommand_options(command)
+        for f in dataclasses.fields(ScenarioConfig):
+            action = options[f.name]
+            assert action.option_strings == ["--" + f.name.replace("_", "-")]
+            assert action.type is CONFIG_TYPES[f.name][0]
+            assert action.default is None
+        assert options["scenario"].choices == SCENARIOS
+        assert options["method"].choices == METHODS
+
+    def test_summary_carrier_reproduces_the_data_rows(self, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        argv = ["run", "--scenario", "mms", "--method", "imex", "--n-interior", "15"]
+        assert main(argv + ["--dt", "0.01", "--t-end", "0.05", "--output-dir", str(first)]) == 0
+        assert main(["run", "--config", str(first / "summary.json"), "--output-dir", str(second)]) == 0
+        for name in ("trajectory.csv", "constraint.csv", "mms_error.csv"):
+            rows = [
+                [line for line in (d / name).read_bytes().splitlines() if not line.startswith(b"#")]
+                for d in (first, second)
+            ]
+            assert rows[0] and rows[0] == rows[1]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "n_interior_zero",
+            "zero_diffusion",
+            "empty_ic_file",
+            "config_list",
+            "config_string_dt",
+            "non_finite_source",
+            "verify_zero_samples",
+            "verify_unwritable_output",
+            "mms_sources_n_interior_zero",
+            "mms_sources_missing_output_dir",
+        ],
+    )
+    def test_bad_input_exits_1_with_error_line(self, case, tmp_path, capsys):
+        out = ["--output-dir", str(tmp_path / "out")]
+        grid = Grid1D(3)
+        ic = tmp_path / "ic.txt"
+        ic.write_text("".join(f"{x!r} 0.1 0.2\n" for x in grid.nodes))
+        config = tmp_path / "cfg.json"
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        if case == "n_interior_zero":
+            argv = ["run", "--n-interior", "0"] + out
+        elif case == "zero_diffusion":
+            argv = ["run", "--d-u", "0"] + out
+        elif case == "empty_ic_file":
+            (tmp_path / "empty.txt").write_text("")
+            argv = ["run", "--scenario", "custom", "--ic-file", str(tmp_path / "empty.txt")] + out
+        elif case == "config_list":
+            config.write_text("[1, 2]")
+            argv = ["run", "--config", str(config)] + out
+        elif case == "config_string_dt":
+            config.write_text('{"dt": "0.1"}')
+            argv = ["run", "--config", str(config)] + out
+        elif case == "non_finite_source":
+            table = tmp_path / "src.txt"
+            table.write_text("".join(f"0.0 {x!r} nan 0.0\n" for x in grid.nodes))
+            argv = ["run", "--scenario", "custom", "--n-interior", "3", "--ic-file", str(ic)]
+            argv += ["--source-file", str(table), "--dt", "0.01", "--t-end", "0.02"] + out
+        elif case == "verify_zero_samples":
+            argv = ["verify", "--sizes", "8", "--samples", "0"]
+        elif case == "verify_unwritable_output":
+            argv = ["verify", "--sizes", "8", "--samples", "2", "--lipschitz-samples", "2"]
+            argv += ["--output", str(blocker / "report.json")]
+        elif case == "mms_sources_n_interior_zero":
+            argv = ["mms-sources", "--n-interior", "0"]
+        else:
+            argv = ["mms-sources", "--output", str(tmp_path / "missing" / "table.txt")]
+        assert main(argv) == 1
+        assert "error: " in capsys.readouterr().err
     def test_run_subcommand(self, tmp_path, capsys):
         code = main(
             [

@@ -5,19 +5,16 @@ from scipy.linalg import expm
 from pdae1d import (
     Field,
     Grid1D,
-    SineCoeffs,
     StatePair,
     discrete_laplacian,
-    dst_forward,
-    dst_inverse,
     laplacian_eigenvalues,
     phi1,
     phi1_apply,
     semigroup_apply,
-    semigroup_apply_field,
     sine_mode,
     solve_shifted,
 )
+from pdae1d.spectral import to_coeffs, to_values
 
 
 def dense_laplacian(n):
@@ -47,11 +44,11 @@ def random_state(grid, rng):
 class TestDst:
     def test_zero_field_zero_coeffs(self):
         grid = Grid1D(9)
-        assert np.all(dst_forward(Field.zeros(grid)).coeffs == 0.0)
+        assert np.all(to_coeffs(Field.zeros(grid).values) == 0.0)
 
     def test_first_mode_n7(self):
         grid = Grid1D(7)
-        coeffs = dst_forward(sine_mode(grid, 1)).coeffs
+        coeffs = to_coeffs(sine_mode(grid, 1).values)
         expected = np.zeros(7)
         expected[0] = 1.0
         np.testing.assert_allclose(coeffs, expected, atol=1e-12)
@@ -61,29 +58,36 @@ class TestDst:
         rng = np.random.default_rng(7)
         f = Field(grid, rng.standard_normal(23))
         np.testing.assert_allclose(
-            dst_forward(f).coeffs, dense_projection(f.values, grid), rtol=1e-12, atol=1e-13
+            to_coeffs(f.values), dense_projection(f.values, grid), rtol=1e-12, atol=1e-13
         )
 
     def test_roundtrip_forward_then_inverse(self):
-        grid = Grid1D(16)
         rng = np.random.default_rng(3)
-        f = Field(grid, rng.uniform(-1.0, 1.0, 16))
-        back = dst_inverse(dst_forward(f))
-        assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+        values = rng.uniform(-1.0, 1.0, 16)
+        back = to_values(to_coeffs(values))
+        assert np.max(np.abs(back - values)) <= 1e-12 * np.max(np.abs(values))
 
     def test_roundtrip_inverse_then_forward(self):
-        grid = Grid1D(16)
         rng = np.random.default_rng(4)
-        c = SineCoeffs(grid, rng.uniform(-1.0, 1.0, 16))
-        back = dst_forward(dst_inverse(c))
-        np.testing.assert_allclose(back.coeffs, c.coeffs, rtol=1e-12, atol=1e-14)
+        coeffs = rng.uniform(-1.0, 1.0, 16)
+        back = to_coeffs(to_values(coeffs))
+        np.testing.assert_allclose(back, coeffs, rtol=1e-12, atol=1e-14)
 
     def test_basis_coefficient_synthesizes_mode(self):
         grid = Grid1D(11)
         coeffs = np.zeros(11)
         coeffs[0] = 1.0
-        field = dst_inverse(SineCoeffs(grid, coeffs))
-        np.testing.assert_allclose(field.values, np.sin(np.pi * grid.nodes), rtol=1e-13)
+        np.testing.assert_allclose(to_values(coeffs), np.sin(np.pi * grid.nodes), rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [7, 16, 127, 128, 256, 1023])
+    def test_batched_rows_equal_single_transforms(self, n):
+        # semigroup_apply and phi1_apply transform (u, v) as one stack, so a
+        # row of a batch must equal the same row transformed alone, bit for bit
+        stack = np.random.default_rng(n).standard_normal((2, n))
+        for transform in (to_coeffs, to_values):
+            batched = transform(stack)
+            for row in range(2):
+                assert np.array_equal(batched[row], transform(stack[row]))
 
 
 class TestLaplacian:
@@ -173,10 +177,10 @@ class TestSemigroup:
         state = random_state(grid, rng)
         fast = semigroup_apply(state, 0.2, d_u=2.0, d_v=0.5)
         np.testing.assert_allclose(
-            fast.u.values, semigroup_apply_field(state.u, 0.4).values, rtol=1e-12, atol=1e-15
+            fast.u.values, semigroup_apply(state, 0.4).u.values, rtol=1e-12, atol=1e-15
         )
         np.testing.assert_allclose(
-            fast.v.values, semigroup_apply_field(state.v, 0.1).values, rtol=1e-12, atol=1e-15
+            fast.v.values, semigroup_apply(state, 0.1).v.values, rtol=1e-12, atol=1e-15
         )
 
 
@@ -271,6 +275,7 @@ class TestSolveShifted:
         rng = np.random.default_rng(43)
         g = Field(grid, rng.uniform(-1.0, 1.0, 24))
         t, shift = 0.3, 1.0
-        left = solve_shifted(semigroup_apply_field(g, t), shift)
-        right = semigroup_apply_field(solve_shifted(g, shift), t)
+        zero = Field.zeros(grid)
+        left = solve_shifted(semigroup_apply(StatePair(g, zero), t).u, shift)
+        right = semigroup_apply(StatePair(solve_shifted(g, shift), zero), t).u
         assert np.max(np.abs(left.values - right.values)) <= 1e-10

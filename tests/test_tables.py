@@ -1,0 +1,109 @@
+"""Property tests of the one node-table reader behind IC files and source tables."""
+
+import math
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pdae1d import Grid1D
+from pdae1d.nonlinearity import read_node_table
+
+PROFILE = ("x", "u", "v")
+SOURCES = ("t", "x", "f", "g")
+SEPARATORS = (" ", "  ", "\t", ",", ", ", " ,")
+CORRUPTIONS = ("none", "columns", "misaligned", "duplicate_x", "non_finite")
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def read(text, grid, columns):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "table.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        return read_node_table(path, grid, columns)
+
+
+@st.composite
+def tables(draw):
+    """(text, grid, columns, expected times, expected values or None if invalid)."""
+    n = draw(st.integers(1, 9))
+    grid = Grid1D(n)
+    columns = draw(st.sampled_from((PROFILE, SOURCES)))
+    keyed = columns is SOURCES
+    times = sorted(draw(st.sets(finite, min_size=1, max_size=3))) if keyed else [None]
+    slabs, rows = [], []
+    for t in times:
+        full = draw(st.booleans())
+        nodes = grid.nodes_full if full else grid.nodes
+        values = draw(st.lists(st.tuples(finite, finite), min_size=len(nodes), max_size=len(nodes)))
+        slab = [([t] if keyed else []) + [float(x), a, b] for x, (a, b) in zip(nodes, values)]
+        rows.append(slab)
+        slabs.append(np.array(values[1:-1] if full else values).T)
+
+    corruption = draw(st.sampled_from(CORRUPTIONS))
+    slab = rows[draw(st.integers(0, len(rows) - 1))]
+    row = slab[draw(st.integers(0, len(slab) - 1))]
+    x_col = 1 if keyed else 0
+    if corruption == "columns":
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(finite))
+    elif corruption == "misaligned":
+        row[x_col] += draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1e-9, 1e-3))
+    elif corruption == "duplicate_x":
+        if len(slab) < 2:
+            corruption = "none"
+        else:
+            other = slab[draw(st.integers(0, len(slab) - 1).filter(lambda i: slab[i] is not row))]
+            row[x_col] = other[x_col]
+    elif corruption == "non_finite":
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+
+    lines = [row for slab in rows for row in slab]
+    lines = draw(st.permutations(lines))
+    text_lines = []
+    for row in lines:
+        sep = draw(st.sampled_from(SEPARATORS))
+        line = sep.join(repr(float(v)) for v in row)
+        if draw(st.booleans()):
+            line += draw(st.sampled_from(("", " ", "\t"))) + "# " + draw(st.text("abc ,#", max_size=8))
+        text_lines.append(line)
+        for _ in range(draw(st.integers(0, 2))):
+            text_lines.append(draw(st.sampled_from(("", "   ", "# comment", "#", "\t# x u, v"))))
+    expected = None if corruption != "none" else np.array(slabs)
+    return "\n".join(text_lines) + "\n", grid, columns, times, expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_reader_returns_grid_ordered_values_or_raises_value_error(case):
+    text, grid, columns, times, expected = case
+    try:
+        got_times, values = read(text, grid, columns)
+    except ValueError:
+        assert expected is None
+        return
+    assert expected is not None
+    assert np.array_equal(values, expected)
+    if columns is SOURCES:
+        assert np.array_equal(got_times, times)
+    else:
+        assert got_times is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=200),
+    st.integers(1, 4),
+    st.sampled_from((PROFILE, SOURCES)),
+)
+def test_arbitrary_text_never_raises_anything_but_value_error(text, n, columns):
+    try:
+        read(text, Grid1D(n), columns)
+    except ValueError:
+        pass

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .fields import Grid1D
@@ -96,6 +97,7 @@ def _cmd_mms_sources(args: argparse.Namespace) -> int:
     lines = ["# t x f g"] + [" ".join(_fmt(v) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
     if args.output:
+        os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
         with open(args.output, "w") as fh:
             fh.write(text)
     else:

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Grid1D", "Field", "StatePair", "pair_norm", "sine_mode"]
+__all__ = ["Grid1D", "Field", "StatePair", "pair_norm", "row_dot", "sine_mode"]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -164,8 +164,24 @@ class StatePair:
     __rmul__ = __mul__
 
 
-def pair_norm(values, h: float) -> float:
-    """:meth:`StatePair.norm` of nodal values ``(u, v)`` on a grid of spacing h."""
+def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows along the last axis, leading axes a batch.
+
+    Each entry equals ``np.dot`` of its two rows bit for bit (plain
+    ``np.sum`` or ``np.einsum`` of the product does not).
+    """
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def pair_norm(values, h: float):
+    """:meth:`StatePair.norm` of nodal values ``(u, v)`` on a grid of spacing h.
+
+    ``values`` may also be an array shaped (..., 2, n) with a batch in front;
+    the result is then an array of the norms, each equal to the single one.
+    """
+    if isinstance(values, np.ndarray) and values.ndim > 2:
+        u, v = values[..., 0, :], values[..., 1, :]
+        return np.sqrt(h * (row_dot(u, u) + row_dot(v, v)))
     u, v = values
     return float(np.sqrt(h * (np.dot(u, u) + np.dot(v, v))))
 

@@ -11,6 +11,7 @@ measures the realized quotient so that bound can be checked empirically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 # every module binding of it
 from .constraint import cumulative_integral  # noqa: F401
 from .constraint import running_integral
-from .fields import Field, Grid1D, StatePair
+from .fields import Field, Grid1D, StatePair, pair_norm, row_dot
 
 __all__ = [
     "CoefficientSet",
@@ -192,32 +193,46 @@ def eval_reaction(
 
 
 def lipschitz_ratio(
-    a: StatePair,
-    b: StatePair,
+    a: StatePair | np.ndarray,
+    b: StatePair | np.ndarray,
     sources: SourcePair | None = None,
     t: float = 0.0,
     coefficients: CoefficientSet | None = None,
-) -> float:
+):
     """Realized quotient ||R(a) - R(b)|| / ||a - b|| of the reaction operator.
 
     Sources cancel in the difference, so the result does not depend on them.
+    ``a`` and ``b`` are StatePairs, giving a float, or Dirichlet nodal pairs
+    shaped (..., 2, n), giving an array of the per-pair quotients.
     """
-    denom = (a - b).norm()
-    if denom == 0.0:
+    if isinstance(a, StatePair):
+        norm = StatePair.norm
+    else:
+        norm = partial(pair_norm, h=1.0 / (a.shape[-1] + 1))
+    denom = norm(a - b)
+    if np.any(denom == 0.0):
         raise ValueError("states coincide; the quotient is undefined")
     ra = eval_reaction(a, t, sources, coefficients)
     rb = eval_reaction(b, t, sources, coefficients)
-    return (ra - rb).norm() / denom
+    return norm(ra - rb) / denom
 
 
-def h1_seminorm(f: Field) -> float:
+def h1_seminorm(f: Field | np.ndarray):
     """Discrete first-derivative seminorm sqrt(h * sum((df/h)^2)).
 
     Forward differences over every cell including the two boundary gaps,
     using the field's explicit boundary pair (zero for Dirichlet unknowns).
+    ``f`` is a Field, giving a float, or Dirichlet nodal values shaped
+    (..., n) with zero ends, giving an array of the per-row seminorms.
     """
-    diffs = np.diff(f.values_full())
-    return float(np.sqrt(np.dot(diffs, diffs) / f.grid.h))
+    if isinstance(f, Field):
+        full = f.values_full()
+    else:
+        full = np.zeros(f.shape[:-1] + (f.shape[-1] + 2,))
+        full[..., 1:-1] = f
+    diffs = np.diff(full)
+    value = np.sqrt(row_dot(diffs, diffs) / (1.0 / (full.shape[-1] - 1)))
+    return float(value) if isinstance(f, Field) else value
 
 
 def source_time_lipschitz(sources: SourcePair, times) -> float:

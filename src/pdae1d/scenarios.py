@@ -363,7 +363,7 @@ def _terminal_error(cfg: ScenarioConfig, n_interior: int, dt: float) -> float:
     coefficients = CoefficientSet(cfg.d_u, cfg.d_v, cfg.p_u, cfg.p_v)
     spec = MmsSpec(cfg.mms_a, cfg.mms_b)
     sources = build_mms_sources(spec, grid, coefficients)
-    solve_cfg = cfg.solve_config(dt=dt, blowup_threshold=1e6, snapshot_every=10**9)
+    solve_cfg = cfg.solve_config(dt=dt, snapshot_every=10**9)
     traj = solve(mms_state(spec, grid, 0.0), solve_cfg, sources, coefficients)
     if traj.status.kind != "completed":
         raise RuntimeError(f"manufactured run did not complete: {traj.status}")
@@ -378,7 +378,9 @@ def run_convergence(cfg: ScenarioConfig, dt_levels=(), n_levels=()) -> list[dict
     error at the finest dt); ``n_levels`` refines space at the configured
     dt, which must be small enough to saturate.  observed_order is the
     log2 error ratio against the previous row of the same sweep, NaN on
-    the first row.  Writes convergence.csv under the output directory.
+    the first row.  Every level marches with the resolved blow-up
+    threshold; a level that stops early raises RuntimeError.  Writes
+    convergence.csv under the output directory.
     """
     cfg = cfg.resolved()
     if cfg.scenario != "mms":

@@ -66,34 +66,51 @@ def to_values(coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * _dst(coeffs, type=1)
 
 
-def discrete_laplacian(f: Field) -> Field:
+def discrete_laplacian(f: Field | np.ndarray) -> Field | np.ndarray:
     """Second difference (f_{j-1} - 2 f_j + f_{j+1}) / h^2 with implicit zero ends.
 
     The field is treated as a Dirichlet unknown: f_0 = f_{n+1} = 0 regardless
-    of any explicit boundary pair it carries.
+    of any explicit boundary pair it carries.  ``f`` is a Field or nodal
+    values shaped (..., n) with a batch in front; the result comes back in
+    the same form.
     """
-    v = f.values
+    v = f.values if isinstance(f, Field) else f
     out = -2.0 * v
-    out[:-1] += v[1:]
-    out[1:] += v[:-1]
-    return Field(f.grid, out / f.grid.h**2)
+    out[..., :-1] += v[..., 1:]
+    out[..., 1:] += v[..., :-1]
+    out = out / (1.0 / (v.shape[-1] + 1)) ** 2
+    return Field(f.grid, out) if isinstance(f, Field) else out
 
 
-def _weigh_modes(state: StatePair, weight, t: float, d_u: float, d_v: float) -> StatePair:
-    """Scale each component's sine coefficients by weight(d * t * lambda_k)."""
-    lam = laplacian_eigenvalues(state.grid)
-    factors = weight(np.stack((d_u * t * lam, d_v * t * lam)))
-    values = to_values(factors * to_coeffs(np.stack((state.u.values, state.v.values))))
-    return StatePair(Field(state.grid, values[0]), Field(state.grid, values[1]))
+def _weigh_modes(state, weight, t, d_u: float, d_v: float):
+    """Scale each component's sine coefficients by weight(d * t * lambda_k).
+
+    ``state`` is a StatePair (scalar t) or nodal pairs shaped (..., 2, n),
+    with t a scalar or an array over the leading axes.
+    """
+    pair = isinstance(state, StatePair)
+    values = np.stack((state.u.values, state.v.values)) if pair else state
+    t = np.asarray(t, dtype=float)
+    if pair and t.ndim:
+        raise ValueError("a StatePair takes a scalar t; stack the states for an array t")
+    lam = _eigenvalues(values.shape[-1])
+    factors = weight(np.stack((d_u * t, d_v * t), axis=-1)[..., None] * lam)
+    out = to_values(factors * to_coeffs(values))
+    if pair:
+        return StatePair(Field(state.grid, out[0]), Field(state.grid, out[1]))
+    return out
 
 
-def semigroup_apply(state: StatePair, t: float, d_u: float = 1.0, d_v: float = 1.0) -> StatePair:
+def semigroup_apply(state: StatePair | np.ndarray, t, d_u: float = 1.0, d_v: float = 1.0):
     """Evolve both components by the diffusion semigroup for a duration t >= 0.
 
     Componentwise in the sine basis each coefficient is scaled by
     exp(d * lambda_k * t); the map is a contraction of the product norm.
+    ``state`` is a StatePair, or nodal pairs shaped (..., 2, n) with t a
+    scalar or an array over the leading axes; the result comes back in the
+    same form.
     """
-    if t < 0:
+    if np.any(np.asarray(t) < 0):
         raise ValueError("the heat semigroup is defined for t >= 0 only")
     return _weigh_modes(state, np.exp, t, d_u, d_v)
 
@@ -128,23 +145,27 @@ def _shifted_matvec(u: np.ndarray, lam: float, h2: float) -> np.ndarray:
     return out
 
 
-def solve_shifted(g: Field, lam: float) -> Field:
+def solve_shifted(g: Field | np.ndarray, lam: float) -> Field | np.ndarray:
     """Solve (lam*I - Laplacian) u = g by tridiagonal elimination, lam > 0.
 
     The matrix is symmetric positive definite and strictly diagonally
     dominant for lam > 0.  One step of iterative refinement keeps the
     residual at a few ulps of ||g||, well inside the 1e-12 relative
-    contract.
+    contract.  ``g`` is a Field or nodal values shaped (..., n); a stack is
+    solved as one multi-column right-hand side, and the result comes back
+    in the same form as ``g``.
     """
     if lam <= 0:
         raise ValueError("shift must be positive (definiteness is lost otherwise)")
-    n = g.grid.n_interior
-    h2 = g.grid.h**2
+    rhs = g.values if isinstance(g, Field) else g
+    n = rhs.shape[-1]
+    h2 = (1.0 / (n + 1)) ** 2
     ab = np.empty((3, n))
     ab[0, :] = -1.0 / h2
     ab[1, :] = lam + 2.0 / h2
     ab[2, :] = -1.0 / h2
-    u = solve_banded((1, 1), ab, g.values, check_finite=False)
-    residual = g.values - _shifted_matvec(u, lam, h2)
-    u = u + solve_banded((1, 1), ab, residual, check_finite=False)
-    return Field(g.grid, u)
+    columns = rhs.reshape(-1, n).T
+    u = solve_banded((1, 1), ab, columns, check_finite=False)
+    residual = columns - _shifted_matvec(u, lam, h2)
+    u = (u + solve_banded((1, 1), ab, residual, check_finite=False)).T.reshape(rhs.shape)
+    return Field(g.grid, u) if isinstance(g, Field) else u

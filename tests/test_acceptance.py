@@ -55,7 +55,7 @@ def test_criterion_01_dissipativity():
         ok = ok and rep.passed and rep.worst_value <= 1e-10
         worst = max(worst, rep.worst_value)
     elapsed = time.perf_counter() - start
-    report(1, "dissipativity", ok, f"worst normalized value {worst:.2e} <= 1e-10", elapsed, 5.0)
+    report(1, "dissipativity", ok, f"worst normalized value {worst:.2e} <= 1e-10", elapsed, 2.0)
 
 
 def test_criterion_02_maximality():
@@ -67,7 +67,7 @@ def test_criterion_02_maximality():
         ok = ok and rep.passed
         worst = max(worst, rep.observed["max_relative_residual"])
     elapsed = time.perf_counter() - start
-    report(2, "maximality", ok, f"worst relative residual {worst:.2e} <= 1e-12", elapsed, 5.0)
+    report(2, "maximality", ok, f"worst relative residual {worst:.2e} <= 1e-12", elapsed, 2.0)
 
 
 def test_criterion_03_contraction_semigroup():
@@ -80,7 +80,7 @@ def test_criterion_03_contraction_semigroup():
         f"continuity increase {rep.observed['max_continuity_increase']:.1e}, "
         f"generator order error {rep.observed['max_generator_order_error']:.2e}"
     )
-    report(3, "contraction semigroup", rep.passed, detail, elapsed, 10.0)
+    report(3, "contraction semigroup", rep.passed, detail, elapsed, 3.0)
 
 
 def test_criterion_04_lipschitz_lemma():
@@ -94,7 +94,7 @@ def test_criterion_04_lipschitz_lemma():
         rep.passed and rep.worst_value <= 1e-9,
         f"max ratios per C {{{ratios}}} all within 4*sqrt(3)*C",
         elapsed,
-        30.0,
+        5.0,
     )
 
 

@@ -16,6 +16,7 @@ from pdae1d import (
     tabulated_sources,
     zero_sources,
 )
+from pdae1d.fields import pair_norm
 
 BOUND = 4.0 * np.sqrt(3.0)
 
@@ -268,3 +269,50 @@ def test_source_time_lipschitz_linear_rate(tmp_path):
     )
     rate = source_time_lipschitz(sources, np.linspace(0.0, 1.0, 5))
     np.testing.assert_allclose(rate, amplitude.l2_norm(), rtol=1e-12)
+
+
+class TestStackedForms:
+    """Array stacks give the per-pair results bit for bit."""
+
+    SIZES = [1, 2, 16, 63, 256]
+
+    @staticmethod
+    def pair(grid, values):
+        return StatePair(Field(grid, values[0]), Field(grid, values[1]))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_lipschitz_ratio(self, n):
+        grid = Grid1D(n)
+        rng = np.random.default_rng(n)
+        a, b = rng.uniform(-1.0, 1.0, (2, 5, 2, n))
+        c = CoefficientSet(p_u=0.5, p_v=2.0)
+        ratios = lipschitz_ratio(a, b, coefficients=c)
+        assert ratios.shape == (5,)
+        for i in range(5):
+            single = lipschitz_ratio(self.pair(grid, a[i]), self.pair(grid, b[i]), coefficients=c)
+            assert ratios[i] == single
+
+    def test_lipschitz_ratio_rejects_a_coinciding_pair(self):
+        a = np.random.default_rng(1).uniform(-1.0, 1.0, (3, 2, 8))
+        b = a.copy()
+        b[:2] += 0.5
+        with pytest.raises(ValueError):
+            lipschitz_ratio(a, b)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_h1_seminorm(self, n):
+        grid = Grid1D(n)
+        stack = np.random.default_rng(n).uniform(-1.0, 1.0, (3, 2, n))
+        out = h1_seminorm(stack)
+        assert out.shape == (3, 2)
+        for row in np.ndindex(3, 2):
+            assert out[row] == h1_seminorm(Field(grid, stack[row]))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_pair_norm(self, n):
+        grid = Grid1D(n)
+        stack = np.random.default_rng(n).uniform(-1.0, 1.0, (4, 3, 2, n))
+        out = pair_norm(stack, grid.h)
+        assert out.shape == (4, 3)
+        for row in np.ndindex(4, 3):
+            assert out[row] == self.pair(grid, stack[row]).norm()

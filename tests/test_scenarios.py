@@ -359,7 +359,7 @@ class TestCli:
             "verify_zero_samples",
             "verify_unwritable_output",
             "mms_sources_n_interior_zero",
-            "mms_sources_missing_output_dir",
+            "mms_sources_unwritable_output",
         ],
     )
     def test_bad_input_exits_1_with_error_line(self, case, tmp_path, capsys):
@@ -396,7 +396,7 @@ class TestCli:
         elif case == "mms_sources_n_interior_zero":
             argv = ["mms-sources", "--n-interior", "0"]
         else:
-            argv = ["mms-sources", "--output", str(tmp_path / "missing" / "table.txt")]
+            argv = ["mms-sources", "--output", str(blocker / "table.txt")]
         assert main(argv) == 1
         assert "error: " in capsys.readouterr().err
     def test_run_subcommand(self, tmp_path, capsys):
@@ -497,6 +497,20 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "# t x f g"
         assert len(lines) == 1 + 2 * 9  # two times, full node set each
+
+    def test_mms_sources_creates_missing_output_dir(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "table.txt"
+        assert main(["mms-sources", "--n-interior", "7", "--output", str(out)]) == 0
+        main(["mms-sources", "--n-interior", "7"])
+        assert out.read_text() == capsys.readouterr().out
+
+    def test_converge_honours_blowup_threshold(self, tmp_path, capsys):
+        argv = ["converge", "--n-interior", "15", "--dt-levels", "0.02", "--n-levels", ""]
+        argv += ["--output-dir", str(tmp_path / "conv")]
+        assert main(argv + ["--blowup-threshold", "1e6"]) == 0
+        # the manufactured state starts near norm 1: the march stops at once
+        assert main(argv + ["--blowup-threshold", "0.01"]) == 1
+        assert "manufactured run did not complete" in capsys.readouterr().err
 
     def test_converge_subcommand_quick(self, tmp_path, capsys):
         code = main(

@@ -279,3 +279,59 @@ class TestSolveShifted:
         left = solve_shifted(semigroup_apply(StatePair(g, zero), t).u, shift)
         right = semigroup_apply(StatePair(solve_shifted(g, shift), zero), t).u
         assert np.max(np.abs(left.values - right.values)) <= 1e-10
+
+
+class TestStackedOperators:
+    """Each operator on an array stack equals the same operator row by row, bit for bit."""
+
+    SIZES = [1, 2, 16, 63, 256]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_laplacian(self, n):
+        grid = Grid1D(n)
+        stack = np.random.default_rng(n).uniform(-1.0, 1.0, (3, 2, n))
+        out = discrete_laplacian(stack)
+        assert out.shape == stack.shape
+        for row in np.ndindex(3, 2):
+            assert np.array_equal(out[row], discrete_laplacian(Field(grid, stack[row])).values)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_solve_shifted(self, n):
+        grid = Grid1D(n)
+        stack = np.random.default_rng(n).uniform(-1.0, 1.0, (3, 2, n))
+        for rhs in (stack, stack[..., ::-1]):
+            out = solve_shifted(rhs, 2.5)
+            assert out.shape == stack.shape
+            for row in np.ndindex(3, 2):
+                assert np.array_equal(out[row], solve_shifted(Field(grid, rhs[row]), 2.5).values)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_semigroup_with_scalar_and_array_t(self, n):
+        grid = Grid1D(n)
+        rng = np.random.default_rng(n)
+        stack = rng.uniform(-1.0, 1.0, (4, 2, n))
+        times = rng.uniform(0.0, 1.0, 4)
+        scalar = semigroup_apply(stack, 0.3, d_u=2.0, d_v=0.5)
+        per_sample = semigroup_apply(stack, times, d_u=2.0, d_v=0.5)
+        for i in range(4):
+            state = StatePair(Field(grid, stack[i, 0]), Field(grid, stack[i, 1]))
+            for out, t in ((scalar, 0.3), (per_sample, times[i])):
+                single = semigroup_apply(state, float(t), d_u=2.0, d_v=0.5)
+                assert np.array_equal(out[i, 0], single.u.values)
+                assert np.array_equal(out[i, 1], single.v.values)
+
+    def test_array_t_broadcasts_over_leading_axes(self):
+        stack = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 2, 8))
+        times = np.array([[0.01], [0.1]])
+        out = semigroup_apply(stack, times)
+        assert out.shape == (2, 3, 2, 8)
+        for j, i in np.ndindex(2, 3):
+            assert np.array_equal(out[j, i], semigroup_apply(stack[i], float(times[j, 0])))
+
+    def test_array_t_validation(self):
+        grid = Grid1D(8)
+        stack = np.zeros((2, 2, 8))
+        with pytest.raises(ValueError):
+            semigroup_apply(stack, np.array([0.1, -0.1]))
+        with pytest.raises(ValueError):
+            semigroup_apply(StatePair.zeros(grid), np.array([0.1, 0.2]))

@@ -6,11 +6,13 @@ from pdae1d import (
     Field,
     Grid1D,
     PropertyReport,
+    StatePair,
     check_dissipativity,
     check_lipschitz,
     check_maximality,
     check_semigroup,
     discrete_laplacian,
+    h1_seminorm,
     laplacian_eigenvalues,
     report_to_dict,
     run_checks,
@@ -18,6 +20,8 @@ from pdae1d import (
     sine_mode,
     solve_shifted,
 )
+from pdae1d import nonlinearity, spectral
+from pdae1d.fields import pair_norm
 
 BOUND = 4.0 * np.sqrt(3.0)
 
@@ -172,3 +176,198 @@ def test_run_verification_fails_under_tamper(monkeypatch):
     assert not passed
     flags = {r["name"]: r["passed"] for r in payload["reports"]["8"]}
     assert flags["dissipativity"] is False
+
+
+# ---------------------------------------------------------------------------
+# Per-sample oracle: the checks as one Field/StatePair iteration per sample.
+# The batched checks must reproduce its reports exactly (same RNG stream,
+# same arithmetic on every element), so these compare with ==.
+# ---------------------------------------------------------------------------
+
+
+def oracle_state(grid, rng, target_norm=None):
+    u = rng.uniform(-1.0, 1.0, grid.n_interior)
+    v = rng.uniform(-1.0, 1.0, grid.n_interior)
+    state = StatePair(Field(grid, u), Field(grid, v))
+    if target_norm is not None:
+        state = state * (target_norm / state.norm())
+    return state
+
+
+def oracle_dissipativity(n_samples, grid, seed):
+    rng = np.random.default_rng(seed)
+    worst, worst_identity = -np.inf, 0.0
+    for _ in range(n_samples):
+        state = oracle_state(grid, rng)
+        au = spectral.discrete_laplacian(state.u).values
+        av = spectral.discrete_laplacian(state.v).values
+        inner = grid.h * (np.dot(state.u.values, au) + np.dot(state.v.values, av))
+        energy = h1_seminorm(state.u) ** 2 + h1_seminorm(state.v) ** 2
+        worst = max(worst, inner / state.norm() ** 2)
+        worst_identity = max(worst_identity, abs(inner + energy) / energy)
+    return max(worst, worst_identity), {
+        "max_normalized_form": worst,
+        "max_identity_defect": worst_identity,
+    }
+
+
+def oracle_maximality(n_samples, grid, seed):
+    rng = np.random.default_rng(seed)
+    worst, worst_disagreement = 0.0, 0.0
+    for _ in range(2 * n_samples):
+        g = Field(grid, rng.uniform(-1.0, 1.0, grid.n_interior))
+        u = spectral.solve_shifted(g, 1.0)
+        residual = u.values - spectral.discrete_laplacian(u).values - g.values
+        worst = max(worst, np.max(np.abs(residual)) / np.max(np.abs(g.values)))
+        u_rev = spectral.solve_shifted(Field(grid, g.values[::-1]), 1.0).values[::-1]
+        denom = max(np.max(np.abs(u.values)), np.finfo(float).tiny)
+        worst_disagreement = max(worst_disagreement, np.max(np.abs(u.values - u_rev)) / denom)
+    return max(worst, worst_disagreement), {
+        "max_relative_residual": worst,
+        "max_elimination_disagreement": worst_disagreement,
+    }
+
+
+def oracle_semigroup(n_samples, grid, seed, times=(0.01, 0.1, 1.0)):
+    rng = np.random.default_rng(seed)
+    apply = spectral.semigroup_apply
+    slack, law = 0.0, 0.0
+    for _ in range(n_samples):
+        state = oracle_state(grid, rng)
+        norm = state.norm()
+        for t in times:
+            slack = max(slack, (apply(state, t).norm() - norm) / norm)
+        t, s = rng.uniform(0.0, 1.0, 2)
+        law = max(law, (apply(state, t + s) - apply(apply(state, s), t)).norm() / norm)
+    continuity = 0.0
+    for _ in range(min(n_samples, 8)):
+        state = oracle_state(grid, rng)
+        defects = [(apply(state, 0.1 * 2.0**-j) - state).norm() for j in range(18)]
+        continuity = max(continuity, float(np.max(np.diff(defects), initial=0.0)) / state.norm())
+    n = grid.n_interior
+    n_low = min(5, n)
+    smooth = [StatePair(sine_mode(grid, k), sine_mode(grid, min(k + 1, n))) for k in (1, 2, 3) if k <= n]
+    cu, cv = np.zeros(n), np.zeros(n)
+    cu[:n_low] = rng.uniform(-1.0, 1.0, n_low)
+    cv[:n_low] = rng.uniform(-1.0, 1.0, n_low)
+    smooth.append(StatePair(Field(grid, spectral.to_values(cu)), Field(grid, spectral.to_values(cv))))
+    t0 = 0.01 / abs(laplacian_eigenvalues(grid)[n_low - 1])
+    order_error = 0.0
+    for state in smooth:
+        generator = StatePair(spectral.discrete_laplacian(state.u), spectral.discrete_laplacian(state.v))
+        defects = []
+        for j in range(4):
+            t = t0 * 2.0**-j
+            defects.append(((apply(state, t) - state) * (1.0 / t) - generator).norm())
+        orders = np.log2(np.asarray(defects[:-1]) / np.asarray(defects[1:]))
+        order_error = max(order_error, float(np.max(np.abs(orders - 1.0))))
+    worst = max(slack / 1e-12, law / 1e-12, continuity / 1e-12, order_error / 0.1)
+    return worst, {
+        "max_contraction_slack": slack,
+        "max_law_defect": law,
+        "max_continuity_increase": continuity,
+        "max_generator_order_error": order_error,
+    }
+
+
+def oracle_lipschitz(n_samples, grid, seed, C_levels=(0.5, 1.0, 5.0)):
+    rng = np.random.default_rng(seed)
+    worst, observed = -np.inf, {}
+    for level in C_levels:
+        max_ratio = 0.0
+        for _ in range(n_samples):
+            a = oracle_state(grid, rng, level)
+            b = oracle_state(grid, rng, level)
+            max_ratio = max(max_ratio, nonlinearity.lipschitz_ratio(a, b))
+        worst = max(worst, max_ratio - nonlinearity.LIPSCHITZ_BOUND_FACTOR * level)
+        observed[f"max_ratio_at_C={level:g}"] = max_ratio
+    return worst, observed
+
+
+ORACLES = {
+    check_dissipativity: oracle_dissipativity,
+    check_maximality: oracle_maximality,
+    check_semigroup: oracle_semigroup,
+    check_lipschitz: oracle_lipschitz,
+}
+
+
+# sample counts that leave a partial last block (blocks hold 4096 // n samples)
+@pytest.mark.parametrize("n, n_samples", [(1, 5), (2, 7), (16, 300), (63, 70), (256, 37)])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+@pytest.mark.parametrize("check", list(ORACLES), ids=lambda check: check.__name__)
+def test_batched_check_equals_per_sample_oracle(check, seed, n, n_samples):
+    grid = Grid1D(n)
+    report = check(n_samples, grid, seed=seed)
+    worst, observed = ORACLES[check](n_samples, grid, seed)
+    assert report.worst_value == worst
+    assert report.observed == observed
+
+
+class TestPlantedDefects:
+    """Defects planted in the public operators turn the batched checks red."""
+
+    def test_doubled_reaction_doubles_every_lipschitz_ratio(self, monkeypatch):
+        grid = Grid1D(16)
+        clean = check_lipschitz(200, grid, seed=5)
+        true_reaction = nonlinearity.eval_reaction
+        monkeypatch.setattr(nonlinearity, "eval_reaction", lambda *a, **k: 2.0 * true_reaction(*a, **k))
+        doubled = check_lipschitz(200, grid, seed=5)
+        # scaling by 2 is exact, so every sampled quotient doubles exactly
+        assert doubled.observed == {key: 2.0 * value for key, value in clean.observed.items()}
+        # sampled quotients sit far below 4*sqrt(3)*C, so only a gross
+        # defect crosses the bound
+        monkeypatch.setattr(nonlinearity, "eval_reaction", lambda *a, **k: 50.0 * true_reaction(*a, **k))
+        assert not check_lipschitz(200, grid, seed=5).passed
+
+    def test_perturbed_solve_fails_maximality(self, monkeypatch):
+        true_solve = spectral.solve_shifted
+        monkeypatch.setattr(spectral, "solve_shifted", lambda g, lam: true_solve(g, lam) * (1.0 + 1e-9))
+        assert not check_maximality(50, Grid1D(16), seed=2).passed
+
+    def test_wrong_exponent_fails_semigroup(self, monkeypatch):
+        true_apply = spectral.semigroup_apply
+        monkeypatch.setattr(
+            spectral, "semigroup_apply", lambda state, t, **k: true_apply(state, np.multiply(t, 1.01), **k)
+        )
+        report = check_semigroup(50, Grid1D(16), seed=3)
+        assert not report.passed
+        assert report.observed["max_generator_order_error"] > 0.1
+
+
+def test_zero_norm_draw_is_redrawn():
+    from pdae1d.verification import _random_states
+
+    class ZeroPairFirst:
+        # hands out one all-zero pair in the first draw
+        def __init__(self):
+            self.rng = np.random.default_rng(0)
+            self.draws = 0
+
+        def uniform(self, low, high, size):
+            self.draws += 1
+            out = self.rng.uniform(low, high, size)
+            if self.draws == 1:
+                out[1, 0] = 0.0
+            return out
+
+    rng = ZeroPairFirst()
+    states = _random_states(rng, (3, 2), 4, target_norm=2.0)
+    assert rng.draws == 2
+    np.testing.assert_allclose(pair_norm(states, 1.0 / 5), 2.0, rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "check, module, name",
+    [
+        (check_dissipativity, spectral, "discrete_laplacian"),
+        (check_maximality, spectral, "solve_shifted"),
+        (check_semigroup, spectral, "semigroup_apply"),
+        (check_lipschitz, nonlinearity, "lipschitz_ratio"),
+    ],
+    ids=["dissipativity", "maximality", "semigroup", "lipschitz"],
+)
+def test_non_finite_operator_result_fails_the_check(check, module, name, monkeypatch):
+    true_fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: np.nan * true_fn(*a, **k))
+    assert not check(20, Grid1D(8), seed=0).passed

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -14,7 +15,7 @@ from .scenarios import (
     SCENARIOS,
     MmsSpec,
     ScenarioConfig,
-    _fmt,
+    _format_block,
     mms_source_table,
     read_config,
     run_convergence,
@@ -31,21 +32,24 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; explicit flags override its values")
+def _add_config_flags(parser: argparse.ArgumentParser, names=None) -> None:
+    """A flag per named ``ScenarioConfig`` field (default: --config and every field)."""
+    if names is None:
+        parser.add_argument("--config", help="JSON config file; explicit flags override its values")
+        names = CONFIG_TYPES
     choices = {"scenario": SCENARIOS, "method": METHODS}
-    for name, (kind, _) in CONFIG_TYPES.items():
+    for name in names:
         flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, dest=name, type=kind, choices=choices.get(name))
+        parser.add_argument(flag, dest=name, type=CONFIG_TYPES[name][0], choices=choices.get(name))
 
 
 def _config_from_args(args: argparse.Namespace, fallback: dict | None = None) -> ScenarioConfig:
     # precedence: explicit flags > config file > subcommand fallbacks > dataclass defaults
     raw: dict = dict(fallback or {})
-    if args.config:
+    if getattr(args, "config", None):
         raw.update(read_config(args.config))
     for name in CONFIG_TYPES:
-        value = getattr(args, name)
+        value = getattr(args, name, None)
         if value is not None:
             raw[name] = value
     return ScenarioConfig.from_dict(raw)
@@ -90,18 +94,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_mms_sources(args: argparse.Namespace) -> int:
-    grid = Grid1D(args.n_interior)
-    spec = MmsSpec(args.mms_a, args.mms_b)
-    coefficients = CoefficientSet(args.d_u, args.d_v, args.p_u, args.p_v)
-    rows = mms_source_table(spec, grid, args.times, coefficients)
-    lines = ["# t x f g"] + [" ".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+    cfg = _config_from_args(args, fallback={"n_interior": 32})
+    grid = Grid1D(cfg.n_interior)
+    spec = MmsSpec(cfg.mms_a, cfg.mms_b)
+    coefficients = CoefficientSet(cfg.d_u, cfg.d_v, cfg.p_u, cfg.p_v)
+    table = mms_source_table(spec, grid, args.times, coefficients)
     if args.output:
         os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        out = open(args.output, "w")
     else:
-        sys.stdout.write(text)
+        out = contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        fh.write("# t x f g\n")
+        for block in table.reshape(-1, grid.n_interior + 2, 4):
+            fh.write(_format_block(block))
     return 0
 
 
@@ -144,14 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(handler=_cmd_verify)
 
     p_mms = sub.add_parser("mms-sources", help="dump the manufactured source tables")
-    p_mms.add_argument("--n-interior", type=int, dest="n_interior", default=32)
+    _add_config_flags(p_mms, ("n_interior",))
     p_mms.add_argument("--times", type=_parse_floats, default=(0.0,))
-    p_mms.add_argument("--mms-a", type=float, dest="mms_a", default=1.0)
-    p_mms.add_argument("--mms-b", type=float, dest="mms_b", default=1.0)
-    p_mms.add_argument("--d-u", type=float, dest="d_u", default=1.0)
-    p_mms.add_argument("--d-v", type=float, dest="d_v", default=1.0)
-    p_mms.add_argument("--p-u", type=float, dest="p_u", default=1.0)
-    p_mms.add_argument("--p-v", type=float, dest="p_v", default=1.0)
+    _add_config_flags(p_mms, ("mms_a", "mms_b", "d_u", "d_v", "p_u", "p_v"))
     p_mms.add_argument("--output", help="write the table here instead of stdout")
     p_mms.set_defaults(handler=_cmd_mms_sources)
 

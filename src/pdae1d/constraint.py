@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, StatePair
+from .fields import Field, StatePair, row_dot
 
 __all__ = [
     "ConstraintReport",
@@ -32,7 +32,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConstraintReport:
-    """Diagnostics of how well a profile w satisfies w_xx = -(p_u*u + p_v*v)."""
+    """Diagnostics of how well a profile w satisfies w_xx = -(p_u*u + p_v*v).
+
+    Floats for one state; arrays over the leading axes for a stack.
+    """
 
     residual_l2: float
     w_at_0: float
@@ -63,6 +66,26 @@ def cumulative_integral(f: Field) -> Field:
     return Field(f.grid, acc[1:-1], boundary=(0.0, float(acc[-1])))
 
 
+def _mass(state, p_u: float, p_v: float) -> np.ndarray:
+    """p_u*u + p_v*v at all n+2 nodes; a StatePair's boundary pairs are its end values."""
+    if isinstance(state, StatePair):
+        full = p_u * state.u.values_full() + p_v * state.v.values_full()
+        full[[0, -1]] += 0.0  # as a Field boundary pair stores them
+        return full
+    full = np.zeros(state.shape[:-2] + (state.shape[-1] + 2,))
+    full[..., 1:-1] = p_u * state[..., 0, :] + p_v * state[..., 1, :]
+    return full
+
+
+def _slope(mass: np.ndarray, h: float) -> np.ndarray:
+    """w_x = -int_0^x mass at all nodes, with w_x(0) = 0 exactly."""
+    wx = -running_integral(mass, h)
+    # ends as a Field boundary pair stores them: -0.0 becomes 0.0
+    wx[..., 0] = 0.0
+    wx[..., -1] += 0.0
+    return wx
+
+
 def compute_wx(state: StatePair, p_u: float = 1.0, p_v: float = 1.0) -> Field:
     """Slope of the constrained profile: -int_0^x (p_u*u + p_v*v).
 
@@ -70,40 +93,52 @@ def compute_wx(state: StatePair, p_u: float = 1.0, p_v: float = 1.0) -> Field:
     the components (zero for genuine Dirichlet states) feed the end cells of
     the quadrature, keeping it exact through linear integrands.
     """
-    integral = cumulative_integral(p_u * state.u + p_v * state.v)
-    return Field(state.grid, -integral.values, boundary=(0.0, -integral.boundary[1]))
+    wx = _slope(_mass(state, p_u, p_v), state.grid.h)
+    return Field(state.grid, wx[1:-1], boundary=(wx[0], wx[-1]))
 
 
-def reconstruct_w(state: StatePair, p_u: float = 1.0, p_v: float = 1.0) -> Field:
+def reconstruct_w(state: StatePair | np.ndarray, p_u: float = 1.0, p_v: float = 1.0):
     """Constrained profile as the double running integral of -(p_u*u + p_v*v).
 
     Pins w(0) = 0 and w_x(0) = 0 exactly; w(1) lands wherever the state's
-    mass sends it and is carried in the boundary pair.
+    mass sends it.  ``state`` is a StatePair, giving a Field that carries
+    (0, w(1)) as its boundary pair, or Dirichlet nodal pairs shaped
+    (..., 2, n), giving w at all n+2 nodes shaped (..., n+2); each row of
+    a stack equals the single-state profile bit for bit.
     """
-    return cumulative_integral(compute_wx(state, p_u, p_v))
+    pair = isinstance(state, StatePair)
+    h = state.grid.h if pair else 1.0 / (state.shape[-1] + 1)
+    w = running_integral(_slope(_mass(state, p_u, p_v), h), h)
+    w[..., -1] += 0.0
+    return Field(state.grid, w[1:-1], boundary=(0.0, w[-1])) if pair else w
 
 
 def constraint_residual(
-    state: StatePair, w: Field, p_u: float = 1.0, p_v: float = 1.0
+    state: StatePair | np.ndarray, w: Field | np.ndarray, p_u: float = 1.0, p_v: float = 1.0
 ) -> ConstraintReport:
     """Discrete-L2 residual of w_xx + p_u*u + p_v*v over the interior nodes.
 
     The second difference at the first/last interior node uses the known
-    w(0) = 0 and the computed w(1) from the profile's boundary pair.  The
-    reported w_x(0) comes from the integral construction itself, so it is
-    exactly zero whenever w was reconstructed from the state.
+    w(0) = 0 and the computed w(1) from the profile's end value.  The
+    reported w_x(0) is the slope integral's value at x = 0, which the
+    running integral pins to exactly 0, so it needs no second integration.
+    ``state`` and ``w`` are a StatePair and a Field, giving a report of
+    floats, or nodal pairs shaped (..., 2, n) and profiles at all nodes
+    shaped (..., n+2), giving a report of arrays over the leading axes,
+    each entry equal to the single-state report bit for bit.
     """
-    if w.grid != state.grid:
-        raise ValueError("profile and state live on different grids")
-    h2 = state.grid.h**2
-    wf = w.values_full()
-    second_diff = (wf[:-2] - 2.0 * wf[1:-1] + wf[2:]) / h2
-    residual = second_diff + p_u * state.u.values + p_v * state.v.values
-    residual_l2 = float(np.sqrt(state.grid.h * np.dot(residual, residual)))
-    wx_at_0 = compute_wx(state, p_u, p_v).boundary[0]
-    return ConstraintReport(
-        residual_l2=residual_l2,
-        w_at_0=w.boundary[0],
-        wx_at_0=wx_at_0,
-        w_at_1=w.boundary[1],
-    )
+    pair = isinstance(state, StatePair)
+    if pair:
+        if w.grid != state.grid:
+            raise ValueError("profile and state live on different grids")
+        values, wf = np.stack((state.u.values, state.v.values)), w.values_full()
+    else:
+        values, wf = state, w
+    h = 1.0 / (values.shape[-1] + 1)
+    second_diff = (wf[..., :-2] - 2.0 * wf[..., 1:-1] + wf[..., 2:]) / h**2
+    residual = second_diff + p_u * values[..., 0, :] + p_v * values[..., 1, :]
+    residual_l2 = np.sqrt(h * row_dot(residual, residual))
+    w_at_0, w_at_1 = wf[..., 0] + 0.0, wf[..., -1] + 0.0
+    if pair:
+        return ConstraintReport(float(residual_l2), float(w_at_0), 0.0, float(w_at_1))
+    return ConstraintReport(residual_l2, w_at_0, np.zeros(residual_l2.shape), w_at_1)

@@ -17,11 +17,13 @@ sine coefficients held together with its nodal values (which the
 reaction, the norm and the snapshots need), and each step is one batched
 inverse and one batched forward sine transform.  A Picard march goes slab
 by slab through ``picard_slab``, whose sweeps each transform all substep
-samples at once.  ``Field``/``StatePair`` objects are built only at
-snapshots and at the public one-step functions, which wrap the same
-kernels.  ``solve`` reconstructs the constrained profile at snapshot
-stamps, and stops early when the state norm crosses the blow-up threshold
-(a detection heuristic: the reported time is a candidate, not a proven
+samples at once.  ``solve`` keeps each snapshot as its (2, n) nodal
+values and, when the march ends, stacks them to (S, 2, n) and
+reconstructs the constrained profile and its residual for all snapshots
+with one call each; no ``Field``/``StatePair`` is built per snapshot.
+The public one-step functions wrap the same kernels.  The
+march stops early when the state norm crosses the blow-up threshold (a
+detection heuristic: the reported time is a candidate, not a proven
 maximal existence time).
 """
 
@@ -33,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constraint import ConstraintReport, constraint_residual, reconstruct_w
+from .constraint import constraint_residual, reconstruct_w
 from .fields import Field, Grid1D, StatePair, pair_norm
 from .nonlinearity import (
     CoefficientSet,
@@ -128,15 +130,28 @@ class RunStatus:
 
 @dataclass
 class Trajectory:
-    """Snapshots of a single march plus its termination status."""
+    """Snapshots of a single march plus its termination status.
 
+    Snapshot s is held as arrays: ``values[s]`` is the (2, n) nodal pair
+    (u, v) at ``times[s]``, ``w[s]`` the reconstructed profile at all n+2
+    nodes (w(0) = 0 exactly, w(1) last), and ``residual_l2[s]`` and
+    ``w_at_1[s]`` its constraint diagnostics.  ``states`` builds the
+    StatePairs from ``values`` on each access.
+    """
+
+    grid: Grid1D
     times: list[float]
-    states: list[StatePair]
-    w_fields: list[Field]
-    reports: list[ConstraintReport]
+    values: np.ndarray
+    w: np.ndarray
+    residual_l2: np.ndarray
+    w_at_1: np.ndarray
     status: RunStatus
     steps_taken: int = 0
     picard_iterations_total: int = 0
+
+    @property
+    def states(self) -> list[StatePair]:
+        return [_pair(self.grid, values) for values in self.values]
 
 
 class PicardResult(NamedTuple):
@@ -328,44 +343,24 @@ def picard_slab(
     return PicardResult(_pair(state.grid, end), len(diff_norms), diff_norms)
 
 
-def solve(
-    state0: StatePair,
-    config: SolveConfig,
-    sources: SourcePair | None = None,
-    coefficients: CoefficientSet | None = None,
-) -> Trajectory:
-    """March from t = 0 to t_end at fixed dt with the configured method.
+def _march(
+    state0: StatePair, config: SolveConfig, src: SourcePair, c: CoefficientSet,
+    times: list[float], snapshots: list[np.ndarray],
+) -> tuple[RunStatus, int, int]:
+    """Advance from t = 0, appending each snapshot's time and (2, n) nodal values.
 
-    Snapshots (state, reconstructed profile, constraint report) are stored
-    every ``snapshot_every`` steps plus always at t = 0 and at the final
-    accepted step.  Crossing the blow-up threshold stops the march with a
-    candidate detection time; a Picard slab that does not converge or a
-    step that leaves a non-finite state ends it as a step failure that
-    keeps the partial trajectory.
+    Returns the terminal status, the accepted steps and the Picard sweeps.
     """
-    c = coefficients if coefficients is not None else CoefficientSet()
     grid = state0.grid
-    src = sources if sources is not None else zero_sources(grid)
-    traj = Trajectory([], [], [], [], RunStatus.completed())
-
-    def snapshot(t_now: float, state: StatePair):
-        w = reconstruct_w(state, c.p_u, c.p_v)
-        traj.times.append(t_now)
-        traj.states.append(state)
-        traj.w_fields.append(w)
-        traj.reports.append(constraint_residual(state, w, c.p_u, c.p_v))
-
-    snapshot(0.0, state0)
     if state0.norm() >= config.blowup_threshold:
-        traj.status = RunStatus.blowup_detected(0.0)
-        return traj
-
+        return RunStatus.blowup_detected(0.0), 0, 0
     picard = config.method == "picard"
     if not picard:
         step = _diagonal_step(config.method, grid, config.dt, src, c)
-        values = _values(state0)
+        values = snapshots[0]
         coeffs = to_coeffs(values)
     state = state0
+    sweeps = 0
     n_steps = round(config.t_end / config.dt)
     for k in range(1, n_steps + 1):
         t_prev = (k - 1) * config.dt
@@ -374,24 +369,48 @@ def solve(
             try:
                 result = picard_slab(state, t_prev, config.dt, config, src, c)
             except PicardConvergenceError as err:
-                traj.status = RunStatus.step_failure(t_prev, str(err))
-                return traj
+                return RunStatus.step_failure(t_prev, str(err)), k - 1, sweeps
             state = result.state
-            values = (state.u.values, state.v.values)
-            traj.picard_iterations_total += result.iterations
+            values = _values(state)
+            sweeps += result.iterations
         else:
             coeffs, values = step(coeffs, values, t_prev)
             if not np.all(np.isfinite(values)):
-                traj.status = RunStatus.step_failure(t_prev, "non-finite state")
-                return traj
-            state = None  # built only if this step is snapshotted
-        traj.steps_taken = k
+                return RunStatus.step_failure(t_prev, "non-finite state"), k - 1, sweeps
         t_now = k * config.dt
         blowup = pair_norm(values, grid.h) >= config.blowup_threshold
         if blowup or k % config.snapshot_every == 0 or k == n_steps:
-            snapshot(t_now, state if state is not None else _pair(grid, values))
+            times.append(t_now)
+            snapshots.append(values)
         if blowup:
-            traj.status = RunStatus.blowup_detected(t_now)
-            return traj
-    traj.status = RunStatus.completed()
-    return traj
+            return RunStatus.blowup_detected(t_now), k, sweeps
+    return RunStatus.completed(), n_steps, sweeps
+
+
+def solve(
+    state0: StatePair,
+    config: SolveConfig,
+    sources: SourcePair | None = None,
+    coefficients: CoefficientSet | None = None,
+) -> Trajectory:
+    """March from t = 0 to t_end at fixed dt with the configured method.
+
+    Snapshots (nodal pair, reconstructed profile, constraint diagnostics)
+    are taken every ``snapshot_every`` steps plus always at t = 0 and at
+    the final accepted step.  Crossing the blow-up threshold stops the
+    march with a candidate detection time; a Picard slab that does not
+    converge or a step that leaves a non-finite state ends it as a step
+    failure that keeps the partial trajectory.  However the march ends,
+    the profiles and residuals of all snapshots come from one
+    ``reconstruct_w`` and one ``constraint_residual`` call on the stack.
+    """
+    c = coefficients if coefficients is not None else CoefficientSet()
+    src = sources if sources is not None else zero_sources(state0.grid)
+    times, snapshots = [0.0], [_values(state0)]
+    status, steps, sweeps = _march(state0, config, src, c, times, snapshots)
+    values = np.stack(snapshots)
+    w = reconstruct_w(values, c.p_u, c.p_v)
+    report = constraint_residual(values, w, c.p_u, c.p_v)
+    return Trajectory(
+        state0.grid, times, values, w, report.residual_l2, report.w_at_1, status, steps, sweeps
+    )

@@ -22,8 +22,10 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .constraint import reconstruct_w
-from .fields import Field, Grid1D, StatePair
+# reconstruct_w stays bound here because perfbench/tracing.py wraps every
+# module binding of it
+from .constraint import reconstruct_w  # noqa: F401
+from .fields import Field, Grid1D, StatePair, pair_norm
 from .integrators import METHODS, SolveConfig, Trajectory, solve
 from .nonlinearity import (
     CoefficientSet,
@@ -161,13 +163,15 @@ class MmsSpec:
     b: float = 1.0
 
 
-def mms_state(spec: MmsSpec, grid: Grid1D, t: float) -> StatePair:
+def _mms_values(spec: MmsSpec, x: np.ndarray, t: float) -> np.ndarray:
+    """The manufactured pair at time t on the nodes x, shaped (2, len(x))."""
     decay = np.exp(-t)
-    x = grid.nodes
-    return StatePair(
-        Field(grid, spec.a * decay * np.sin(np.pi * x)),
-        Field(grid, spec.b * decay * np.sin(2.0 * np.pi * x)),
-    )
+    return np.stack((spec.a * decay * np.sin(np.pi * x), spec.b * decay * np.sin(2.0 * np.pi * x)))
+
+
+def mms_state(spec: MmsSpec, grid: Grid1D, t: float) -> StatePair:
+    u, v = _mms_values(spec, grid.nodes, t)
+    return StatePair(Field(grid, u), Field(grid, v))
 
 
 def _mms_source_fns(spec: MmsSpec, c: CoefficientSet, x: np.ndarray):
@@ -215,16 +219,16 @@ def mms_source_table(
     grid: Grid1D,
     times,
     coefficients: CoefficientSet | None = None,
-) -> list[tuple[float, float, float, float]]:
-    """Rows (t, x, f, g) over all nodes, boundary points included."""
+) -> np.ndarray:
+    """Rows (t, x, f, g) over all nodes, boundary points included.
+
+    Shaped (len(times) * (n+2), 4): the n+2 rows of each time in turn.
+    """
     c = coefficients if coefficients is not None else CoefficientSet()
-    f_at, g_at = _mms_source_fns(spec, c, grid.nodes_full)
-    rows = []
-    for t in times:
-        f, g = f_at(float(t)), g_at(float(t))
-        for x, fv, gv in zip(grid.nodes_full, f, g):
-            rows.append((float(t), float(x), float(fv), float(gv)))
-    return rows
+    x = grid.nodes_full
+    f_at, g_at = _mms_source_fns(spec, c, x)
+    blocks = [np.column_stack((np.full_like(x, t), x, f_at(t), g_at(t))) for t in map(float, times)]
+    return np.reshape(blocks, (-1, 4))
 
 
 def _read_profile(path: str, grid: Grid1D) -> StatePair:
@@ -255,31 +259,40 @@ def scenario_sources(cfg: ScenarioConfig, grid: Grid1D, coefficients: Coefficien
     return zero_sources(grid)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x) + 0.0, ".17g")
-
-
 def _config_echo(cfg: ScenarioConfig) -> str:
     return json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
 
 
-def _write_table(path: str, header: str, rows, config_echo: str | None = None) -> None:
+def _format_block(block: np.ndarray) -> str:
+    """Rows of a 2-D block, each float with 17 significant digits, one line per row.
+
+    Every value prints as ``format(float(x) + 0.0, ".17g")`` would: the
+    "+ 0.0" turns -0.0 into 0, so artifacts stay canonical.
+    """
+    rows, cols = block.shape
+    line = " ".join(["%.17g"] * cols) + "\n"
+    return (line * rows) % tuple((block + 0.0).ravel().tolist())
+
+
+def _write_table(path: str, header: str, blocks, config_echo: str | None = None) -> None:
+    """A '#'-headed table whose data rows are the 2-D ``blocks``, formatted one at a time."""
     with open(path, "w") as fh:
         if config_echo is not None:
             fh.write(f"# config: {config_echo}\n")
         fh.write(f"# {header}\n")
-        for row in rows:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+        for block in blocks:
+            fh.write(_format_block(block))
 
 
-def _trajectory_rows(grid: Grid1D, traj: Trajectory):
-    x_full = grid.nodes_full
-    for t, state, w in zip(traj.times, traj.states, traj.w_fields):
-        u = state.u.values_full()
-        v = state.v.values_full()
-        wf = w.values_full()
-        for j in range(x_full.shape[0]):
-            yield (t, x_full[j], u[j], v[j], wf[j])
+def _trajectory_blocks(grid: Grid1D, traj: Trajectory):
+    """One (n+2, 5) block of rows (t, x, u, v, w) per snapshot, ends included."""
+    for t, values, w in zip(traj.times, traj.values, traj.w):
+        block = np.zeros((grid.n_interior + 2, 5))
+        block[:, 0] = t
+        block[:, 1] = grid.nodes_full
+        block[1:-1, 2:4] = values.T
+        block[:, 4] = w
+        yield block
 
 
 def _exit_code(traj: Trajectory) -> int:
@@ -302,12 +315,13 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     traj = solve(state0, solve_cfg, sources, coefficients)
+    norms = pair_norm(traj.values, grid.h)
 
     summary = {
         "status": {"kind": traj.status.kind, "t": traj.status.t, "reason": traj.status.reason},
         "exit_code": _exit_code(traj),
-        "initial_norm": traj.states[0].norm(),
-        "final_norm": traj.states[-1].norm(),
+        "initial_norm": float(norms[0]),
+        "final_norm": float(norms[-1]),
         "final_time": traj.times[-1],
         "timings": {
             "steps": traj.steps_taken,
@@ -330,23 +344,24 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         _write_table(
             os.path.join(cfg.output_dir, "trajectory.csv"),
             "t x u v w",
-            _trajectory_rows(grid, traj),
+            _trajectory_blocks(grid, traj),
             config_echo=echo,
         )
         _write_table(
             os.path.join(cfg.output_dir, "constraint.csv"),
             "t residual_l2 w_at_1",
-            ((t, r.residual_l2, r.w_at_1) for t, r in zip(traj.times, traj.reports)),
+            [np.column_stack((traj.times, traj.residual_l2, traj.w_at_1))],
             config_echo=echo,
         )
         if cfg.scenario == "mms":
             spec = MmsSpec(cfg.mms_a, cfg.mms_b)
-            rows = (
-                (t, (state - mms_state(spec, grid, t)).norm())
-                for t, state in zip(traj.times, traj.states)
-            )
+            exact = np.stack([_mms_values(spec, grid.nodes, t) for t in traj.times])
+            errors = pair_norm(traj.values - exact, grid.h)
             _write_table(
-                os.path.join(cfg.output_dir, "mms_error.csv"), "t error_H", rows, config_echo=echo
+                os.path.join(cfg.output_dir, "mms_error.csv"),
+                "t error_H",
+                [np.column_stack((traj.times, errors))],
+                config_echo=echo,
             )
             summary["artifacts"]["mms_error"] = "mms_error.csv"
         with open(os.path.join(cfg.output_dir, "summary.json"), "w") as fh:
@@ -367,7 +382,7 @@ def _terminal_error(cfg: ScenarioConfig, n_interior: int, dt: float) -> float:
     traj = solve(mms_state(spec, grid, 0.0), solve_cfg, sources, coefficients)
     if traj.status.kind != "completed":
         raise RuntimeError(f"manufactured run did not complete: {traj.status}")
-    return (traj.states[-1] - mms_state(spec, grid, traj.times[-1])).norm()
+    return pair_norm(traj.values[-1] - _mms_values(spec, grid.nodes, traj.times[-1]), grid.h)
 
 
 def run_convergence(cfg: ScenarioConfig, dt_levels=(), n_levels=()) -> list[dict]:
@@ -400,11 +415,12 @@ def run_convergence(cfg: ScenarioConfig, dt_levels=(), n_levels=()) -> list[dict
     sweep((cfg.n_interior, float(dt)) for dt in dt_levels)
     sweep((int(n), cfg.dt) for n in n_levels)
 
+    table = [(r["dt"], r["n_interior"], r["error_H"], r["observed_order"]) for r in rows]
     os.makedirs(cfg.output_dir, exist_ok=True)
     _write_table(
         os.path.join(cfg.output_dir, "convergence.csv"),
         "dt n_interior error_H observed_order",
-        ((r["dt"], r["n_interior"], r["error_H"], r["observed_order"]) for r in rows),
+        [np.reshape(table, (-1, 4))],
         config_echo=_config_echo(cfg),
     )
     return rows

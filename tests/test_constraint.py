@@ -204,3 +204,59 @@ class TestConstraintResidual:
         state = StatePair.zeros(Grid1D(8))
         with pytest.raises(ValueError):
             constraint_residual(state, Field.zeros(Grid1D(9)))
+
+
+def field_path_w(state, p_u, p_v):
+    # the per-state Field path: two cumulative integrals of Fields
+    integral = cumulative_integral(p_u * state.u + p_v * state.v)
+    wx = Field(state.grid, -integral.values, boundary=(0.0, -integral.boundary[1]))
+    return cumulative_integral(wx)
+
+
+def field_path_residual_l2(state, w, p_u, p_v):
+    wf = w.values_full()
+    second_diff = (wf[:-2] - 2.0 * wf[1:-1] + wf[2:]) / state.grid.h**2
+    residual = second_diff + p_u * state.u.values + p_v * state.v.values
+    return float(np.sqrt(state.grid.h * np.dot(residual, residual)))
+
+
+class TestStackedForms:
+    @pytest.mark.parametrize("n", [1, 2, 7, 128, 255])
+    @pytest.mark.parametrize("p_u, p_v", [(1.0, 1.0), (2.0, -0.5)])
+    def test_each_row_equals_the_field_path(self, n, p_u, p_v):
+        grid = Grid1D(n)
+        rng = np.random.default_rng(n)
+        stack = rng.uniform(-1.0, 1.0, (3, 4, 2, n)) * 10.0 ** rng.integers(-3, 4, (3, 4, 1, 1))
+        stack[0, 0] = 0.0
+        w = reconstruct_w(stack, p_u, p_v)
+        report = constraint_residual(stack, w, p_u, p_v)
+        assert w.shape == (3, 4, n + 2) and report.residual_l2.shape == (3, 4)
+        assert np.all(w[..., 0] == 0.0)
+        assert np.all(report.w_at_0 == 0.0) and np.all(report.wx_at_0 == 0.0)
+        for index in np.ndindex(3, 4):
+            state = StatePair(Field(grid, stack[index][0]), Field(grid, stack[index][1]))
+            ref = field_path_w(state, p_u, p_v)
+            single = reconstruct_w(state, p_u, p_v)
+            assert np.array_equal(w[index], ref.values_full())
+            assert np.array_equal(single.values_full(), ref.values_full())
+            assert single.boundary == ref.boundary
+            ref_l2 = field_path_residual_l2(state, ref, p_u, p_v)
+            single_report = constraint_residual(state, single, p_u, p_v)
+            assert report.residual_l2[index] == single_report.residual_l2 == ref_l2
+            assert report.w_at_1[index] == single_report.w_at_1 == ref.boundary[1]
+            assert single_report.w_at_0 == 0.0 and single_report.wx_at_0 == 0.0
+
+    def test_field_path_with_boundary_pairs(self):
+        grid = Grid1D(9)
+        rng = np.random.default_rng(4)
+        for p_u, p_v in [(1.0, 1.0), (2.0, -0.5)]:
+            u = Field(grid, rng.uniform(-1.0, 1.0, 9), boundary=(0.3, -0.7))
+            v = Field(grid, rng.uniform(-1.0, 1.0, 9), boundary=(-0.2, 0.5))
+            state = StatePair(u, v)
+            ref = field_path_w(state, p_u, p_v)
+            w = reconstruct_w(state, p_u, p_v)
+            assert np.array_equal(w.values, ref.values) and w.boundary == ref.boundary
+            wx = compute_wx(state, p_u, p_v)
+            integral = cumulative_integral(p_u * u + p_v * v)
+            assert np.array_equal(wx.values, -integral.values)
+            assert wx.boundary == (0.0, -integral.boundary[1])

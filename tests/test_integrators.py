@@ -13,9 +13,11 @@ from pdae1d import (
     SourcePair,
     StatePair,
     build_mms_sources,
+    constraint_residual,
     laplacian_eigenvalues,
     mms_state,
     picard_slab,
+    reconstruct_w,
     sine_mode,
     solve,
     step_exp_euler,
@@ -228,7 +230,8 @@ class TestSolve:
         cfg = SolveConfig(dt=0.01, t_end=0.2, snapshot_every=5)
         traj = solve(decay_state(grid), cfg)
         np.testing.assert_allclose(traj.times, [0.0, 0.05, 0.1, 0.15, 0.2], rtol=1e-12)
-        assert len(traj.states) == len(traj.w_fields) == len(traj.reports) == 5
+        assert len(traj.states) == len(traj.values) == len(traj.w) == 5
+        assert len(traj.residual_l2) == len(traj.w_at_1) == 5
 
     def test_blowup_detection(self):
         grid = Grid1D(32)
@@ -264,8 +267,9 @@ class TestSolve:
             cfg = SolveConfig(dt=1e-3, t_end=0.05, snapshot_every=10)
             traj = solve(decay_state(grid), cfg)
             assert traj.status.kind == "completed"
-            assert all(r.w_at_0 == 0.0 and r.wx_at_0 == 0.0 for r in traj.reports)
-            residual_maxima.append(max(r.residual_l2 for r in traj.reports))
+            report = constraint_residual(traj.values, traj.w)
+            assert np.all(report.w_at_0 == 0.0) and np.all(report.wx_at_0 == 0.0)
+            residual_maxima.append(max(traj.residual_l2))
         assert 3.2 <= residual_maxima[0] / residual_maxima[1] <= 4.8
 
     def test_picard_solve_counts_iterations(self):
@@ -275,6 +279,34 @@ class TestSolve:
         assert traj.status.kind == "completed"
         assert traj.picard_iterations_total >= traj.steps_taken
 
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("ending", ["blowup_detected", "blowup_at_start", "step_failure"])
+    def test_snapshot_arrays_have_a_row_per_time(self, method, ending):
+        grid = Grid1D(16)
+        cfg = SolveConfig(dt=0.05, t_end=1.0, method=method, blowup_threshold=1e9)
+        state, sources = decay_state(grid), None
+        if ending == "blowup_detected":
+            state = StatePair(Field.zeros(grid), sine_mode(grid, 1, 50.0))
+            cfg = SolveConfig(
+                dt=5e-4, t_end=1.0, method=method, blowup_threshold=1e3, snapshot_every=20
+            )
+        elif ending == "blowup_at_start":
+            cfg = SolveConfig(dt=0.05, t_end=1.0, method=method, blowup_threshold=1e-3)
+        else:
+            huge, zero = Field(grid, np.full(16, 1e308)), Field.zeros(grid)
+            ramp = lambda t: huge if t > 0.12 else zero  # noqa: E731
+            sources = SourcePair(f=ramp, g=ramp)
+        traj = solve(state, cfg, sources)
+        assert traj.status.kind == ending.replace("_at_start", "_detected")
+        rows = len(traj.times)
+        assert rows == 1 if ending == "blowup_at_start" else rows >= 2
+        assert traj.values.shape == (rows, 2, 16) and traj.w.shape == (rows, 18)
+        assert traj.residual_l2.shape == traj.w_at_1.shape == (rows,)
+        assert len(traj.states) == rows
+        last = traj.states[-1]
+        assert np.array_equal(traj.w[-1], reconstruct_w(last).values_full())
+        assert traj.residual_l2[-1] == constraint_residual(last, reconstruct_w(last)).residual_l2
 
     @pytest.mark.parametrize("method", METHODS)
     def test_overflowing_source_is_a_non_finite_failure(self, method):

@@ -21,7 +21,7 @@ from pdae1d import (
 )
 from pdae1d.cli import build_parser, main
 from pdae1d.integrators import METHODS
-from pdae1d.scenarios import CONFIG_TYPES, SCENARIOS, read_config
+from pdae1d.scenarios import CONFIG_TYPES, SCENARIOS, _format_block, read_config
 
 
 def mms_truth(spec, c, t, x):
@@ -299,6 +299,37 @@ class TestRunConvergence:
         assert len(table) == 5
 
 
+def per_value_rows(block):
+    # the per-value formatting every artifact row is defined by
+    return "".join(" ".join(format(float(x) + 0.0, ".17g") for x in row) + "\n" for row in block)
+
+
+class TestBlockFormatter:
+    def values(self):
+        rng = np.random.default_rng(2024)
+        count = 130 * 800
+        mantissa = rng.uniform(1.0, 10.0, count) * rng.choice([-1.0, 1.0], count)
+        values = mantissa * 10.0 ** rng.integers(-308, 308, count).astype(float)
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.0, -1.0, 255.0]
+        values[rng.choice(count, len(specials) * 40, replace=False)] = np.repeat(specials, 40)
+        return values
+
+    @pytest.mark.parametrize("cols", [1, 5, 130])
+    def test_equals_per_value_format(self, cols):
+        values = self.values()
+        assert np.isfinite(values).sum() > 100_000
+        for block in np.split(values.reshape(-1, cols), 8):
+            got, want = _format_block(block), per_value_rows(block)
+            # report a few differing lines, not a diff of the whole block
+            bad = [pair for pair in zip(got.splitlines(), want.splitlines()) if pair[0] != pair[1]]
+            assert bad[:3] == []
+            assert got == want
+
+    def test_negative_zero_prints_as_zero_and_empty_block_as_nothing(self):
+        assert _format_block(np.array([[-0.0, 0.0, -1.5]])) == "0 0 -1.5\n"
+        assert _format_block(np.zeros((0, 4))) == ""
+
+
 class TestDeterminism:
     def test_run_artifacts_byte_identical(self, tmp_path):
         out = tmp_path / "run"
@@ -511,6 +542,38 @@ class TestCli:
         # the manufactured state starts near norm 1: the march stops at once
         assert main(argv + ["--blowup-threshold", "0.01"]) == 1
         assert "manufactured run did not complete" in capsys.readouterr().err
+
+    def test_mms_sources_flags_come_from_the_config_fields(self, capsys):
+        options = subcommand_options("mms-sources")
+        for name in ("n_interior", "mms_a", "mms_b", "d_u", "d_v", "p_u", "p_v"):
+            action = options[name]
+            assert action.option_strings == ["--" + name.replace("_", "-")]
+            assert action.type is CONFIG_TYPES[name][0]
+            assert action.default is None
+        assert "config" not in options and "scenario" not in options
+        assert main(["mms-sources"]) == 0  # n_interior falls back to 32
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 34
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_converge_exit_codes(self, code, tmp_path, capsys):
+        argv = ["converge", "--n-interior", "7", "--dt-levels", "0.02,0.01", "--n-levels", ""]
+        argv += ["--output-dir", str(tmp_path / "conv")]
+        if code == 1:
+            # the manufactured state starts near norm 1, so the first level stops at once
+            argv += ["--blowup-threshold", "0.01"]
+        if code == 2:
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + ["--method", "bogus"])
+            assert excinfo.value.code == 2
+            assert "invalid choice: 'bogus'" in capsys.readouterr().err
+            return
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.out.count("order=") == 2 and captured.err == ""
+            assert len((tmp_path / "conv" / "convergence.csv").read_text().splitlines()) == 4
+        else:
+            assert captured.err.startswith("error: manufactured run did not complete")
 
     def test_converge_subcommand_quick(self, tmp_path, capsys):
         code = main(

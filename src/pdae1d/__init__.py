@@ -11,7 +11,6 @@ CLI with manufactured-solution convergence tooling.
 
 from .constraint import (
     ConstraintReport,
-    compute_wx,
     constraint_residual,
     cumulative_integral,
     reconstruct_w,

@@ -24,7 +24,6 @@ __all__ = [
     "ConstraintReport",
     "running_integral",
     "cumulative_integral",
-    "compute_wx",
     "reconstruct_w",
     "constraint_residual",
 ]
@@ -55,6 +54,7 @@ def running_integral(full: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+# Field form kept because perfbench/tracing.py wraps every module binding of it
 def cumulative_integral(f: Field) -> Field:
     """Composite-trapezoid running integral int_0^{x_j} f, zero at x = 0.
 
@@ -86,25 +86,15 @@ def _slope(mass: np.ndarray, h: float) -> np.ndarray:
     return wx
 
 
-def compute_wx(state: StatePair, p_u: float = 1.0, p_v: float = 1.0) -> Field:
-    """Slope of the constrained profile: -int_0^x (p_u*u + p_v*v).
-
-    Zero at x = 0 exactly; linear in the state.  Explicit boundary pairs on
-    the components (zero for genuine Dirichlet states) feed the end cells of
-    the quadrature, keeping it exact through linear integrands.
-    """
-    wx = _slope(_mass(state, p_u, p_v), state.grid.h)
-    return Field(state.grid, wx[1:-1], boundary=(wx[0], wx[-1]))
-
-
 def reconstruct_w(state: StatePair | np.ndarray, p_u: float = 1.0, p_v: float = 1.0):
     """Constrained profile as the double running integral of -(p_u*u + p_v*v).
 
     Pins w(0) = 0 and w_x(0) = 0 exactly; w(1) lands wherever the state's
-    mass sends it.  ``state`` is a StatePair, giving a Field that carries
-    (0, w(1)) as its boundary pair, or Dirichlet nodal pairs shaped
-    (..., 2, n), giving w at all n+2 nodes shaped (..., n+2); each row of
-    a stack equals the single-state profile bit for bit.
+    mass sends it.  ``state`` holds Dirichlet nodal pairs shaped
+    (..., 2, n), giving w at all n+2 nodes shaped (..., n+2); each row of a
+    stack equals the single-state profile bit for bit.  The StatePair form,
+    giving a Field that carries (0, w(1)) as its boundary pair, is kept for
+    the benchmark's artifact checks (perfbench/workloads.py).
     """
     pair = isinstance(state, StatePair)
     h = state.grid.h if pair else 1.0 / (state.shape[-1] + 1)
@@ -122,10 +112,11 @@ def constraint_residual(
     w(0) = 0 and the computed w(1) from the profile's end value.  The
     reported w_x(0) is the slope integral's value at x = 0, which the
     running integral pins to exactly 0, so it needs no second integration.
-    ``state`` and ``w`` are a StatePair and a Field, giving a report of
-    floats, or nodal pairs shaped (..., 2, n) and profiles at all nodes
-    shaped (..., n+2), giving a report of arrays over the leading axes,
-    each entry equal to the single-state report bit for bit.
+    ``state`` and ``w`` are nodal pairs shaped (..., 2, n) and profiles at
+    all nodes shaped (..., n+2), giving a report of arrays over the leading
+    axes, each entry equal to the single-state report bit for bit.  The
+    form taking a StatePair and a Field, giving a report of floats, is kept
+    for the benchmark's artifact checks (perfbench/workloads.py).
     """
     pair = isinstance(state, StatePair)
     if pair:

@@ -1,12 +1,17 @@
 """Grids, nodal fields, and the two-component state built from them.
 
-Everything here is immutable after construction: arrays are copied in and
-frozen, and all operations elsewhere in the package are pure functions, so
-values can be shared freely between threads.
+Inside the package a state is a plain (2, n) array of nodal values; the
+validated ``Field``/``StatePair`` objects are the edge form that callers
+hand to ``solve`` and read profiles from.  Everything here is immutable
+after construction: arrays are copied in and frozen, and all operations
+elsewhere in the package are pure functions, so values can be shared
+freely between threads.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -19,6 +24,19 @@ __all__ = ["Grid1D", "Field", "StatePair", "pair_norm", "row_dot", "sine_mode"]
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _check_finite(config) -> None:
+    """Reject a numeric field of a config dataclass that is NaN, +-inf or beyond float range."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, (int, float)):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +77,7 @@ class Field:
 
     Dirichlet unknowns keep the default (0, 0) boundary pair.  Quadrature
     inputs and reconstructed profiles may carry explicit end values in
-    ``boundary``; operators that assume a Dirichlet field ignore it.
+    ``boundary``.
     """
 
     grid: Grid1D
@@ -95,38 +113,15 @@ class Field:
         """Values at all nodes, boundary pair included."""
         return np.concatenate(([self.boundary[0]], self.values, [self.boundary[1]]))
 
-    def l2_norm(self) -> float:
-        """Discrete L2 norm, sqrt(h * sum of squares) over interior nodes."""
-        return float(np.sqrt(self.grid.h * np.dot(self.values, self.values)))
-
-    def _check_same_grid(self, other: "Field"):
+    # the benchmark's artifact checks subtract states (perfbench/workloads.py)
+    def __sub__(self, other: "Field") -> "Field":
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
-
-    def __add__(self, other: "Field") -> "Field":
-        self._check_same_grid(other)
-        return Field(
-            self.grid,
-            self.values + other.values,
-            (self.boundary[0] + other.boundary[0], self.boundary[1] + other.boundary[1]),
-        )
-
-    def __sub__(self, other: "Field") -> "Field":
-        self._check_same_grid(other)
         return Field(
             self.grid,
             self.values - other.values,
             (self.boundary[0] - other.boundary[0], self.boundary[1] - other.boundary[1]),
         )
-
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values, (-self.boundary[0], -self.boundary[1]))
-
-    def __mul__(self, scalar: float) -> "Field":
-        c = float(scalar)
-        return Field(self.grid, c * self.values, (c * self.boundary[0], c * self.boundary[1]))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,20 +143,14 @@ class StatePair:
     def zeros(cls, grid: Grid1D) -> "StatePair":
         return cls(Field.zeros(grid), Field.zeros(grid))
 
+    # kept for callers outside the package: the benchmark's artifact checks call it
     def norm(self) -> float:
         """Product-space norm sqrt(||u||^2 + ||v||^2) in the discrete L2 sense."""
         return pair_norm((self.u.values, self.v.values), self.grid.h)
 
-    def __add__(self, other: "StatePair") -> "StatePair":
-        return StatePair(self.u + other.u, self.v + other.v)
-
+    # the benchmark's artifact checks subtract states (perfbench/workloads.py)
     def __sub__(self, other: "StatePair") -> "StatePair":
         return StatePair(self.u - other.u, self.v - other.v)
-
-    def __mul__(self, scalar: float) -> "StatePair":
-        return StatePair(self.u * scalar, self.v * scalar)
-
-    __rmul__ = __mul__
 
 
 def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

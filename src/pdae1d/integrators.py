@@ -12,23 +12,27 @@ diffusion is diagonal with z_k = d * lambda_k * dt per component:
 * a Picard fixed-point solve of the variation-of-constants integral on
   each slab, with trapezoid quadrature over a few substep samples.
 
-Inside ``solve`` an exponential-Euler or IMEX state is a (2, n) array of
-sine coefficients held together with its nodal values (which the
-reaction, the norm and the snapshots need), and each step is one batched
-inverse and one batched forward sine transform.  A Picard march goes slab
-by slab through ``picard_slab``, whose sweeps each transform all substep
-samples at once.  ``solve`` keeps each snapshot as its (2, n) nodal
-values and, when the march ends, stacks them to (S, 2, n) and
-reconstructs the constrained profile and its residual for all snapshots
-with one call each; no ``Field``/``StatePair`` is built per snapshot.
-The public one-step functions wrap the same kernels.  The
-march stops early when the state norm crosses the blow-up threshold (a
+A state is a (2, n) array of the nodal values (u, v); the one-step
+functions take and return such arrays, and sources return each component
+as a float array of shape (n,).  Only ``solve`` takes a ``StatePair``, at
+the edge, and builds no ``Field``/``StatePair`` after it.  Inside
+``solve`` an exponential-Euler or IMEX state is a (2, n) array of sine
+coefficients held together with its nodal values (which the reaction, the
+norm and the snapshots need), and each step is one batched inverse and
+one batched forward sine transform.  A Picard march goes slab by slab
+through ``picard_slab``, whose sweeps each transform all substep samples
+at once.  ``solve`` keeps each snapshot as its (2, n) nodal values and,
+when the march ends, stacks them to (S, 2, n) and reconstructs the
+constrained profile and its residual for all snapshots with one call
+each.  The public one-step functions wrap the same kernels.  The march
+stops early when the state norm crosses the blow-up threshold (a
 detection heuristic: the reported time is a candidate, not a proven
 maximal existence time).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -36,7 +40,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .constraint import constraint_residual, reconstruct_w
-from .fields import Field, Grid1D, StatePair, pair_norm
+from .fields import Grid1D, StatePair, _check_finite, pair_norm
+
+# eval_reaction and zero_sources are looked up here at call time, so the
+# wrappers perfbench/tracing.py puts on this module's bindings see every call
 from .nonlinearity import (
     CoefficientSet,
     SourcePair,
@@ -86,11 +93,14 @@ class SolveConfig:
     snapshot_every: int = 1
 
     def __post_init__(self):
+        _check_finite(self)
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
         if self.dt > self.t_end:
             raise ValueError("dt must not exceed t_end")
         steps = self.t_end / self.dt
+        if steps == math.inf:
+            raise ValueError(f"t_end={self.t_end} is too many steps of dt={self.dt}")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"t_end={self.t_end} is not a whole number of steps of dt={self.dt}")
         if self.method not in METHODS:
@@ -135,8 +145,7 @@ class Trajectory:
     Snapshot s is held as arrays: ``values[s]`` is the (2, n) nodal pair
     (u, v) at ``times[s]``, ``w[s]`` the reconstructed profile at all n+2
     nodes (w(0) = 0 exactly, w(1) last), and ``residual_l2[s]`` and
-    ``w_at_1[s]`` its constraint diagnostics.  ``states`` builds the
-    StatePairs from ``values`` on each access.
+    ``w_at_1[s]`` its constraint diagnostics.
     """
 
     grid: Grid1D
@@ -149,13 +158,11 @@ class Trajectory:
     steps_taken: int = 0
     picard_iterations_total: int = 0
 
-    @property
-    def states(self) -> list[StatePair]:
-        return [_pair(self.grid, values) for values in self.values]
-
 
 class PicardResult(NamedTuple):
-    state: StatePair
+    """A slab's end values (2, n), its sweep count and the per-sweep changes."""
+
+    values: np.ndarray
     iterations: int
     diff_norms: tuple[float, ...]
 
@@ -245,8 +252,8 @@ def _picard_sweeps(
     drift, kernel = _picard_weights(grid, delta, m, c)
     forcing = np.empty(drift.shape)
     for i in range(m):
-        forcing[i, 0] = sources.f(t + i * delta).values
-        forcing[i, 1] = sources.g(t + i * delta).values
+        forcing[i, 0] = sources.f(t + i * delta)
+        forcing[i, 1] = sources.g(t + i * delta)
     start = drift * to_coeffs(values)
     iterate = start
     diff_norms: list[float] = []
@@ -267,61 +274,55 @@ def _picard_sweeps(
     raise PicardConvergenceError(t, config.picard_max_iter, tuple(diff_norms))
 
 
-def _pair(grid: Grid1D, values) -> StatePair:
-    return StatePair(Field(grid, values[0]), Field(grid, values[1]))
-
-
-def _values(state: StatePair) -> np.ndarray:
-    return np.stack((state.u.values, state.v.values))
-
-
-def _step_inputs(dt: float, state: StatePair, sources, coefficients):
-    if dt <= 0:
+def _step_inputs(dt: float, values: np.ndarray, sources, coefficients):
+    if not dt > 0:
         raise ValueError("dt must be positive")
+    grid = Grid1D(values.shape[-1])
     c = coefficients if coefficients is not None else CoefficientSet()
-    return c, sources if sources is not None else zero_sources(state.grid)
+    return grid, c, sources if sources is not None else zero_sources(grid)
 
 
-def _diagonal_one_step(method, state, t, dt, sources, coefficients) -> StatePair:
-    c, src = _step_inputs(dt, state, sources, coefficients)
-    step = _diagonal_step(method, state.grid, dt, src, c)
-    values = _values(state)
-    return _pair(state.grid, step(to_coeffs(values), values, t)[1])
+def _diagonal_one_step(method, values, t, dt, sources, coefficients) -> np.ndarray:
+    grid, c, src = _step_inputs(dt, values, sources, coefficients)
+    step = _diagonal_step(method, grid, dt, src, c)
+    return step(to_coeffs(values), values, t)[1]
 
 
+# step_exp_euler, step_imex and picard_slab are traced by perfbench/tracing.py;
+# _march calls picard_slab through this module, so every slab is seen
 def step_exp_euler(
-    state: StatePair,
+    values: np.ndarray,
     t: float,
     dt: float,
     sources: SourcePair | None = None,
     coefficients: CoefficientSet | None = None,
-) -> StatePair:
-    """One exponential-Euler step from time t.
+) -> np.ndarray:
+    """One exponential-Euler step of nodal values (2, n) from time t.
 
     Exact on the diffusion part; the reaction is frozen at the left
     endpoint and weighted by phi1.
     """
-    return _diagonal_one_step("exp_euler", state, t, dt, sources, coefficients)
+    return _diagonal_one_step("exp_euler", values, t, dt, sources, coefficients)
 
 
 def step_imex(
-    state: StatePair,
+    values: np.ndarray,
     t: float,
     dt: float,
     sources: SourcePair | None = None,
     coefficients: CoefficientSet | None = None,
-) -> StatePair:
-    """One IMEX Euler step: implicit diffusion, explicit reaction.
+) -> np.ndarray:
+    """One IMEX Euler step of nodal values (2, n): implicit diffusion, explicit reaction.
 
     Componentwise (I - dt*d*Laplacian) u_next = u + dt*rhs_u, solved
     exactly in the sine eigenbasis, where the inverse is the diagonal
     1/(1 - dt*d*lambda_k); unconditionally stable in the diffusion part.
     """
-    return _diagonal_one_step("imex", state, t, dt, sources, coefficients)
+    return _diagonal_one_step("imex", values, t, dt, sources, coefficients)
 
 
 def picard_slab(
-    state: StatePair,
+    values: np.ndarray,
     t: float,
     dt: float,
     config: SolveConfig,
@@ -330,36 +331,34 @@ def picard_slab(
 ) -> PicardResult:
     """Fixed-point solve of the variation-of-constants integral on [t, t+dt].
 
-    The iterate is held at ``picard_substeps`` uniformly spaced samples of
-    the slab; each sweep replaces it by the semigroup drift plus the
-    trapezoid quadrature of the propagated reaction history.  Sweeping
-    stops when the max-over-samples product-norm change drops below
-    ``picard_tol``.  A sweep that leaves the iterate non-finite, or
-    exhausting ``picard_max_iter``, raises :class:`PicardConvergenceError`
-    (the former with ``non_finite`` set).
+    ``values`` are the nodal values (2, n) at t.  The iterate is held at
+    ``picard_substeps`` uniformly spaced samples of the slab; each sweep
+    replaces it by the semigroup drift plus the trapezoid quadrature of
+    the propagated reaction history.  Sweeping stops when the
+    max-over-samples product-norm change drops below ``picard_tol``.  A
+    sweep that leaves the iterate non-finite, or exhausting
+    ``picard_max_iter``, raises :class:`PicardConvergenceError` (the former
+    with ``non_finite`` set).
     """
-    c, src = _step_inputs(dt, state, sources, coefficients)
-    end, diff_norms = _picard_sweeps(state.grid, _values(state), t, dt, config, src, c)
-    return PicardResult(_pair(state.grid, end), len(diff_norms), diff_norms)
+    grid, c, src = _step_inputs(dt, values, sources, coefficients)
+    end, diff_norms = _picard_sweeps(grid, values, t, dt, config, src, c)
+    return PicardResult(end, len(diff_norms), diff_norms)
 
 
 def _march(
-    state0: StatePair, config: SolveConfig, src: SourcePair, c: CoefficientSet,
+    values: np.ndarray, grid: Grid1D, config: SolveConfig, src: SourcePair, c: CoefficientSet,
     times: list[float], snapshots: list[np.ndarray],
 ) -> tuple[RunStatus, int, int]:
-    """Advance from t = 0, appending each snapshot's time and (2, n) nodal values.
+    """Advance ``values`` (2, n) from t = 0, appending each snapshot's time and values.
 
     Returns the terminal status, the accepted steps and the Picard sweeps.
     """
-    grid = state0.grid
-    if state0.norm() >= config.blowup_threshold:
+    if pair_norm(values, grid.h) >= config.blowup_threshold:
         return RunStatus.blowup_detected(0.0), 0, 0
     picard = config.method == "picard"
     if not picard:
         step = _diagonal_step(config.method, grid, config.dt, src, c)
-        values = snapshots[0]
         coeffs = to_coeffs(values)
-    state = state0
     sweeps = 0
     n_steps = round(config.t_end / config.dt)
     for k in range(1, n_steps + 1):
@@ -367,11 +366,10 @@ def _march(
         if picard:
             # a slab goes through picard_slab, whose result records its sweeps
             try:
-                result = picard_slab(state, t_prev, config.dt, config, src, c)
+                result = picard_slab(values, t_prev, config.dt, config, src, c)
             except PicardConvergenceError as err:
                 return RunStatus.step_failure(t_prev, str(err)), k - 1, sweeps
-            state = result.state
-            values = _values(state)
+            values = result.values
             sweeps += result.iterations
         else:
             coeffs, values = step(coeffs, values, t_prev)
@@ -387,6 +385,18 @@ def _march(
     return RunStatus.completed(), n_steps, sweeps
 
 
+def _check_sources(sources: SourcePair, n: int) -> None:
+    for name in ("f", "g"):
+        value = getattr(sources, name)(0.0)
+        if not (isinstance(value, np.ndarray) and value.dtype == float and value.shape == (n,)):
+            shape = getattr(value, "shape", type(value).__name__)
+            raise ValueError(
+                f"sources.{name}(0.0) must be a float array of shape ({n},), got {shape}"
+            )
+
+
+# solve takes a StatePair: the benchmark builds its initial states with
+# mms_state, and its self-test counts their Field constructions
 def solve(
     state0: StatePair,
     config: SolveConfig,
@@ -403,14 +413,19 @@ def solve(
     failure that keeps the partial trajectory.  However the march ends,
     the profiles and residuals of all snapshots come from one
     ``reconstruct_w`` and one ``constraint_residual`` call on the stack.
+    Sources whose components at t = 0 are not float arrays of shape (n,)
+    raise ValueError before the first step.
     """
+    grid = state0.grid
     c = coefficients if coefficients is not None else CoefficientSet()
-    src = sources if sources is not None else zero_sources(state0.grid)
-    times, snapshots = [0.0], [_values(state0)]
-    status, steps, sweeps = _march(state0, config, src, c, times, snapshots)
+    src = sources if sources is not None else zero_sources(grid)
+    _check_sources(src, grid.n_interior)
+    values0 = np.stack((state0.u.values, state0.v.values))
+    times, snapshots = [0.0], [values0]
+    status, steps, sweeps = _march(values0, grid, config, src, c, times, snapshots)
     values = np.stack(snapshots)
     w = reconstruct_w(values, c.p_u, c.p_v)
     report = constraint_residual(values, w, c.p_u, c.p_v)
     return Trajectory(
-        state0.grid, times, values, w, report.residual_l2, report.w_at_1, status, steps, sweeps
+        grid, times, values, w, report.residual_l2, report.w_at_1, status, steps, sweeps
     )

@@ -6,12 +6,15 @@ loses -u*I and the second gains +v*I, plus time-dependent sources.  The
 quadratic term makes the operator only locally Lipschitz, with constant
 4*sqrt(3)*C on the ball of radius C in the product norm; ``lipschitz_ratio``
 measures the realized quotient so that bound can be checked empirically.
+
+States are Dirichlet nodal pairs (u, v) shaped (2, n), or stacks of them
+shaped (..., 2, n); sources return each component as a read-only float
+array of shape (n,).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -20,7 +23,7 @@ import numpy as np
 # every module binding of it
 from .constraint import cumulative_integral  # noqa: F401
 from .constraint import running_integral
-from .fields import Field, Grid1D, StatePair, pair_norm, row_dot
+from .fields import Grid1D, _check_finite, _freeze, pair_norm, row_dot
 
 __all__ = [
     "CoefficientSet",
@@ -47,25 +50,29 @@ class CoefficientSet:
     p_v: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.d_u <= 0 or self.d_v <= 0:
             raise ValueError("diffusion coefficients must be positive")
 
 
+# perfbench/tracing.py rebuilds a pair as SourcePair(f=, g=, kind=) around
+# wrapped callables, which the integrators reach through sources.f/sources.g
 @dataclass(frozen=True)
 class SourcePair:
-    """Time-parameterized source fields (f, g).
+    """Time-parameterized sources (f, g) on a fixed grid of n interior nodes.
 
-    The callables map t >= 0 to a Field on a fixed grid and must be
-    re-entrant: no internal mutable state, safe to evaluate concurrently.
+    Each callable maps t >= 0 to a read-only float array of shape (n,) and
+    must be re-entrant: no internal mutable state, safe to evaluate
+    concurrently.  ``solve`` checks the shape of both at t = 0.
     """
 
-    f: Callable[[float], Field]
-    g: Callable[[float], Field]
+    f: Callable[[float], np.ndarray]
+    g: Callable[[float], np.ndarray]
     kind: str = "custom"
 
 
 def zero_sources(grid: Grid1D) -> SourcePair:
-    zero = Field.zeros(grid)
+    zero = _freeze(np.zeros(grid.n_interior))
     return SourcePair(f=lambda t: zero, g=lambda t: zero, kind="zero")
 
 
@@ -127,15 +134,16 @@ def tabulated_sources(grid: Grid1D, path: str) -> SourcePair:
     range; values at x = 0 and x = 1, if tabulated, are checked and dropped.
     """
     times, slabs = read_node_table(path, grid, ("t", "x", "f", "g"))
+    _freeze(slabs)
 
     def interpolate(component, t):
         if t <= times[0]:
-            return Field(grid, slabs[0, component])
+            return slabs[0, component]
         if t >= times[-1]:
-            return Field(grid, slabs[-1, component])
+            return slabs[-1, component]
         i = int(np.searchsorted(times, t, side="right")) - 1
         theta = (t - times[i]) / (times[i + 1] - times[i])
-        return Field(grid, (1.0 - theta) * slabs[i, component] + theta * slabs[i + 1, component])
+        return _freeze((1.0 - theta) * slabs[i, component] + theta * slabs[i + 1, component])
 
     return SourcePair(
         f=lambda t: interpolate(0, t),
@@ -144,19 +152,16 @@ def tabulated_sources(grid: Grid1D, path: str) -> SourcePair:
     )
 
 
-def _reaction_terms(values: np.ndarray, c: CoefficientSet, ends=None) -> np.ndarray:
+def _reaction_terms(values: np.ndarray, c: CoefficientSet) -> np.ndarray:
     """Source-free reaction (-u*I, +v*I) of nodal pairs shaped (..., 2, n).
 
-    I is the trapezoid running integral of p_u*u + p_v*v, evaluated at the
-    interior nodes; ``ends`` holds the pair's values at x = 0 and x = 1,
-    shaped (..., 2, 2), and defaults to the Dirichlet zeros.  Leading axes
+    I is the trapezoid running integral of p_u*u + p_v*v over the pair with
+    its Dirichlet zero ends, evaluated at the interior nodes.  Leading axes
     are a batch.
     """
     n = values.shape[-1]
     full = np.zeros(values.shape[:-1] + (n + 2,))
     full[..., 1:-1] = values
-    if ends is not None:
-        full[..., [0, -1]] = ends
     integral = running_integral(c.p_u * full[..., 0, :] + c.p_v * full[..., 1, :], 1.0 / (n + 1))
     out = np.empty(values.shape)
     out[..., 0, :] = -values[..., 0, :] * integral[..., 1:-1]
@@ -165,36 +170,28 @@ def _reaction_terms(values: np.ndarray, c: CoefficientSet, ends=None) -> np.ndar
 
 
 def eval_reaction(
-    state: StatePair | np.ndarray,
+    values: np.ndarray,
     t: float = 0.0,
     sources: SourcePair | None = None,
     coefficients: CoefficientSet | None = None,
-) -> StatePair | np.ndarray:
+) -> np.ndarray:
     """Non-diffusive right-hand side (-u*I + f(t), +v*I + g(t)).
 
     I is the trapezoid running integral of p_u*u + p_v*v evaluated at the
-    interior nodes; a StatePair's boundary pairs enter it as end values.
-    ``state`` is a StatePair, or Dirichlet nodal values shaped (..., 2, n)
-    as the integrators hold them; the result comes back in the same form.
+    interior nodes.  ``values`` are Dirichlet nodal pairs shaped (..., 2, n);
+    the result has the same shape.
     """
     c = coefficients if coefficients is not None else CoefficientSet()
-    pair = isinstance(state, StatePair)
-    if pair:
-        values = np.stack((state.u.values, state.v.values))
-        out = _reaction_terms(values, c, ends=(state.u.boundary, state.v.boundary))
-    else:
-        out = _reaction_terms(state, c)
+    out = _reaction_terms(values, c)
     if sources is not None:
-        out[..., 0, :] += sources.f(t).values
-        out[..., 1, :] += sources.g(t).values
-    if pair:
-        return StatePair(Field(state.grid, out[0]), Field(state.grid, out[1]))
+        out[..., 0, :] += sources.f(t)
+        out[..., 1, :] += sources.g(t)
     return out
 
 
 def lipschitz_ratio(
-    a: StatePair | np.ndarray,
-    b: StatePair | np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
     sources: SourcePair | None = None,
     t: float = 0.0,
     coefficients: CoefficientSet | None = None,
@@ -202,37 +199,29 @@ def lipschitz_ratio(
     """Realized quotient ||R(a) - R(b)|| / ||a - b|| of the reaction operator.
 
     Sources cancel in the difference, so the result does not depend on them.
-    ``a`` and ``b`` are StatePairs, giving a float, or Dirichlet nodal pairs
-    shaped (..., 2, n), giving an array of the per-pair quotients.
+    ``a`` and ``b`` are Dirichlet nodal pairs shaped (2, n), giving a float,
+    or stacks shaped (..., 2, n), giving an array of the per-pair quotients.
     """
-    if isinstance(a, StatePair):
-        norm = StatePair.norm
-    else:
-        norm = partial(pair_norm, h=1.0 / (a.shape[-1] + 1))
-    denom = norm(a - b)
+    h = 1.0 / (a.shape[-1] + 1)
+    denom = pair_norm(a - b, h)
     if np.any(denom == 0.0):
         raise ValueError("states coincide; the quotient is undefined")
     ra = eval_reaction(a, t, sources, coefficients)
     rb = eval_reaction(b, t, sources, coefficients)
-    return norm(ra - rb) / denom
+    return pair_norm(ra - rb, h) / denom
 
 
-def h1_seminorm(f: Field | np.ndarray):
+def h1_seminorm(f: np.ndarray):
     """Discrete first-derivative seminorm sqrt(h * sum((df/h)^2)).
 
-    Forward differences over every cell including the two boundary gaps,
-    using the field's explicit boundary pair (zero for Dirichlet unknowns).
-    ``f`` is a Field, giving a float, or Dirichlet nodal values shaped
-    (..., n) with zero ends, giving an array of the per-row seminorms.
+    Forward differences over every cell including the two boundary gaps of
+    Dirichlet nodal values shaped (..., n) with zero ends; the result holds
+    the per-row seminorms over the leading axes.
     """
-    if isinstance(f, Field):
-        full = f.values_full()
-    else:
-        full = np.zeros(f.shape[:-1] + (f.shape[-1] + 2,))
-        full[..., 1:-1] = f
+    full = np.zeros(f.shape[:-1] + (f.shape[-1] + 2,))
+    full[..., 1:-1] = f
     diffs = np.diff(full)
-    value = np.sqrt(row_dot(diffs, diffs) / (1.0 / (full.shape[-1] - 1)))
-    return float(value) if isinstance(f, Field) else value
+    return np.sqrt(row_dot(diffs, diffs) / (1.0 / (full.shape[-1] - 1)))
 
 
 def source_time_lipschitz(sources: SourcePair, times) -> float:
@@ -246,11 +235,13 @@ def source_time_lipschitz(sources: SourcePair, times) -> float:
         raise ValueError("need at least two sample times")
     worst = 0.0
     prev_f, prev_g = sources.f(ts[0]), sources.g(ts[0])
+    h = 1.0 / (prev_f.shape[-1] + 1)
     for t_prev, t_next in zip(ts[:-1], ts[1:]):
         if t_next <= t_prev:
             raise ValueError("sample times must be increasing")
         cur_f, cur_g = sources.f(t_next), sources.g(t_next)
-        jump = np.hypot((cur_f - prev_f).l2_norm(), (cur_g - prev_g).l2_norm())
+        df, dg = cur_f - prev_f, cur_g - prev_g
+        jump = np.hypot(np.sqrt(h * np.dot(df, df)), np.sqrt(h * np.dot(dg, dg)))
         worst = max(worst, jump / (t_next - t_prev))
         prev_f, prev_g = cur_f, cur_g
     return worst

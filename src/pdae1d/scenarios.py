@@ -25,7 +25,7 @@ import numpy as np
 # reconstruct_w stays bound here because perfbench/tracing.py wraps every
 # module binding of it
 from .constraint import reconstruct_w  # noqa: F401
-from .fields import Field, Grid1D, StatePair, pair_norm
+from .fields import Field, Grid1D, StatePair, _check_finite, _freeze, pair_norm
 from .integrators import METHODS, SolveConfig, Trajectory, solve
 from .nonlinearity import (
     CoefficientSet,
@@ -80,6 +80,7 @@ class ScenarioConfig:
     picard_substeps: int = 4
 
     def __post_init__(self):
+        _check_finite(self)
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
         if self.method not in METHODS:
@@ -169,6 +170,7 @@ def _mms_values(spec: MmsSpec, x: np.ndarray, t: float) -> np.ndarray:
     return np.stack((spec.a * decay * np.sin(np.pi * x), spec.b * decay * np.sin(2.0 * np.pi * x)))
 
 
+# a StatePair because the benchmark builds solve's initial states with it
 def mms_state(spec: MmsSpec, grid: Grid1D, t: float) -> StatePair:
     u, v = _mms_values(spec, grid.nodes, t)
     return StatePair(Field(grid, u), Field(grid, v))
@@ -209,9 +211,7 @@ def build_mms_sources(
     """
     c = coefficients if coefficients is not None else CoefficientSet()
     f_at, g_at = _mms_source_fns(spec, c, grid.nodes)
-    return SourcePair(
-        f=lambda t: Field(grid, f_at(t)), g=lambda t: Field(grid, g_at(t)), kind="mms"
-    )
+    return SourcePair(f=lambda t: _freeze(f_at(t)), g=lambda t: _freeze(g_at(t)), kind="mms")
 
 
 def mms_source_table(

@@ -8,6 +8,10 @@ transform per direction.  Using the discrete eigenvalues (rather than
 -(k*pi)^2) keeps the dissipativity, contraction, and integrator checks
 mutually consistent at machine precision; the continuum enters only as an
 O(h^2) discretization error.
+
+Every operator takes and returns plain arrays: one component shaped
+(..., n), or nodal pairs (u, v) shaped (..., 2, n), with any leading axes a
+batch whose rows come out bit for bit as if transformed alone.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from scipy.fft import dst as _dst
 from scipy.linalg import solve_banded
 
-from .fields import Field, Grid1D, StatePair
+from .fields import Grid1D
 
 __all__ = [
     "laplacian_eigenvalues",
@@ -66,53 +70,41 @@ def to_values(coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * _dst(coeffs, type=1)
 
 
-def discrete_laplacian(f: Field | np.ndarray) -> Field | np.ndarray:
+def discrete_laplacian(f: np.ndarray) -> np.ndarray:
     """Second difference (f_{j-1} - 2 f_j + f_{j+1}) / h^2 with implicit zero ends.
 
-    The field is treated as a Dirichlet unknown: f_0 = f_{n+1} = 0 regardless
-    of any explicit boundary pair it carries.  ``f`` is a Field or nodal
-    values shaped (..., n) with a batch in front; the result comes back in
-    the same form.
+    ``f`` holds Dirichlet nodal values shaped (..., n), f_0 = f_{n+1} = 0;
+    the result has the same shape.
     """
-    v = f.values if isinstance(f, Field) else f
-    out = -2.0 * v
-    out[..., :-1] += v[..., 1:]
-    out[..., 1:] += v[..., :-1]
-    out = out / (1.0 / (v.shape[-1] + 1)) ** 2
-    return Field(f.grid, out) if isinstance(f, Field) else out
+    out = -2.0 * f
+    out[..., :-1] += f[..., 1:]
+    out[..., 1:] += f[..., :-1]
+    return out / (1.0 / (f.shape[-1] + 1)) ** 2
 
 
-def _weigh_modes(state, weight, t, d_u: float, d_v: float):
+def _weigh_modes(values: np.ndarray, weight, t, d_u: float, d_v: float) -> np.ndarray:
     """Scale each component's sine coefficients by weight(d * t * lambda_k).
 
-    ``state`` is a StatePair (scalar t) or nodal pairs shaped (..., 2, n),
-    with t a scalar or an array over the leading axes.
+    ``values`` are nodal pairs shaped (..., 2, n), with t a scalar or an
+    array over the leading axes.
     """
-    pair = isinstance(state, StatePair)
-    values = np.stack((state.u.values, state.v.values)) if pair else state
     t = np.asarray(t, dtype=float)
-    if pair and t.ndim:
-        raise ValueError("a StatePair takes a scalar t; stack the states for an array t")
     lam = _eigenvalues(values.shape[-1])
     factors = weight(np.stack((d_u * t, d_v * t), axis=-1)[..., None] * lam)
-    out = to_values(factors * to_coeffs(values))
-    if pair:
-        return StatePair(Field(state.grid, out[0]), Field(state.grid, out[1]))
-    return out
+    return to_values(factors * to_coeffs(values))
 
 
-def semigroup_apply(state: StatePair | np.ndarray, t, d_u: float = 1.0, d_v: float = 1.0):
+def semigroup_apply(values: np.ndarray, t, d_u: float = 1.0, d_v: float = 1.0) -> np.ndarray:
     """Evolve both components by the diffusion semigroup for a duration t >= 0.
 
     Componentwise in the sine basis each coefficient is scaled by
     exp(d * lambda_k * t); the map is a contraction of the product norm.
-    ``state`` is a StatePair, or nodal pairs shaped (..., 2, n) with t a
-    scalar or an array over the leading axes; the result comes back in the
-    same form.
+    ``values`` are nodal pairs shaped (..., 2, n), with t a scalar or an
+    array over the leading axes.
     """
     if np.any(np.asarray(t) < 0):
         raise ValueError("the heat semigroup is defined for t >= 0 only")
-    return _weigh_modes(state, np.exp, t, d_u, d_v)
+    return _weigh_modes(values, np.exp, t, d_u, d_v)
 
 
 def phi1(z):
@@ -131,11 +123,11 @@ def phi1(z):
     return float(out) if np.ndim(z) == 0 else out
 
 
-def phi1_apply(state: StatePair, t: float, d_u: float = 1.0, d_v: float = 1.0) -> StatePair:
-    """Scale each sine coefficient by phi1(d * lambda_k * t), per component, t > 0."""
+def phi1_apply(values: np.ndarray, t: float, d_u: float = 1.0, d_v: float = 1.0) -> np.ndarray:
+    """Scale each sine coefficient of nodal pairs (..., 2, n) by phi1(d * lambda_k * t), t > 0."""
     if t <= 0:
         raise ValueError("phi1 weight requires t > 0")
-    return _weigh_modes(state, phi1, t, d_u, d_v)
+    return _weigh_modes(values, phi1, t, d_u, d_v)
 
 
 def _shifted_matvec(u: np.ndarray, lam: float, h2: float) -> np.ndarray:
@@ -145,27 +137,24 @@ def _shifted_matvec(u: np.ndarray, lam: float, h2: float) -> np.ndarray:
     return out
 
 
-def solve_shifted(g: Field | np.ndarray, lam: float) -> Field | np.ndarray:
+def solve_shifted(g: np.ndarray, lam: float) -> np.ndarray:
     """Solve (lam*I - Laplacian) u = g by tridiagonal elimination, lam > 0.
 
     The matrix is symmetric positive definite and strictly diagonally
     dominant for lam > 0.  One step of iterative refinement keeps the
     residual at a few ulps of ||g||, well inside the 1e-12 relative
-    contract.  ``g`` is a Field or nodal values shaped (..., n); a stack is
-    solved as one multi-column right-hand side, and the result comes back
-    in the same form as ``g``.
+    contract.  ``g`` holds nodal values shaped (..., n); a stack is solved
+    as one multi-column right-hand side.
     """
     if lam <= 0:
         raise ValueError("shift must be positive (definiteness is lost otherwise)")
-    rhs = g.values if isinstance(g, Field) else g
-    n = rhs.shape[-1]
+    n = g.shape[-1]
     h2 = (1.0 / (n + 1)) ** 2
     ab = np.empty((3, n))
     ab[0, :] = -1.0 / h2
     ab[1, :] = lam + 2.0 / h2
     ab[2, :] = -1.0 / h2
-    columns = rhs.reshape(-1, n).T
+    columns = g.reshape(-1, n).T
     u = solve_banded((1, 1), ab, columns, check_finite=False)
     residual = columns - _shifted_matvec(u, lam, h2)
-    u = (u + solve_banded((1, 1), ab, residual, check_finite=False)).T.reshape(rhs.shape)
-    return Field(g.grid, u) if isinstance(g, Field) else u
+    return (u + solve_banded((1, 1), ab, residual, check_finite=False)).T.reshape(g.shape)

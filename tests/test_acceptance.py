@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from constraint_oracle import recurrence_gap
 
 from pdae1d import (
     Field,
@@ -29,6 +30,7 @@ from pdae1d import (
     sine_mode,
     solve,
 )
+from pdae1d.fields import pair_norm
 
 BOUND = 4.0 * np.sqrt(3.0)
 
@@ -109,12 +111,12 @@ def test_criterion_05_mild_solution_consistency():
             cfg = SolveConfig(dt=dt, t_end=0.5, method=method, snapshot_every=10**9)
             traj = solve(state0, cfg)
             assert traj.status.kind == "completed"
-            finals[(method, dt)] = traj.states[-1]
+            finals[(method, dt)] = traj.values[-1]
     ok = True
     details = []
     for a, b in (("exp_euler", "imex"), ("exp_euler", "picard"), ("imex", "picard")):
-        coarse = (finals[(a, 1e-4)] - finals[(b, 1e-4)]).norm()
-        fine = (finals[(a, 5e-5)] - finals[(b, 5e-5)]).norm()
+        coarse = pair_norm(finals[(a, 1e-4)] - finals[(b, 1e-4)], grid.h)
+        fine = pair_norm(finals[(a, 5e-5)] - finals[(b, 5e-5)], grid.h)
         shrink = coarse / fine
         ok = ok and coarse <= 1e-3 and shrink >= 1.8
         details.append(f"{a}|{b}: {coarse:.1e} shrink {shrink:.2f}x")
@@ -166,6 +168,8 @@ def test_criterion_07_constraint_fidelity():
         assert traj.status.kind == "completed"
         ends = constraint_residual(traj.values, traj.w)
         ok = ok and np.all(ends.w_at_0 == 0.0) and np.all(ends.wx_at_0 == 0.0)
+        # an independent recovery of w by the second-difference recurrence agrees to O(h^2)
+        ok = ok and recurrence_gap(traj.values, traj.w) <= 1.0
         residual_maxima.append(max(traj.residual_l2))
     ratio = residual_maxima[0] / residual_maxima[1]
     ok = ok and 3.2 <= ratio <= 4.8
@@ -174,7 +178,8 @@ def test_criterion_07_constraint_fidelity():
         7,
         "constraint fidelity",
         ok,
-        f"residual ratio under h-halving {ratio:.2f} in [3.2, 4.8]; left-end conditions exact",
+        f"residual ratio under h-halving {ratio:.2f} in [3.2, 4.8]; left-end conditions exact; "
+        "w within h^2 of the second-difference recurrence",
         elapsed,
         60.0,
     )
@@ -213,7 +218,8 @@ def test_criterion_08_blowup_pathway():
 def test_criterion_09_picard_contraction():
     start = time.perf_counter()
     grid = Grid1D(128)
-    state = decay_state(grid)
+    decay = decay_state(grid)
+    state = np.stack((decay.u.values, decay.v.values))
     dt = 0.13
     cfg = SolveConfig(dt=dt, t_end=5 * dt, method="picard")
     ok = True
@@ -221,14 +227,14 @@ def test_criterion_09_picard_contraction():
     worst_iters = 0
     t = 0.0
     for _ in range(5):
-        assert dt * BOUND * state.norm() <= 0.1 + 1e-12
+        assert dt * BOUND * pair_norm(state, grid.h) <= 0.1 + 1e-12
         result = picard_slab(state, t, dt, cfg)
         diffs = np.asarray(result.diff_norms)
         ratios = diffs[1:] / diffs[:-1]
         worst_ratio = max(worst_ratio, float(np.max(ratios)))
         worst_iters = max(worst_iters, result.iterations)
         ok = ok and result.iterations <= 6 and diffs[-1] < 1e-10 and np.max(ratios) <= 0.12
-        state = result.state
+        state = result.values
         t += dt
     elapsed = time.perf_counter() - start
     report(

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from constraint_oracle import recurrence_gap
 
 from pdae1d import (
     Field,
     Grid1D,
     StatePair,
-    compute_wx,
     constraint_residual,
     cumulative_integral,
     reconstruct_w,
 )
+from pdae1d import constraint
 from pdae1d.constraint import running_integral
 
 
@@ -80,36 +81,35 @@ class TestCumulativeIntegral:
                 assert stacked[s, k, -1] == ref.boundary[1]
 
 
+def slope(values, p_u=1.0, p_v=1.0):
+    # w_x = -int_0^x (p_u*u + p_v*v) at all n+2 nodes, as reconstruct_w integrates it
+    h = 1.0 / (values.shape[-1] + 1)
+    return constraint._slope(constraint._mass(values, p_u, p_v), h)
+
+
 class TestComputeWx:
     def test_zero_state(self):
-        grid = Grid1D(8)
-        out = compute_wx(StatePair.zeros(grid))
-        assert np.all(out.values == 0.0) and out.boundary == (0.0, 0.0)
+        out = slope(np.zeros((2, 8)))
+        assert np.all(out == 0.0)
 
     def test_sine_closed_form(self):
         grid = Grid1D(127)
-        out = compute_wx(sine_state(grid))
+        out = slope(np.stack((np.sin(np.pi * grid.nodes), np.zeros(127))))
         exact = -(1.0 - np.cos(np.pi * grid.nodes)) / np.pi
-        assert np.max(np.abs(out.values - exact)) < 1e-4
+        assert np.max(np.abs(out[1:-1] - exact)) < 1e-4
 
     def test_scaling_linearity(self):
-        grid = Grid1D(33)
         rng = np.random.default_rng(2)
-        state = StatePair(
-            Field(grid, rng.uniform(-1.0, 1.0, 33)), Field(grid, rng.uniform(-1.0, 1.0, 33))
-        )
-        scaled = compute_wx(3.5 * state)
-        np.testing.assert_allclose(scaled.values, 3.5 * compute_wx(state).values, rtol=1e-13)
+        state = rng.uniform(-1.0, 1.0, (2, 33))
+        np.testing.assert_allclose(slope(3.5 * state), 3.5 * slope(state), rtol=1e-13)
 
     def test_impact_weights(self):
-        grid = Grid1D(21)
         rng = np.random.default_rng(3)
         u = rng.uniform(-1.0, 1.0, 21)
         v = rng.uniform(-1.0, 1.0, 21)
-        state = StatePair(Field(grid, u), Field(grid, v))
-        weighted = compute_wx(state, p_u=2.0, p_v=-0.5)
-        recombined = compute_wx(StatePair(Field(grid, 2.0 * u), Field(grid, -0.5 * v)))
-        np.testing.assert_allclose(weighted.values, recombined.values, rtol=1e-13, atol=1e-16)
+        weighted = slope(np.stack((u, v)), p_u=2.0, p_v=-0.5)
+        recombined = slope(np.stack((2.0 * u, -0.5 * v)))
+        np.testing.assert_allclose(weighted, recombined, rtol=1e-13, atol=1e-16)
 
 
 class TestReconstructW:
@@ -154,16 +154,24 @@ class TestReconstructW:
                 Field(grid, rng.uniform(-1.0, 1.0, 50)), Field(grid, rng.uniform(-1.0, 1.0, 50))
             )
             assert reconstruct_w(state).boundary[0] == 0.0
-            assert compute_wx(state).boundary[0] == 0.0
+            assert slope(np.stack((state.u.values, state.v.values)))[0] == 0.0
 
     def test_linearity_in_state(self):
-        grid = Grid1D(30)
         rng = np.random.default_rng(6)
-        a = StatePair(Field(grid, rng.uniform(-1, 1, 30)), Field(grid, rng.uniform(-1, 1, 30)))
-        b = StatePair(Field(grid, rng.uniform(-1, 1, 30)), Field(grid, rng.uniform(-1, 1, 30)))
+        a, b = rng.uniform(-1, 1, (2, 2, 30))
         combo = reconstruct_w(2.0 * a + (-3.0) * b)
         parts = 2.0 * reconstruct_w(a) + (-3.0) * reconstruct_w(b)
-        np.testing.assert_allclose(combo.values, parts.values, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(combo, parts, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [63, 127])
+    def test_recurrence_oracle_agrees_to_second_order_and_catches_defects(self, n):
+        x = Grid1D(n).nodes
+        values = np.stack((0.1 * np.sin(np.pi * x), 0.1 * np.sin(2.0 * np.pi * x)))
+        p_u, p_v = 2.0, -0.5
+        w = reconstruct_w(values, p_u, p_v)
+        assert recurrence_gap(values, w, p_u, p_v) <= 1.0
+        assert recurrence_gap(values, -w, p_u, p_v) > 100.0  # sign flip
+        assert recurrence_gap(values, reconstruct_w(values, p_v, p_u), p_u, p_v) > 100.0  # swap
 
 
 class TestConstraintResidual:
@@ -208,7 +216,13 @@ class TestConstraintResidual:
 
 def field_path_w(state, p_u, p_v):
     # the per-state Field path: two cumulative integrals of Fields
-    integral = cumulative_integral(p_u * state.u + p_v * state.v)
+    u, v = state.u, state.v
+    mass = Field(
+        state.grid,
+        p_u * u.values + p_v * v.values,
+        (p_u * u.boundary[0] + p_v * v.boundary[0], p_u * u.boundary[1] + p_v * v.boundary[1]),
+    )
+    integral = cumulative_integral(mass)
     wx = Field(state.grid, -integral.values, boundary=(0.0, -integral.boundary[1]))
     return cumulative_integral(wx)
 
@@ -256,7 +270,3 @@ class TestStackedForms:
             ref = field_path_w(state, p_u, p_v)
             w = reconstruct_w(state, p_u, p_v)
             assert np.array_equal(w.values, ref.values) and w.boundary == ref.boundary
-            wx = compute_wx(state, p_u, p_v)
-            integral = cumulative_integral(p_u * u + p_v * v)
-            assert np.array_equal(wx.values, -integral.values)
-            assert wx.boundary == (0.0, -integral.boundary[1])

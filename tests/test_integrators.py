@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from constraint_oracle import recurrence_gap
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import expm
 
@@ -24,7 +27,8 @@ from pdae1d import (
     step_imex,
     zero_sources,
 )
-from pdae1d import spectral
+from pdae1d import fields, spectral
+from pdae1d.fields import pair_norm
 
 METHODS = ("exp_euler", "imex", "picard")
 
@@ -47,8 +51,8 @@ def mol_rhs_factory(grid, sources=None, coefficients=None):
         du = c.d_u * (matrix @ u) - u * integral
         dv = c.d_v * (matrix @ v) + v * integral
         if sources is not None:
-            du = du + sources.f(t).values
-            dv = dv + sources.g(t).values
+            du = du + sources.f(t)
+            dv = dv + sources.g(t)
         return np.concatenate((du, dv))
 
     return rhs
@@ -67,62 +71,58 @@ def rk4_march(y0, t0, dt, substeps, rhs):
     return y
 
 
-def decay_state(grid, amplitude=0.1):
+def decay_values(grid, amplitude=0.1):
     x = grid.nodes
-    return StatePair(
-        Field(grid, amplitude * np.sin(np.pi * x)),
-        Field(grid, amplitude * np.sin(2.0 * np.pi * x)),
-    )
+    return np.stack((amplitude * np.sin(np.pi * x), amplitude * np.sin(2.0 * np.pi * x)))
 
 
-def pack(state):
-    return np.concatenate((state.u.values, state.v.values))
+def as_pair(grid, values):
+    return StatePair(Field(grid, values[0]), Field(grid, values[1]))
+
+
+def decay_state(grid, amplitude=0.1):
+    return as_pair(grid, decay_values(grid, amplitude))
 
 
 class TestExpEuler:
     def test_zero_is_fixed_point(self):
-        grid = Grid1D(10)
-        out = step_exp_euler(StatePair.zeros(grid), 0.0, 0.1)
-        assert np.all(out.u.values == 0.0) and np.all(out.v.values == 0.0)
+        out = step_exp_euler(np.zeros((2, 10)), 0.0, 0.1)
+        assert np.all(out == 0.0)
 
     def test_linear_regime_matches_dense_exponential(self):
         # reaction disabled, no sources: ten steps reproduce expm exactly
-        grid = Grid1D(12)
         rng = np.random.default_rng(51)
-        state = StatePair(
-            Field(grid, rng.uniform(-1, 1, 12)), Field(grid, rng.uniform(-1, 1, 12))
-        )
+        state = rng.uniform(-1, 1, (2, 12))
         dt = 0.01
         marched = state
         for k in range(10):
             marched = step_exp_euler(marched, k * dt, dt, coefficients=CoefficientSet(p_u=0, p_v=0))
         propagator = expm(10 * dt * dense_laplacian(12))
-        assert np.max(np.abs(marched.u.values - propagator @ state.u.values)) < 1e-9
-        assert np.max(np.abs(marched.v.values - propagator @ state.v.values)) < 1e-9
+        assert np.max(np.abs(marched[0] - propagator @ state[0])) < 1e-9
+        assert np.max(np.abs(marched[1] - propagator @ state[1])) < 1e-9
 
     def test_one_step_against_rk4_oracle(self):
         grid = Grid1D(16)
-        state = decay_state(grid)
+        state = decay_values(grid)
         rhs = mol_rhs_factory(grid)
         errors = []
         for dt in (0.02, 0.01, 0.005):
             stepped = step_exp_euler(state, 0.0, dt)
-            reference = rk4_march(pack(state), 0.0, dt, 100, rhs)
-            errors.append(np.max(np.abs(pack(stepped) - reference)))
+            reference = rk4_march(state.ravel(), 0.0, dt, 100, rhs)
+            errors.append(np.max(np.abs(stepped.ravel() - reference)))
         assert errors[0] < 1e-4
         ratios = [errors[i] / errors[i + 1] for i in range(2)]
         assert all(2.7 <= r <= 5.5 for r in ratios)  # local error is O(dt^2)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            step_exp_euler(StatePair.zeros(Grid1D(4)), 0.0, 0.0)
+            step_exp_euler(np.zeros((2, 4)), 0.0, 0.0)
 
 
 class TestImex:
     def test_zero_is_fixed_point(self):
-        grid = Grid1D(10)
-        out = step_imex(StatePair.zeros(grid), 0.0, 0.1)
-        assert np.all(out.u.values == 0.0) and np.all(out.v.values == 0.0)
+        out = step_imex(np.zeros((2, 10)), 0.0, 0.1)
+        assert np.all(out == 0.0)
 
     def test_single_mode_linear_recurrence(self):
         grid = Grid1D(14)
@@ -130,20 +130,20 @@ class TestImex:
         dt, diffusion = 0.05, 1.5
         coefficients = CoefficientSet(d_u=diffusion, d_v=1.0, p_u=0, p_v=0)
         for k in (1, 4, 14):
-            state = StatePair(sine_mode(grid, k), Field.zeros(grid))
+            state = np.stack((sine_mode(grid, k).values, np.zeros(14)))
             out = step_imex(state, 0.0, dt, coefficients=coefficients)
-            expected = state.u.values / (1.0 - dt * diffusion * lam[k - 1])
-            np.testing.assert_allclose(out.u.values, expected, rtol=1e-12, atol=1e-15)
+            expected = state[0] / (1.0 - dt * diffusion * lam[k - 1])
+            np.testing.assert_allclose(out[0], expected, rtol=1e-12, atol=1e-15)
 
     def test_full_step_against_rk4_oracle(self):
         grid = Grid1D(16)
-        state = decay_state(grid, amplitude=0.5)
+        state = decay_values(grid, amplitude=0.5)
         rhs = mol_rhs_factory(grid)
         errors = []
         for dt in (0.002, 0.001):
             stepped = step_imex(state, 0.0, dt)
-            reference = rk4_march(pack(state), 0.0, dt, 100, rhs)
-            errors.append(np.max(np.abs(pack(stepped) - reference)))
+            reference = rk4_march(state.ravel(), 0.0, dt, 100, rhs)
+            errors.append(np.max(np.abs(stepped.ravel() - reference)))
         assert 3.0 <= errors[0] / errors[1] <= 5.0  # one-step defect is O(dt^2)
 
     def test_agrees_with_exp_euler_under_refinement(self):
@@ -153,26 +153,25 @@ class TestImex:
         for dt in (1e-3, 5e-4):
             cfg_a = SolveConfig(dt=dt, t_end=0.2, method="exp_euler", snapshot_every=10**9)
             cfg_b = SolveConfig(dt=dt, t_end=0.2, method="imex", snapshot_every=10**9)
-            a = solve(state, cfg_a).states[-1]
-            b = solve(state, cfg_b).states[-1]
-            distances.append((a - b).norm())
+            a = solve(state, cfg_a).values[-1]
+            b = solve(state, cfg_b).values[-1]
+            distances.append(pair_norm(a - b, grid.h))
         assert distances[0] < 1e-3
         assert distances[0] / distances[1] > 1.5
 
 
 class TestPicard:
     def test_zero_state_converges_immediately(self):
-        grid = Grid1D(8)
         cfg = SolveConfig(dt=0.1, t_end=0.1, method="picard")
-        result = picard_slab(StatePair.zeros(grid), 0.0, 0.1, cfg)
+        result = picard_slab(np.zeros((2, 8)), 0.0, 0.1, cfg)
         assert result.iterations == 1
-        assert np.all(result.state.u.values == 0.0)
+        assert np.all(result.values[0] == 0.0)
 
     def test_contraction_within_budget(self):
         grid = Grid1D(64)
-        state = decay_state(grid)
+        state = decay_values(grid)
         dt = 0.13
-        assert dt * 4.0 * np.sqrt(3.0) * state.norm() <= 0.1
+        assert dt * 4.0 * np.sqrt(3.0) * pair_norm(state, grid.h) <= 0.1
         cfg = SolveConfig(dt=dt, t_end=dt, method="picard")
         result = picard_slab(state, 0.0, dt, cfg)
         assert result.iterations <= 6
@@ -182,22 +181,21 @@ class TestPicard:
 
     def test_slab_end_matches_refined_exp_euler(self):
         grid = Grid1D(24)
-        state = decay_state(grid, amplitude=0.4)
+        state = decay_values(grid, amplitude=0.4)
         errors = []
         for dt in (0.08, 0.04):
             cfg = SolveConfig(dt=dt, t_end=dt, method="picard", picard_tol=1e-13)
-            slab_end = picard_slab(state, 0.0, dt, cfg).state
+            slab_end = picard_slab(state, 0.0, dt, cfg).values
             refined = state
             fine = dt / 64
             for k in range(64):
                 refined = step_exp_euler(refined, k * fine, fine)
-            errors.append((slab_end - refined).norm())
+            errors.append(pair_norm(slab_end - refined, grid.h))
         assert errors[0] < 1e-4
         assert 3.0 <= errors[0] / errors[1] <= 6.0  # both converge at O(dt^2) or better
 
     def test_nonconvergence_raises_with_estimate(self):
-        grid = Grid1D(16)
-        state = 50.0 * decay_state(grid, amplitude=1.0)
+        state = 50.0 * decay_values(Grid1D(16), amplitude=1.0)
         cfg = SolveConfig(dt=0.5, t_end=0.5, method="picard", picard_max_iter=8)
         with pytest.raises(PicardConvergenceError) as excinfo:
             picard_slab(state, 0.0, 0.5, cfg)
@@ -206,7 +204,7 @@ class TestPicard:
 
     def test_solve_reports_step_failure_with_partial_trajectory(self):
         grid = Grid1D(16)
-        state = 50.0 * decay_state(grid, amplitude=1.0)
+        state = as_pair(grid, 50.0 * decay_values(grid, amplitude=1.0))
         cfg = SolveConfig(dt=0.5, t_end=1.0, method="picard", picard_max_iter=5, blowup_threshold=1e9)
         traj = solve(state, cfg)
         assert traj.status.kind == "step_failure"
@@ -221,7 +219,7 @@ class TestSolve:
         cfg = SolveConfig(dt=0.05, t_end=0.5)
         traj = solve(StatePair.zeros(grid), cfg)
         assert traj.status.kind == "completed"
-        assert all(s.norm() == 0.0 for s in traj.states)
+        assert np.all(pair_norm(traj.values, grid.h) == 0.0)
         assert traj.times[0] == 0.0
         assert np.all(np.diff(traj.times) > 0.0)
 
@@ -230,7 +228,7 @@ class TestSolve:
         cfg = SolveConfig(dt=0.01, t_end=0.2, snapshot_every=5)
         traj = solve(decay_state(grid), cfg)
         np.testing.assert_allclose(traj.times, [0.0, 0.05, 0.1, 0.15, 0.2], rtol=1e-12)
-        assert len(traj.states) == len(traj.values) == len(traj.w) == 5
+        assert len(traj.values) == len(traj.w) == 5
         assert len(traj.residual_l2) == len(traj.w_at_1) == 5
 
     def test_blowup_detection(self):
@@ -240,7 +238,7 @@ class TestSolve:
         traj = solve(state, cfg)
         assert traj.status.kind == "blowup_detected"
         assert traj.status.t == traj.times[-1]
-        assert traj.states[-1].norm() >= 1e3
+        assert pair_norm(traj.values[-1], grid.h) >= 1e3
         assert np.all(np.diff(traj.times) > 0.0)
 
     def test_blowup_threshold_hit_at_start(self):
@@ -255,7 +253,7 @@ class TestSolve:
         grid = Grid1D(48)
         cfg = SolveConfig(dt=1e-3, t_end=0.3)
         traj = solve(decay_state(grid), cfg)
-        norms = np.array([s.norm() for s in traj.states])
+        norms = pair_norm(traj.values, grid.h)
         jumps = np.abs(np.diff(norms))
         rate_limit = np.max(jumps[:30]) / cfg.dt  # steepest early decay bounds the rest
         assert np.all(jumps <= 1.05 * rate_limit * cfg.dt + 1e-14)
@@ -269,6 +267,7 @@ class TestSolve:
             assert traj.status.kind == "completed"
             report = constraint_residual(traj.values, traj.w)
             assert np.all(report.w_at_0 == 0.0) and np.all(report.wx_at_0 == 0.0)
+            assert recurrence_gap(traj.values, traj.w) <= 1.0  # agrees to O(h^2)
             residual_maxima.append(max(traj.residual_l2))
         assert 3.2 <= residual_maxima[0] / residual_maxima[1] <= 4.8
 
@@ -294,7 +293,7 @@ class TestSolve:
         elif ending == "blowup_at_start":
             cfg = SolveConfig(dt=0.05, t_end=1.0, method=method, blowup_threshold=1e-3)
         else:
-            huge, zero = Field(grid, np.full(16, 1e308)), Field.zeros(grid)
+            huge, zero = np.full(16, 1e308), np.zeros(16)
             ramp = lambda t: huge if t > 0.12 else zero  # noqa: E731
             sources = SourcePair(f=ramp, g=ramp)
         traj = solve(state, cfg, sources)
@@ -303,15 +302,14 @@ class TestSolve:
         assert rows == 1 if ending == "blowup_at_start" else rows >= 2
         assert traj.values.shape == (rows, 2, 16) and traj.w.shape == (rows, 18)
         assert traj.residual_l2.shape == traj.w_at_1.shape == (rows,)
-        assert len(traj.states) == rows
-        last = traj.states[-1]
-        assert np.array_equal(traj.w[-1], reconstruct_w(last).values_full())
+        last = traj.values[-1]
+        assert np.array_equal(traj.w[-1], reconstruct_w(last))
         assert traj.residual_l2[-1] == constraint_residual(last, reconstruct_w(last)).residual_l2
 
     @pytest.mark.parametrize("method", METHODS)
     def test_overflowing_source_is_a_non_finite_failure(self, method):
         grid = Grid1D(16)
-        huge = Field(grid, np.full(16, 1e308))
+        huge = np.full(16, 1e308)
         cfg = SolveConfig(dt=0.5, t_end=1.0, method=method)
         traj = solve(StatePair.zeros(grid), cfg, SourcePair(f=lambda t: huge, g=lambda t: huge))
         assert traj.status.kind == "step_failure"
@@ -321,20 +319,54 @@ class TestSolve:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_source_on_another_grid_raises(self, method):
-        coarse = sine_mode(Grid1D(8), 1)
+        # a scalar or (1,) source would broadcast over the state without the check
+        values = (sine_mode(Grid1D(8), 1).values, 0.5, np.ones(1), np.ones(16, dtype=int))
         cfg = SolveConfig(dt=0.01, t_end=0.02, method=method)
-        with pytest.raises(ValueError):
-            solve(decay_state(Grid1D(16)), cfg, SourcePair(f=lambda t: coarse, g=lambda t: coarse))
+        zero = np.zeros(16)
+        for value in values:
+            calls = []
+
+            def bad(t, value=value):
+                calls.append(t)
+                return value
+
+            for sources in (SourcePair(f=bad, g=lambda t: zero), SourcePair(f=lambda t: zero, g=bad)):
+                with pytest.raises(ValueError, match=r"must be a float array of shape \(16,\)"):
+                    solve(decay_state(Grid1D(16)), cfg, sources)
+            assert calls == [0.0, 0.0]  # once per pair, before the first step
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_builds_no_field_or_state_pair_per_step(self, method, monkeypatch):
+        grid = Grid1D(15)
+        spec = MmsSpec()
+        state0, sources = mms_state(spec, grid, 0.0), build_mms_sources(spec, grid)
+        counts = {}
+        for cls in (fields.Field, fields.StatePair):
+            original = cls.__post_init__
+
+            def counting(self, original=original, name=cls.__name__):
+                counts[name] = counts.get(name, 0) + 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        built = []
+        for steps in (2, 20):
+            counts.clear()
+            cfg = SolveConfig(dt=0.01, t_end=0.01 * steps, method=method)
+            traj = solve(state0, cfg, sources)
+            assert traj.steps_taken == steps and len(traj.times) == steps + 1
+            built.append(dict(counts))
+        assert built[0] == built[1] == {}
 
 
-def public_step(method, state, t, cfg, sources):
-    """One step through the public one-step functions; returns (state, Picard sweeps)."""
+def public_step(method, values, t, cfg, sources):
+    """One step through the public one-step functions; returns (values, Picard sweeps)."""
     if method == "exp_euler":
-        return step_exp_euler(state, t, cfg.dt, sources), 0
+        return step_exp_euler(values, t, cfg.dt, sources), 0
     if method == "imex":
-        return step_imex(state, t, cfg.dt, sources), 0
-    result = picard_slab(state, t, cfg.dt, cfg, sources)
-    return result.state, result.iterations
+        return step_imex(values, t, cfg.dt, sources), 0
+    result = picard_slab(values, t, cfg.dt, cfg, sources)
+    return result.values, result.iterations
 
 
 class TestArrayCore:
@@ -345,11 +377,11 @@ class TestArrayCore:
         grid = Grid1D(n)
         u0, v0, f, g = np.random.default_rng(7).uniform(-1.0, 1.0, (4, n))
         c = CoefficientSet(d_u=0.7, d_v=1.9, p_u=0, p_v=0)
-        sources = SourcePair(f=lambda t: Field(grid, f), g=lambda t: Field(grid, g))
+        sources = SourcePair(f=lambda t: f, g=lambda t: g)
         step = step_exp_euler if method == "exp_euler" else step_imex
-        out = step(StatePair(Field(grid, u0), Field(grid, v0)), 0.0, dt, sources, c)
+        out = step(np.stack((u0, v0)), 0.0, dt, sources, c)
         identity = np.eye(n)
-        for got, x0, s, d in ((out.u.values, u0, f, c.d_u), (out.v.values, v0, g, c.d_v)):
+        for got, x0, s, d in ((out[0], u0, f, c.d_u), (out[1], v0, g, c.d_v)):
             m = dt * d * dense_laplacian(n)
             if method == "exp_euler":
                 want = expm(m) @ x0 + dt * np.linalg.solve(m, expm(m) - identity) @ s
@@ -366,11 +398,11 @@ class TestArrayCore:
         cfg = SolveConfig(dt=0.01, t_end=0.05, method=method)
         traj = solve(mms_state(spec, grid, 0.0), cfg, sources)
         assert traj.status.kind == "completed" and traj.steps_taken == 5
-        state, sweeps = traj.states[0], 0
+        state, sweeps = traj.values[0], 0
         for k in range(5):
             state, used = public_step(method, state, k * cfg.dt, cfg, sources)
             sweeps += used
-            assert (traj.states[k + 1] - state).norm() <= 1e-13 * state.norm()
+            assert pair_norm(traj.values[k + 1] - state, grid.h) <= 1e-13 * pair_norm(state, grid.h)
         assert traj.picard_iterations_total == sweeps
 
     @pytest.mark.parametrize("method", METHODS)
@@ -401,11 +433,10 @@ class TestArrayCore:
             assert shapes == [pair] * (1 + 2 * traj.steps_taken)
 
     def test_picard_slab_raises_on_a_non_finite_sweep(self):
-        grid = Grid1D(16)
-        huge = Field(grid, np.full(16, 1e308))
+        huge = np.full(16, 1e308)
         cfg = SolveConfig(dt=0.5, t_end=1.0, method="picard")
         with pytest.raises(PicardConvergenceError, match="^non-finite state") as caught:
-            picard_slab(StatePair.zeros(grid), 0.0, 0.5, cfg, SourcePair(f=lambda t: huge, g=lambda t: huge))
+            picard_slab(np.zeros((2, 16)), 0.0, 0.5, cfg, SourcePair(f=lambda t: huge, g=lambda t: huge))
         assert caught.value.non_finite
         assert caught.value.iterations < cfg.picard_max_iter
 
@@ -424,6 +455,14 @@ class TestSolveConfig:
             {"dt": 0.1, "t_end": 1.0, "blowup_threshold": 0.0},
             {"dt": 0.1, "t_end": 1.0, "snapshot_every": 0},
             {"dt": 0.3, "t_end": 1.0},
+            {"dt": 0.1, "t_end": math.inf},
+            {"dt": math.nan, "t_end": 1.0},
+            {"dt": 0.1, "t_end": 1.0, "blowup_threshold": math.nan},
+            {"dt": 0.1, "t_end": 1.0, "blowup_threshold": math.inf},
+            {"dt": 0.1, "t_end": 1.0, "picard_tol": math.nan},
+            {"dt": 0.1, "t_end": 1.0, "picard_tol": -math.inf},
+            {"dt": 1, "t_end": 10**400},
+            {"dt": 1e-10, "t_end": 1e308},
         ],
     )
     def test_validation(self, kwargs):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,10 @@ from pdae1d import (
     CoefficientSet,
     Field,
     Grid1D,
+    MmsSpec,
     SourcePair,
     StatePair,
+    build_mms_sources,
     cumulative_integral,
     eval_reaction,
     h1_seminorm,
@@ -22,34 +26,35 @@ BOUND = 4.0 * np.sqrt(3.0)
 
 
 def random_state(grid, rng, norm=None):
-    state = StatePair(
-        Field(grid, rng.uniform(-1.0, 1.0, grid.n_interior)),
-        Field(grid, rng.uniform(-1.0, 1.0, grid.n_interior)),
-    )
+    state = rng.uniform(-1.0, 1.0, (2, grid.n_interior))
     if norm is not None:
-        state = state * (norm / state.norm())
+        state = (norm / pair_norm(state, grid.h)) * state
     return state
+
+
+def mode(grid, k, amplitude=1.0):
+    return sine_mode(grid, k, amplitude).values
 
 
 class TestEvalReaction:
     def test_zero_state_zero_sources(self):
         grid = Grid1D(10)
-        out = eval_reaction(StatePair.zeros(grid), 0.0, zero_sources(grid))
-        assert np.all(out.u.values == 0.0) and np.all(out.v.values == 0.0)
+        out = eval_reaction(np.zeros((2, 10)), 0.0, zero_sources(grid))
+        assert np.all(out == 0.0)
 
     def test_zero_state_passes_sources_through(self):
         grid = Grid1D(12)
-        f = sine_mode(grid, 2, 1.7)
-        g = sine_mode(grid, 3, -0.4)
+        f = mode(grid, 2, 1.7)
+        g = mode(grid, 3, -0.4)
         sources = SourcePair(f=lambda t: f, g=lambda t: g)
-        out = eval_reaction(StatePair.zeros(grid), 0.5, sources)
-        np.testing.assert_array_equal(out.u.values, f.values)
-        np.testing.assert_array_equal(out.v.values, g.values)
+        out = eval_reaction(np.zeros((2, 12)), 0.5, sources)
+        np.testing.assert_array_equal(out[0], f)
+        np.testing.assert_array_equal(out[1], g)
 
     def test_midpoint_value_for_equal_sines(self):
         # u = v = sin(pi x): first component at x = 1/2 is -2/pi
         grid = Grid1D(127)
-        state = StatePair(sine_mode(grid, 1), sine_mode(grid, 1))
+        state = np.stack((mode(grid, 1), mode(grid, 1)))
         out = eval_reaction(state, 0.0, zero_sources(grid))
         mid = 63  # x = 64/128 = 0.5
         assert grid.nodes[mid] == 0.5
@@ -58,57 +63,53 @@ class TestEvalReaction:
             np.linspace(0.0, 0.5, 1_000_001),
         )
         assert abs(oracle - (-0.63661977236758134307553505349005744814)) < 1e-12
-        assert abs(out.u.values[mid] - oracle) < 2e-4
+        assert abs(out[0, mid] - oracle) < 2e-4
 
     def test_source_independence(self):
         grid = Grid1D(20)
         rng = np.random.default_rng(12)
         state = random_state(grid, rng)
-        f1, g1 = sine_mode(grid, 1, 0.3), sine_mode(grid, 2, -0.7)
-        f2, g2 = sine_mode(grid, 4, 1.1), sine_mode(grid, 5, 0.2)
+        f1, g1 = mode(grid, 1, 0.3), mode(grid, 2, -0.7)
+        f2, g2 = mode(grid, 4, 1.1), mode(grid, 5, 0.2)
         s1 = SourcePair(f=lambda t: f1, g=lambda t: g1)
         s2 = SourcePair(f=lambda t: f2, g=lambda t: g2)
         diff = eval_reaction(state, 0.0, s1) - eval_reaction(state, 0.0, s2)
-        np.testing.assert_allclose(diff.u.values, (f1 - f2).values, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(diff.v.values, (g1 - g2).values, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(diff[0], f1 - f2, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(diff[1], g1 - g2, rtol=0, atol=1e-14)
 
     def test_sign_structure_for_nonnegative_states(self):
         grid = Grid1D(25)
         rng = np.random.default_rng(13)
         for _ in range(20):
-            state = StatePair(
-                Field(grid, np.abs(rng.uniform(0.0, 1.0, 25))),
-                Field(grid, np.abs(rng.uniform(0.0, 1.0, 25))),
+            state = np.stack(
+                (np.abs(rng.uniform(0.0, 1.0, 25)), np.abs(rng.uniform(0.0, 1.0, 25)))
             )
             out = eval_reaction(state, 0.0, zero_sources(grid))
-            assert np.all(out.u.values <= 0.0)
-            assert np.all(out.v.values >= 0.0)
-
+            assert np.all(out[0] <= 0.0)
+            assert np.all(out[1] >= 0.0)
 
     def test_stack_of_nodal_pairs_matches_each_pair(self):
         grid = Grid1D(20)
         rng = np.random.default_rng(23)
         c = CoefficientSet(p_u=0.7, p_v=-1.3)
-        sources = SourcePair(f=lambda t: sine_mode(grid, 2, t), g=lambda t: sine_mode(grid, 5, -t))
+        sources = SourcePair(f=lambda t: mode(grid, 2, t), g=lambda t: mode(grid, 5, -t))
         states = [random_state(grid, rng) for _ in range(3)]
-        stack = np.array([[s.u.values, s.v.values] for s in states])
+        stack = np.array(states)
         out = eval_reaction(stack, 0.4, sources, c)
         assert out.shape == (3, 2, grid.n_interior)
         for s, row in zip(states, out):
             ref = eval_reaction(s, 0.4, sources, c)
-            assert np.array_equal(row[0], ref.u.values) and np.array_equal(row[1], ref.v.values)
+            assert np.array_equal(row[0], ref[0]) and np.array_equal(row[1], ref[1])
 
-
-    def test_boundary_pairs_enter_the_running_integral(self):
+    def test_running_integral_is_the_cumulative_integral(self):
         grid = Grid1D(20)
         rng = np.random.default_rng(29)
         c = CoefficientSet(p_u=0.7, p_v=-1.3)
-        u = Field(grid, rng.uniform(-1.0, 1.0, grid.n_interior), boundary=(0.4, -2.0))
-        v = Field(grid, rng.uniform(-1.0, 1.0, grid.n_interior), boundary=(1.5, 0.25))
-        out = eval_reaction(StatePair(u, v), coefficients=c)
-        integral = cumulative_integral(c.p_u * u + c.p_v * v).values
-        assert np.array_equal(out.u.values, -u.values * integral)
-        assert np.array_equal(out.v.values, v.values * integral)
+        u, v = random_state(grid, rng)
+        out = eval_reaction(np.stack((u, v)), coefficients=c)
+        integral = cumulative_integral(Field(grid, c.p_u * u + c.p_v * v)).values
+        assert np.array_equal(out[0], -u * integral)
+        assert np.array_equal(out[1], v * integral)
 
 
 class TestLipschitzRatio:
@@ -133,7 +134,7 @@ class TestLipschitzRatio:
         rng = np.random.default_rng(16)
         a = random_state(grid, rng)
         b = random_state(grid, rng)
-        f = sine_mode(grid, 1, 4.0)
+        f = mode(grid, 1, 4.0)
         with_sources = SourcePair(f=lambda t: f, g=lambda t: f)
         np.testing.assert_allclose(
             lipschitz_ratio(a, b, with_sources, 0.3), lipschitz_ratio(a, b), rtol=1e-12
@@ -143,30 +144,24 @@ class TestLipschitzRatio:
         grid = Grid1D(30)
         rng = np.random.default_rng(17)
         b = random_state(grid, rng, norm=1.0)
-        ratio = lipschitz_ratio(StatePair.zeros(grid), b)
-        assert 0.0 < ratio <= BOUND * b.norm() + 1e-9
+        ratio = lipschitz_ratio(np.zeros((2, 30)), b)
+        assert 0.0 < ratio <= BOUND * pair_norm(b, grid.h) + 1e-9
 
     def test_identical_states_rejected(self):
-        grid = Grid1D(8)
-        state = StatePair.zeros(grid)
+        state = np.zeros((2, 8))
         with pytest.raises(ValueError):
             lipschitz_ratio(state, state)
 
 
 class TestH1Seminorm:
     def test_zero(self):
-        assert h1_seminorm(Field.zeros(Grid1D(9))) == 0.0
+        assert h1_seminorm(np.zeros(9)) == 0.0
 
     def test_sine_value(self):
         # |sin(pi x)|_1 = pi/sqrt(2), second-order accurate
         grid = Grid1D(127)
-        value = h1_seminorm(sine_mode(grid, 1))
+        value = h1_seminorm(mode(grid, 1))
         assert abs(value - 2.2214414690791831235079404950303468493) < 1e-3
-
-    def test_linear_ramp_with_boundary_override(self):
-        grid = Grid1D(19)
-        ramp = Field(grid, grid.nodes.copy(), boundary=(0.0, 1.0))
-        np.testing.assert_allclose(h1_seminorm(ramp), 1.0, rtol=1e-12)
 
     def test_matches_laplacian_quadratic_form(self):
         # summation by parts: h*<u, Lap u> = -|u|_1^2 exactly
@@ -174,8 +169,8 @@ class TestH1Seminorm:
 
         grid = Grid1D(41)
         rng = np.random.default_rng(18)
-        u = Field(grid, rng.uniform(-1.0, 1.0, 41))
-        inner = grid.h * np.dot(u.values, discrete_laplacian(u).values)
+        u = rng.uniform(-1.0, 1.0, 41)
+        inner = grid.h * np.dot(u, discrete_laplacian(u))
         np.testing.assert_allclose(inner, -h1_seminorm(u) ** 2, rtol=1e-12)
 
 
@@ -189,6 +184,12 @@ class TestCoefficientSet:
             CoefficientSet(d_u=0.0)
         with pytest.raises(ValueError):
             CoefficientSet(d_v=-1.0)
+
+    @pytest.mark.parametrize("name", ["d_u", "d_v", "p_u", "p_v"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coefficients(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            CoefficientSet(**{name: value})
 
 
 class TestTabulatedSources:
@@ -207,24 +208,23 @@ class TestTabulatedSources:
         sources = tabulated_sources(grid, str(path))
         assert sources.kind == "custom-tabulated"
         midway = sources.f(0.5)
-        np.testing.assert_allclose(midway.values, 0.5 * grid.nodes, rtol=1e-12)
-        np.testing.assert_allclose(sources.g(0.25).values, -0.25, rtol=1e-12)
+        np.testing.assert_allclose(midway, 0.5 * grid.nodes, rtol=1e-12)
+        np.testing.assert_allclose(sources.g(0.25), -0.25, rtol=1e-12)
 
     def test_clamps_outside_range(self, tmp_path):
         grid = Grid1D(5)
         path = tmp_path / "sources.csv"
         self.write_table(path, grid, (0.0, 1.0), lambda t, x: t, lambda t, x: 0.0)
         sources = tabulated_sources(grid, str(path))
-        np.testing.assert_allclose(sources.f(2.0).values, 1.0)
-        np.testing.assert_allclose(sources.f(-1.0).values, 0.0)
+        np.testing.assert_allclose(sources.f(2.0), 1.0)
+        np.testing.assert_allclose(sources.f(-1.0), 0.0)
 
     def test_interior_only_table_accepted(self, tmp_path):
         grid = Grid1D(6)
         path = tmp_path / "sources.csv"
         self.write_table(path, grid, (0.0,), lambda t, x: x, lambda t, x: x, full_nodes=False)
         sources = tabulated_sources(grid, str(path))
-        np.testing.assert_allclose(sources.f(0.0).values, grid.nodes, rtol=1e-12)
-        assert sources.f(0.0).boundary == (0.0, 0.0)
+        np.testing.assert_allclose(sources.f(0.0), grid.nodes, rtol=1e-12)
 
     def test_misaligned_nodes_rejected(self, tmp_path):
         grid = Grid1D(6)
@@ -263,12 +263,24 @@ class TestTabulatedSources:
 
 def test_source_time_lipschitz_linear_rate(tmp_path):
     grid = Grid1D(9)
-    amplitude = sine_mode(grid, 1)
-    sources = SourcePair(
-        f=lambda t: t * amplitude, g=lambda t: Field.zeros(grid), kind="custom"
-    )
+    amplitude = mode(grid, 1)
+    sources = SourcePair(f=lambda t: t * amplitude, g=lambda t: np.zeros(9), kind="custom")
     rate = source_time_lipschitz(sources, np.linspace(0.0, 1.0, 5))
-    np.testing.assert_allclose(rate, amplitude.l2_norm(), rtol=1e-12)
+    np.testing.assert_allclose(rate, np.sqrt(grid.h * np.dot(amplitude, amplitude)), rtol=1e-12)
+
+
+def test_source_presets_return_read_only_float_arrays(tmp_path):
+    grid = Grid1D(6)
+    path = tmp_path / "sources.csv"
+    TestTabulatedSources().write_table(path, grid, (0.0, 1.0), lambda t, x: t * x, lambda t, x: t)
+    tabulated = tabulated_sources(grid, str(path))
+    mms = build_mms_sources(MmsSpec(), grid)
+    for sources in (zero_sources(grid), tabulated, mms):
+        for t in (-1.0, 0.0, 0.5, 2.0):  # clamped, a slab, interpolated, clamped
+            for value in (sources.f(t), sources.g(t)):
+                assert value.dtype == float and value.shape == (6,)
+                with pytest.raises(ValueError, match="read-only"):
+                    value[0] = 1.0
 
 
 class TestStackedForms:
@@ -276,21 +288,16 @@ class TestStackedForms:
 
     SIZES = [1, 2, 16, 63, 256]
 
-    @staticmethod
-    def pair(grid, values):
-        return StatePair(Field(grid, values[0]), Field(grid, values[1]))
-
     @pytest.mark.parametrize("n", SIZES)
     def test_lipschitz_ratio(self, n):
-        grid = Grid1D(n)
         rng = np.random.default_rng(n)
         a, b = rng.uniform(-1.0, 1.0, (2, 5, 2, n))
         c = CoefficientSet(p_u=0.5, p_v=2.0)
         ratios = lipschitz_ratio(a, b, coefficients=c)
         assert ratios.shape == (5,)
         for i in range(5):
-            single = lipschitz_ratio(self.pair(grid, a[i]), self.pair(grid, b[i]), coefficients=c)
-            assert ratios[i] == single
+            single = lipschitz_ratio(a[i].copy(), b[i].copy(), coefficients=c)
+            assert isinstance(single, float) and ratios[i] == single
 
     def test_lipschitz_ratio_rejects_a_coinciding_pair(self):
         a = np.random.default_rng(1).uniform(-1.0, 1.0, (3, 2, 8))
@@ -301,12 +308,11 @@ class TestStackedForms:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_h1_seminorm(self, n):
-        grid = Grid1D(n)
         stack = np.random.default_rng(n).uniform(-1.0, 1.0, (3, 2, n))
         out = h1_seminorm(stack)
         assert out.shape == (3, 2)
         for row in np.ndindex(3, 2):
-            assert out[row] == h1_seminorm(Field(grid, stack[row]))
+            assert out[row] == h1_seminorm(stack[row].copy())
 
     @pytest.mark.parametrize("n", SIZES)
     def test_pair_norm(self, n):
@@ -315,4 +321,5 @@ class TestStackedForms:
         out = pair_norm(stack, grid.h)
         assert out.shape == (4, 3)
         for row in np.ndindex(4, 3):
-            assert out[row] == self.pair(grid, stack[row]).norm()
+            state = StatePair(Field(grid, stack[row][0]), Field(grid, stack[row][1]))
+            assert out[row] == state.norm()

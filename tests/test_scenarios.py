@@ -3,9 +3,12 @@ import dataclasses
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdae1d import (
     CoefficientSet,
@@ -20,6 +23,7 @@ from pdae1d import (
     run_scenario,
 )
 from pdae1d.cli import build_parser, main
+from pdae1d.fields import pair_norm
 from pdae1d.integrators import METHODS
 from pdae1d.scenarios import CONFIG_TYPES, SCENARIOS, _format_block, read_config
 
@@ -34,8 +38,8 @@ class TestMmsSources:
     def test_zero_amplitudes_give_zero_sources(self):
         grid = Grid1D(16)
         sources = build_mms_sources(MmsSpec(0.0, 0.0), grid)
-        assert np.all(sources.f(0.3).values == 0.0)
-        assert np.all(sources.g(0.3).values == 0.0)
+        assert np.all(sources.f(0.3) == 0.0)
+        assert np.all(sources.g(0.3) == 0.0)
 
     def test_sources_equal_the_table_interior(self):
         grid = Grid1D(21)
@@ -46,8 +50,8 @@ class TestMmsSources:
         rows = np.array(mms_source_table(spec, grid, times, c))
         rows = rows.reshape(len(times), grid.n_interior + 2, 4)
         for t, table in zip(times, rows):
-            assert np.array_equal(sources.f(t).values, table[1:-1, 2])
-            assert np.array_equal(sources.g(t).values, table[1:-1, 3])
+            assert np.array_equal(sources.f(t), table[1:-1, 2])
+            assert np.array_equal(sources.g(t), table[1:-1, 3])
 
     def test_midpoint_closed_form(self):
         # a=1, b=0, unit coefficients, t=0, x=1/2: f = pi^2 - 1 + 1/pi
@@ -56,7 +60,7 @@ class TestMmsSources:
         mid = 15  # x = 16/32 = 0.5
         assert grid.nodes[mid] == 0.5
         expected = 9.1879142872731492903722585266211798594  # 50-digit mpmath value
-        np.testing.assert_allclose(sources.f(0.0).values[mid], expected, rtol=1e-14)
+        np.testing.assert_allclose(sources.f(0.0)[mid], expected, rtol=1e-14)
 
     def test_against_finite_difference_oracle(self):
         spec = MmsSpec(1.3, 0.7)
@@ -82,11 +86,11 @@ class TestMmsSources:
             du_dt = (u_of(t + eps, x) - u_of(t - eps, x)) / (2 * eps)
             d2u = (u_of(t, x + delta) - 2 * u_of(t, x) + u_of(t, x - delta)) / delta**2
             f_expected = du_dt - c.d_u * d2u + u_of(t, x) * integral
-            np.testing.assert_allclose(sources.f(t).values[j], f_expected, rtol=1e-5, atol=1e-8)
+            np.testing.assert_allclose(sources.f(t)[j], f_expected, rtol=1e-5, atol=1e-8)
             dv_dt = (v_of(t + eps, x) - v_of(t - eps, x)) / (2 * eps)
             d2v = (v_of(t, x + delta) - 2 * v_of(t, x) + v_of(t, x - delta)) / delta**2
             g_expected = dv_dt - c.d_v * d2v - v_of(t, x) * integral
-            np.testing.assert_allclose(sources.g(t).values[j], g_expected, rtol=1e-5, atol=1e-8)
+            np.testing.assert_allclose(sources.g(t)[j], g_expected, rtol=1e-5, atol=1e-8)
 
     def test_sources_vanish_at_ends(self):
         grid = Grid1D(12)
@@ -107,7 +111,8 @@ class TestMmsSources:
             build_mms_sources(spec, grid),
         )
         assert traj.status.kind == "completed"
-        error = (traj.states[-1] - mms_state(spec, grid, traj.times[-1])).norm()
+        exact = mms_state(spec, grid, traj.times[-1])
+        error = pair_norm(traj.values[-1] - np.stack((exact.u.values, exact.v.values)), grid.h)
         assert error < 2e-3
 
 
@@ -171,6 +176,22 @@ class TestScenarioConfig:
             with pytest.raises(ValueError, match="must be a JSON object"):
                 read_config(str(path))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("t_end", math.inf),
+            ("dt", -math.inf),
+            ("blowup_threshold", math.nan),
+            ("picard_tol", math.nan),
+            ("mms_a", math.inf),
+            ("d_u", math.nan),
+            pytest.param("dt", 10**400, id="dt-int_beyond_float_range"),
+        ],
+    )
+    def test_non_finite_value_rejected_by_name(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+            ScenarioConfig.from_dict({key: value})
+
     def test_roundtrip_through_summary_json(self, tmp_path):
         cfg = ScenarioConfig(
             scenario="decay", n_interior=15, dt=0.02, t_end=0.1, output_dir=str(tmp_path / "a")
@@ -179,6 +200,77 @@ class TestScenarioConfig:
         reloaded = ScenarioConfig.from_json(str(tmp_path / "a" / "summary.json"))
         assert reloaded.n_interior == 15 and reloaded.dt == 0.02
         assert reloaded.blowup_threshold == 1e6  # echo carries resolved values
+
+
+# ---------------------------------------------------------------------------
+# Config parser properties: whatever the document, the result is a valid
+# config or a ValueError, never another exception.
+# ---------------------------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def field_values(name):
+    """Values of the field's own type, non-finite floats and huge ints included, or any JSON."""
+    kind, _ = CONFIG_TYPES[name]
+    typed = {
+        float: st.floats() | st.integers(),
+        int: st.integers(),
+        str: st.sampled_from(SCENARIOS + METHODS) | st.text(max_size=6),
+    }[kind]
+    return typed | st.none() | json_values
+
+
+config_documents = st.fixed_dictionaries(
+    {}, optional={name: field_values(name) for name in CONFIG_TYPES}
+) | st.dictionaries(st.sampled_from(sorted(CONFIG_TYPES)) | st.text(max_size=6), json_values, max_size=4)
+
+config_files = (
+    st.one_of(
+        config_documents,
+        config_documents.map(lambda raw: {"config": raw, "status": {"kind": "completed"}}),
+        st.fixed_dictionaries({"config": json_values, "status": json_values}),
+        json_values,
+    ).map(lambda document: json.dumps(document).encode())
+    | st.binary(max_size=40)
+)
+
+
+def assert_valid_config_or_value_error(parse):
+    try:
+        cfg = parse()
+    except ValueError:
+        return
+    for name, (kind, nullable) in CONFIG_TYPES.items():
+        value = getattr(cfg, name)
+        if value is None:
+            assert nullable
+            continue
+        assert not isinstance(value, bool)
+        assert isinstance(value, (int, float) if kind is float else kind)
+        if kind is not str:
+            assert math.isfinite(value)
+    assert ScenarioConfig.from_dict(dataclasses.asdict(cfg)) == cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_documents)
+def test_from_dict_gives_a_valid_config_or_value_error(raw):
+    assert_valid_config_or_value_error(lambda: ScenarioConfig.from_dict(raw))
+
+
+@settings(max_examples=100, deadline=None)
+@given(config_files)
+def test_read_config_gives_a_valid_config_or_value_error(document):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "cfg.json")
+        with open(path, "wb") as fh:
+            fh.write(document)
+        assert_valid_config_or_value_error(lambda: ScenarioConfig.from_dict(read_config(path)))
 
 
 class TestRunScenario:
@@ -386,6 +478,9 @@ class TestCli:
             "empty_ic_file",
             "config_list",
             "config_string_dt",
+            "config_infinite_t_end",
+            "nan_blowup_threshold",
+            "nan_picard_tol",
             "non_finite_source",
             "verify_zero_samples",
             "verify_unwritable_output",
@@ -414,6 +509,13 @@ class TestCli:
         elif case == "config_string_dt":
             config.write_text('{"dt": "0.1"}')
             argv = ["run", "--config", str(config)] + out
+        elif case == "config_infinite_t_end":
+            config.write_text('{"t_end": Infinity}')
+            argv = ["run", "--config", str(config)] + out
+        elif case == "nan_blowup_threshold":
+            argv = ["run", "--blowup-threshold", "nan"] + out
+        elif case == "nan_picard_tol":
+            argv = ["run", "--method", "picard", "--picard-tol", "nan"] + out
         elif case == "non_finite_source":
             table = tmp_path / "src.txt"
             table.write_text("".join(f"0.0 {x!r} nan 0.0\n" for x in grid.nodes))

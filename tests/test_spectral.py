@@ -3,9 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from pdae1d import (
-    Field,
     Grid1D,
-    StatePair,
     discrete_laplacian,
     laplacian_eigenvalues,
     phi1,
@@ -14,6 +12,7 @@ from pdae1d import (
     sine_mode,
     solve_shifted,
 )
+from pdae1d.fields import pair_norm
 from pdae1d.spectral import to_coeffs, to_values
 
 
@@ -35,16 +34,13 @@ def dense_projection(values, grid):
 
 
 def random_state(grid, rng):
-    return StatePair(
-        Field(grid, rng.uniform(-1.0, 1.0, grid.n_interior)),
-        Field(grid, rng.uniform(-1.0, 1.0, grid.n_interior)),
-    )
+    return rng.uniform(-1.0, 1.0, (2, grid.n_interior))
 
 
 class TestDst:
     def test_zero_field_zero_coeffs(self):
         grid = Grid1D(9)
-        assert np.all(to_coeffs(Field.zeros(grid).values) == 0.0)
+        assert np.all(to_coeffs(np.zeros(grid.n_interior)) == 0.0)
 
     def test_first_mode_n7(self):
         grid = Grid1D(7)
@@ -56,10 +52,8 @@ class TestDst:
     def test_matches_dense_projection(self):
         grid = Grid1D(23)
         rng = np.random.default_rng(7)
-        f = Field(grid, rng.standard_normal(23))
-        np.testing.assert_allclose(
-            to_coeffs(f.values), dense_projection(f.values, grid), rtol=1e-12, atol=1e-13
-        )
+        f = rng.standard_normal(23)
+        np.testing.assert_allclose(to_coeffs(f), dense_projection(f, grid), rtol=1e-12, atol=1e-13)
 
     def test_roundtrip_forward_then_inverse(self):
         rng = np.random.default_rng(3)
@@ -92,24 +86,23 @@ class TestDst:
 
 class TestLaplacian:
     def test_zero(self):
-        grid = Grid1D(8)
-        assert np.all(discrete_laplacian(Field.zeros(grid)).values == 0.0)
+        assert np.all(discrete_laplacian(np.zeros(8)) == 0.0)
 
     def test_eigen_identity_all_modes(self):
         grid = Grid1D(17)
         lam = laplacian_eigenvalues(grid)
         dense = dense_laplacian(17)
         for k in range(1, 18):
-            mode = sine_mode(grid, k)
-            applied = discrete_laplacian(mode).values
-            np.testing.assert_allclose(applied, dense @ mode.values, rtol=1e-12, atol=1e-9)
-            np.testing.assert_allclose(applied, lam[k - 1] * mode.values, rtol=1e-11, atol=1e-9)
+            mode = sine_mode(grid, k).values
+            applied = discrete_laplacian(mode)
+            np.testing.assert_allclose(applied, dense @ mode, rtol=1e-12, atol=1e-9)
+            np.testing.assert_allclose(applied, lam[k - 1] * mode, rtol=1e-11, atol=1e-9)
 
     def test_quadratic_second_difference_exact(self):
         # x(1-x) vanishes at both ends, so the implicit-zero stencil is exact
         grid = Grid1D(13)
-        f = Field(grid, grid.nodes * (1.0 - grid.nodes))
-        np.testing.assert_allclose(discrete_laplacian(f).values, -2.0, rtol=1e-11)
+        f = grid.nodes * (1.0 - grid.nodes)
+        np.testing.assert_allclose(discrete_laplacian(f), -2.0, rtol=1e-11)
 
     def test_eigenvalues_negative_and_decreasing(self):
         lam = laplacian_eigenvalues(Grid1D(40))
@@ -123,20 +116,18 @@ class TestSemigroup:
         rng = np.random.default_rng(5)
         state = random_state(grid, rng)
         out = semigroup_apply(state, 0.0)
-        np.testing.assert_allclose(out.u.values, state.u.values, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(out.v.values, state.v.values, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(out[0], state[0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(out[1], state[1], rtol=0, atol=1e-14)
 
     def test_single_mode_against_dense_exponential(self):
         grid = Grid1D(12)
         lam = laplacian_eigenvalues(grid)
-        state = StatePair(sine_mode(grid, 1), Field.zeros(grid))
+        state = np.stack((sine_mode(grid, 1).values, np.zeros(12)))
         out = semigroup_apply(state, 0.1)
-        np.testing.assert_allclose(
-            out.u.values, np.exp(0.1 * lam[0]) * state.u.values, rtol=1e-12
-        )
-        assert np.all(out.v.values == 0.0)
-        oracle = expm(0.1 * dense_laplacian(12)) @ state.u.values
-        np.testing.assert_allclose(out.u.values, oracle, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(out[0], np.exp(0.1 * lam[0]) * state[0], rtol=1e-12)
+        assert np.all(out[1] == 0.0)
+        oracle = expm(0.1 * dense_laplacian(12)) @ state[0]
+        np.testing.assert_allclose(out[0], oracle, rtol=0, atol=1e-10)
 
     def test_random_state_against_dense_exponential(self):
         grid = Grid1D(16)
@@ -144,13 +135,12 @@ class TestSemigroup:
         state = random_state(grid, rng)
         propagator = expm(0.05 * dense_laplacian(16))
         out = semigroup_apply(state, 0.05)
-        np.testing.assert_allclose(out.u.values, propagator @ state.u.values, atol=1e-10)
-        np.testing.assert_allclose(out.v.values, propagator @ state.v.values, atol=1e-10)
+        np.testing.assert_allclose(out[0], propagator @ state[0], atol=1e-10)
+        np.testing.assert_allclose(out[1], propagator @ state[1], atol=1e-10)
 
     def test_rejects_negative_duration(self):
-        state = StatePair.zeros(Grid1D(4))
         with pytest.raises(ValueError):
-            semigroup_apply(state, -0.1)
+            semigroup_apply(np.zeros((2, 4)), -0.1)
 
     def test_contraction_random_sample(self):
         grid = Grid1D(32)
@@ -158,7 +148,7 @@ class TestSemigroup:
         for _ in range(200):
             state = random_state(grid, rng)
             for t in (0.01, 0.1, 1.0):
-                assert semigroup_apply(state, t).norm() <= state.norm() + 1e-12
+                assert pair_norm(semigroup_apply(state, t), grid.h) <= pair_norm(state, grid.h) + 1e-12
 
     def test_composition_law(self):
         grid = Grid1D(32)
@@ -168,7 +158,7 @@ class TestSemigroup:
             t, s = rng.uniform(0.0, 1.0, 2)
             joint = semigroup_apply(state, t + s)
             composed = semigroup_apply(semigroup_apply(state, s), t)
-            assert (joint - composed).norm() <= 1e-12 * state.norm()
+            assert pair_norm(joint - composed, grid.h) <= 1e-12 * pair_norm(state, grid.h)
 
     def test_per_component_diffusion_scaling(self):
         # d scales the clock: S_d(t) = S_1(d*t) componentwise
@@ -176,12 +166,8 @@ class TestSemigroup:
         rng = np.random.default_rng(23)
         state = random_state(grid, rng)
         fast = semigroup_apply(state, 0.2, d_u=2.0, d_v=0.5)
-        np.testing.assert_allclose(
-            fast.u.values, semigroup_apply(state, 0.4).u.values, rtol=1e-12, atol=1e-15
-        )
-        np.testing.assert_allclose(
-            fast.v.values, semigroup_apply(state, 0.1).v.values, rtol=1e-12, atol=1e-15
-        )
+        np.testing.assert_allclose(fast[0], semigroup_apply(state, 0.4)[0], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(fast[1], semigroup_apply(state, 0.1)[1], rtol=1e-12, atol=1e-15)
 
 
 class TestPhi1:
@@ -205,10 +191,10 @@ class TestPhi1:
         grid = Grid1D(9)
         lam = laplacian_eigenvalues(grid)
         t = 1.0 / abs(lam[0])  # so that lam_1 * t = -1
-        state = StatePair(sine_mode(grid, 1), Field.zeros(grid))
+        state = np.stack((sine_mode(grid, 1).values, np.zeros(9)))
         out = phi1_apply(state, t)
         np.testing.assert_allclose(
-            out.u.values, 0.63212055882855767840447622983853913255 * state.u.values, rtol=1e-13
+            out[0], 0.63212055882855767840447622983853913255 * state[0], rtol=1e-13
         )
 
     def test_against_dense_inverse_times_expm(self):
@@ -219,11 +205,11 @@ class TestPhi1:
         ta = t * dense_laplacian(12)
         oracle = np.linalg.solve(ta, (expm(ta) - np.eye(12)))
         out = phi1_apply(state, t)
-        np.testing.assert_allclose(out.u.values, oracle @ state.u.values, atol=1e-10)
-        np.testing.assert_allclose(out.v.values, oracle @ state.v.values, atol=1e-10)
+        np.testing.assert_allclose(out[0], oracle @ state[0], atol=1e-10)
+        np.testing.assert_allclose(out[1], oracle @ state[1], atol=1e-10)
 
     def test_rejects_nonpositive_duration(self):
-        state = StatePair.zeros(Grid1D(4))
+        state = np.zeros((2, 4))
         for t in (0.0, -0.5):
             with pytest.raises(ValueError):
                 phi1_apply(state, t)
@@ -231,94 +217,87 @@ class TestPhi1:
 
 class TestSolveShifted:
     def test_zero_rhs(self):
-        grid = Grid1D(6)
-        assert np.all(solve_shifted(Field.zeros(grid), 1.0).values == 0.0)
+        assert np.all(solve_shifted(np.zeros(6), 1.0) == 0.0)
 
     def test_sine_mode_eigen_solution(self):
         grid = Grid1D(15)
         lam = laplacian_eigenvalues(grid)
         for k, shift in ((1, 1.0), (3, 2.5), (15, 0.7)):
-            g = sine_mode(grid, k)
+            g = sine_mode(grid, k).values
             u = solve_shifted(g, shift)
-            np.testing.assert_allclose(u.values, g.values / (shift - lam[k - 1]), rtol=1e-12)
+            np.testing.assert_allclose(u, g / (shift - lam[k - 1]), rtol=1e-12)
 
     def test_random_against_dense_solve(self):
-        grid = Grid1D(8)
         rng = np.random.default_rng(41)
-        g = Field(grid, rng.uniform(-1.0, 1.0, 8))
+        g = rng.uniform(-1.0, 1.0, 8)
         matrix = np.eye(8) - dense_laplacian(8)
-        oracle = np.linalg.solve(matrix, g.values)
-        np.testing.assert_allclose(solve_shifted(g, 1.0).values, oracle, rtol=1e-12)
+        oracle = np.linalg.solve(matrix, g)
+        np.testing.assert_allclose(solve_shifted(g, 1.0), oracle, rtol=1e-12)
 
     def test_residual_contract_large_grid(self):
         grid = Grid1D(256)
         rng = np.random.default_rng(42)
         h2 = grid.h**2
         for _ in range(20):
-            g = Field(grid, rng.uniform(-1.0, 1.0, 256))
-            u = solve_shifted(g, 1.0).values
+            g = rng.uniform(-1.0, 1.0, 256)
+            u = solve_shifted(g, 1.0)
             residual = (1.0 + 2.0 / h2) * u.copy()
             residual[:-1] -= u[1:] / h2
             residual[1:] -= u[:-1] / h2
-            residual -= g.values
-            assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(g.values))
+            residual -= g
+            assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(g))
 
     def test_rejects_nonpositive_shift(self):
-        grid = Grid1D(5)
         for shift in (0.0, -1.0):
             with pytest.raises(ValueError):
-                solve_shifted(Field.zeros(grid), shift)
+                solve_shifted(np.zeros(5), shift)
 
     def test_commutes_with_semigroup(self):
         # shared eigenbasis: resolvent of the drifted field = drifted resolvent
-        grid = Grid1D(24)
         rng = np.random.default_rng(43)
-        g = Field(grid, rng.uniform(-1.0, 1.0, 24))
+        g = rng.uniform(-1.0, 1.0, 24)
         t, shift = 0.3, 1.0
-        zero = Field.zeros(grid)
-        left = solve_shifted(semigroup_apply(StatePair(g, zero), t).u, shift)
-        right = semigroup_apply(StatePair(solve_shifted(g, shift), zero), t).u
-        assert np.max(np.abs(left.values - right.values)) <= 1e-10
+        zero = np.zeros(24)
+        left = solve_shifted(semigroup_apply(np.stack((g, zero)), t)[0], shift)
+        right = semigroup_apply(np.stack((solve_shifted(g, shift), zero)), t)[0]
+        assert np.max(np.abs(left - right)) <= 1e-10
 
 
 class TestStackedOperators:
-    """Each operator on an array stack equals the same operator row by row, bit for bit."""
+    """Each operator on an array stack equals the same operator on one row, bit for bit."""
 
     SIZES = [1, 2, 16, 63, 256]
 
     @pytest.mark.parametrize("n", SIZES)
     def test_laplacian(self, n):
-        grid = Grid1D(n)
         stack = np.random.default_rng(n).uniform(-1.0, 1.0, (3, 2, n))
         out = discrete_laplacian(stack)
         assert out.shape == stack.shape
         for row in np.ndindex(3, 2):
-            assert np.array_equal(out[row], discrete_laplacian(Field(grid, stack[row])).values)
+            assert np.array_equal(out[row], discrete_laplacian(stack[row].copy()))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_solve_shifted(self, n):
-        grid = Grid1D(n)
         stack = np.random.default_rng(n).uniform(-1.0, 1.0, (3, 2, n))
         for rhs in (stack, stack[..., ::-1]):
             out = solve_shifted(rhs, 2.5)
             assert out.shape == stack.shape
             for row in np.ndindex(3, 2):
-                assert np.array_equal(out[row], solve_shifted(Field(grid, rhs[row]), 2.5).values)
+                assert np.array_equal(out[row], solve_shifted(rhs[row].copy(), 2.5))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_semigroup_with_scalar_and_array_t(self, n):
-        grid = Grid1D(n)
         rng = np.random.default_rng(n)
         stack = rng.uniform(-1.0, 1.0, (4, 2, n))
         times = rng.uniform(0.0, 1.0, 4)
         scalar = semigroup_apply(stack, 0.3, d_u=2.0, d_v=0.5)
         per_sample = semigroup_apply(stack, times, d_u=2.0, d_v=0.5)
         for i in range(4):
-            state = StatePair(Field(grid, stack[i, 0]), Field(grid, stack[i, 1]))
+            state = stack[i].copy()
             for out, t in ((scalar, 0.3), (per_sample, times[i])):
                 single = semigroup_apply(state, float(t), d_u=2.0, d_v=0.5)
-                assert np.array_equal(out[i, 0], single.u.values)
-                assert np.array_equal(out[i, 1], single.v.values)
+                assert np.array_equal(out[i, 0], single[0])
+                assert np.array_equal(out[i, 1], single[1])
 
     def test_array_t_broadcasts_over_leading_axes(self):
         stack = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 2, 8))
@@ -329,9 +308,6 @@ class TestStackedOperators:
             assert np.array_equal(out[j, i], semigroup_apply(stack[i], float(times[j, 0])))
 
     def test_array_t_validation(self):
-        grid = Grid1D(8)
         stack = np.zeros((2, 2, 8))
         with pytest.raises(ValueError):
             semigroup_apply(stack, np.array([0.1, -0.1]))
-        with pytest.raises(ValueError):
-            semigroup_apply(StatePair.zeros(grid), np.array([0.1, 0.2]))

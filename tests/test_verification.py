@@ -3,10 +3,8 @@ import pytest
 
 import pdae1d.spectral
 from pdae1d import (
-    Field,
     Grid1D,
     PropertyReport,
-    StatePair,
     check_dissipativity,
     check_lipschitz,
     check_maximality,
@@ -37,9 +35,9 @@ class TestDissipativity:
         grid = Grid1D(33)
         lam = laplacian_eigenvalues(grid)
         for k in (1, 7, 33):
-            mode = sine_mode(grid, k)
-            inner = grid.h * np.dot(mode.values, discrete_laplacian(mode).values)
-            norm_sq = grid.h * np.dot(mode.values, mode.values)
+            mode = sine_mode(grid, k).values
+            inner = grid.h * np.dot(mode, discrete_laplacian(mode))
+            norm_sq = grid.h * np.dot(mode, mode)
             np.testing.assert_allclose(inner, lam[k - 1] * norm_sq, rtol=1e-12)
             assert inner < 0.0
 
@@ -64,9 +62,9 @@ class TestMaximality:
         grid = Grid1D(21)
         lam = laplacian_eigenvalues(grid)
         for k in (1, 5, 21):
-            g = sine_mode(grid, k)
+            g = sine_mode(grid, k).values
             u = solve_shifted(g, 1.0)
-            np.testing.assert_allclose(u.values, g.values / (1.0 - lam[k - 1]), rtol=1e-12)
+            np.testing.assert_allclose(u, g / (1.0 - lam[k - 1]), rtol=1e-12)
 
 
 class TestSemigroup:
@@ -179,18 +177,19 @@ def test_run_verification_fails_under_tamper(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Per-sample oracle: the checks as one Field/StatePair iteration per sample.
-# The batched checks must reproduce its reports exactly (same RNG stream,
-# same arithmetic on every element), so these compare with ==.
+# Per-sample oracle: the checks as one iteration per sample, each sample a
+# (2, n) pair or an (n,) right-hand side.  The batched checks must reproduce
+# its reports exactly (same RNG stream, same arithmetic on every element), so
+# these compare with ==.
 # ---------------------------------------------------------------------------
 
 
 def oracle_state(grid, rng, target_norm=None):
     u = rng.uniform(-1.0, 1.0, grid.n_interior)
     v = rng.uniform(-1.0, 1.0, grid.n_interior)
-    state = StatePair(Field(grid, u), Field(grid, v))
+    state = np.stack((u, v))
     if target_norm is not None:
-        state = state * (target_norm / state.norm())
+        state = (target_norm / pair_norm(state, grid.h)) * state
     return state
 
 
@@ -198,12 +197,13 @@ def oracle_dissipativity(n_samples, grid, seed):
     rng = np.random.default_rng(seed)
     worst, worst_identity = -np.inf, 0.0
     for _ in range(n_samples):
-        state = oracle_state(grid, rng)
-        au = spectral.discrete_laplacian(state.u).values
-        av = spectral.discrete_laplacian(state.v).values
-        inner = grid.h * (np.dot(state.u.values, au) + np.dot(state.v.values, av))
-        energy = h1_seminorm(state.u) ** 2 + h1_seminorm(state.v) ** 2
-        worst = max(worst, inner / state.norm() ** 2)
+        u, v = oracle_state(grid, rng)
+        au = spectral.discrete_laplacian(u)
+        av = spectral.discrete_laplacian(v)
+        inner = grid.h * (np.dot(u, au) + np.dot(v, av))
+        # float(): Python's float ** 2, as the batched check squares
+        energy = float(h1_seminorm(u)) ** 2 + float(h1_seminorm(v)) ** 2
+        worst = max(worst, inner / pair_norm((u, v), grid.h) ** 2)
         worst_identity = max(worst_identity, abs(inner + energy) / energy)
     return max(worst, worst_identity), {
         "max_normalized_form": worst,
@@ -215,13 +215,13 @@ def oracle_maximality(n_samples, grid, seed):
     rng = np.random.default_rng(seed)
     worst, worst_disagreement = 0.0, 0.0
     for _ in range(2 * n_samples):
-        g = Field(grid, rng.uniform(-1.0, 1.0, grid.n_interior))
+        g = rng.uniform(-1.0, 1.0, grid.n_interior)
         u = spectral.solve_shifted(g, 1.0)
-        residual = u.values - spectral.discrete_laplacian(u).values - g.values
-        worst = max(worst, np.max(np.abs(residual)) / np.max(np.abs(g.values)))
-        u_rev = spectral.solve_shifted(Field(grid, g.values[::-1]), 1.0).values[::-1]
-        denom = max(np.max(np.abs(u.values)), np.finfo(float).tiny)
-        worst_disagreement = max(worst_disagreement, np.max(np.abs(u.values - u_rev)) / denom)
+        residual = u - spectral.discrete_laplacian(u) - g
+        worst = max(worst, np.max(np.abs(residual)) / np.max(np.abs(g)))
+        u_rev = spectral.solve_shifted(g[::-1].copy(), 1.0)[::-1]
+        denom = max(np.max(np.abs(u)), np.finfo(float).tiny)
+        worst_disagreement = max(worst_disagreement, np.max(np.abs(u - u_rev)) / denom)
     return max(worst, worst_disagreement), {
         "max_relative_residual": worst,
         "max_elimination_disagreement": worst_disagreement,
@@ -231,34 +231,36 @@ def oracle_maximality(n_samples, grid, seed):
 def oracle_semigroup(n_samples, grid, seed, times=(0.01, 0.1, 1.0)):
     rng = np.random.default_rng(seed)
     apply = spectral.semigroup_apply
+    h = grid.h
     slack, law = 0.0, 0.0
     for _ in range(n_samples):
         state = oracle_state(grid, rng)
-        norm = state.norm()
+        norm = pair_norm(state, h)
         for t in times:
-            slack = max(slack, (apply(state, t).norm() - norm) / norm)
+            slack = max(slack, (pair_norm(apply(state, t), h) - norm) / norm)
         t, s = rng.uniform(0.0, 1.0, 2)
-        law = max(law, (apply(state, t + s) - apply(apply(state, s), t)).norm() / norm)
+        law = max(law, pair_norm(apply(state, t + s) - apply(apply(state, s), t), h) / norm)
     continuity = 0.0
     for _ in range(min(n_samples, 8)):
         state = oracle_state(grid, rng)
-        defects = [(apply(state, 0.1 * 2.0**-j) - state).norm() for j in range(18)]
-        continuity = max(continuity, float(np.max(np.diff(defects), initial=0.0)) / state.norm())
+        defects = [pair_norm(apply(state, 0.1 * 2.0**-j) - state, h) for j in range(18)]
+        continuity = max(continuity, float(np.max(np.diff(defects), initial=0.0)) / pair_norm(state, h))
     n = grid.n_interior
     n_low = min(5, n)
-    smooth = [StatePair(sine_mode(grid, k), sine_mode(grid, min(k + 1, n))) for k in (1, 2, 3) if k <= n]
+    smooth = [np.stack((sine_mode(grid, k).values, sine_mode(grid, min(k + 1, n)).values))
+              for k in (1, 2, 3) if k <= n]
     cu, cv = np.zeros(n), np.zeros(n)
     cu[:n_low] = rng.uniform(-1.0, 1.0, n_low)
     cv[:n_low] = rng.uniform(-1.0, 1.0, n_low)
-    smooth.append(StatePair(Field(grid, spectral.to_values(cu)), Field(grid, spectral.to_values(cv))))
+    smooth.append(np.stack((spectral.to_values(cu), spectral.to_values(cv))))
     t0 = 0.01 / abs(laplacian_eigenvalues(grid)[n_low - 1])
     order_error = 0.0
     for state in smooth:
-        generator = StatePair(spectral.discrete_laplacian(state.u), spectral.discrete_laplacian(state.v))
+        generator = np.stack((spectral.discrete_laplacian(state[0]), spectral.discrete_laplacian(state[1])))
         defects = []
         for j in range(4):
             t = t0 * 2.0**-j
-            defects.append(((apply(state, t) - state) * (1.0 / t) - generator).norm())
+            defects.append(pair_norm((apply(state, t) - state) * (1.0 / t) - generator, h))
         orders = np.log2(np.asarray(defects[:-1]) / np.asarray(defects[1:]))
         order_error = max(order_error, float(np.max(np.abs(orders - 1.0))))
     worst = max(slack / 1e-12, law / 1e-12, continuity / 1e-12, order_error / 0.1)

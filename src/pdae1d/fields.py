@@ -14,7 +14,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -104,11 +103,6 @@ class Field:
     def zeros(cls, grid: Grid1D) -> "Field":
         return cls(grid, np.zeros(grid.n_interior))
 
-    @classmethod
-    def sample(cls, grid: Grid1D, fn: Callable) -> "Field":
-        """Evaluate a vectorized callable at the interior nodes."""
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
-
     def values_full(self) -> np.ndarray:
         """Values at all nodes, boundary pair included."""
         return np.concatenate(([self.boundary[0]], self.values, [self.boundary[1]]))
@@ -138,10 +132,6 @@ class StatePair:
     @property
     def grid(self) -> Grid1D:
         return self.u.grid
-
-    @classmethod
-    def zeros(cls, grid: Grid1D) -> "StatePair":
-        return cls(Field.zeros(grid), Field.zeros(grid))
 
     # kept for callers outside the package: the benchmark's artifact checks call it
     def norm(self) -> float:

@@ -15,19 +15,25 @@ diffusion is diagonal with z_k = d * lambda_k * dt per component:
 A state is a (2, n) array of the nodal values (u, v); the one-step
 functions take and return such arrays, and sources return each component
 as a float array of shape (n,).  Only ``solve`` takes a ``StatePair``, at
-the edge, and builds no ``Field``/``StatePair`` after it.  Inside
-``solve`` an exponential-Euler or IMEX state is a (2, n) array of sine
-coefficients held together with its nodal values (which the reaction, the
-norm and the snapshots need), and each step is one batched inverse and
-one batched forward sine transform.  A Picard march goes slab by slab
-through ``picard_slab``, whose sweeps each transform all substep samples
-at once.  ``solve`` keeps each snapshot as its (2, n) nodal values and,
-when the march ends, stacks them to (S, 2, n) and reconstructs the
-constrained profile and its residual for all snapshots with one call
-each.  The public one-step functions wrap the same kernels.  The march
-stops early when the state norm crosses the blow-up threshold (a
+the edge, and builds no ``Field``/``StatePair`` after it.
+
+One factory builds each method's ``step(carry, values, t) -> (carry,
+values, sweeps)``.  For exponential Euler and IMEX the carry is the (2, n)
+sine coefficients, so a step is one batched inverse and one batched
+forward sine transform; a Picard step is one ``picard_slab``, whose sweeps
+each transform all substep samples at once, and carries nothing.  The
+public one-step functions are thin calls of the same kernels.  ``solve``
+runs one loop for every method: a step, then one norm that classifies it.
+A norm below the blow-up threshold continues.  Otherwise a finiteness
+scan, made only on that path, tells the two endings apart.  A non-finite
+state is a step failure at the step's start time; its reason names the
+first source component that is non-finite at a time the step used, or
+else reads "non-finite state".  A finite one is a blow-up candidate (a
 detection heuristic: the reported time is a candidate, not a proven
-maximal existence time).
+maximal existence time).  ``solve`` keeps each snapshot as its (2, n)
+nodal values and, when the march ends, stacks them to (S, 2, n) and
+reconstructs the constrained profile and its residual for all snapshots
+with one call each.
 """
 
 from __future__ import annotations
@@ -168,32 +174,25 @@ class PicardResult(NamedTuple):
 
 
 class PicardConvergenceError(RuntimeError):
-    """Raised when a slab's fixed point does not contract within the budget.
+    """Raised when a slab's fixed point does not contract within the sweep budget.
 
-    A sweep that leaves the iterate non-finite raises it at once, with
-    ``non_finite`` set and a message starting with "non-finite state".
+    It means only "no convergence": a slab whose iterate turns non-finite
+    returns its end values, and ``solve`` classifies them.
     """
 
-    def __init__(
-        self, t: float, iterations: int, diff_norms: tuple[float, ...], non_finite: bool = False
-    ):
+    def __init__(self, t: float, iterations: int, diff_norms: tuple[float, ...]):
         self.t = t
         self.iterations = iterations
         self.diff_norms = diff_norms
-        self.non_finite = non_finite
         self.contraction_estimate = (
             diff_norms[-1] / diff_norms[-2]
             if len(diff_norms) >= 2 and diff_norms[-2] > 0
             else float("nan")
         )
-        if non_finite:
-            message = f"non-finite state after {iterations} sweeps at t={t}"
-        else:
-            message = (
-                f"no convergence after {iterations} sweeps at t={t}; "
-                f"last contraction estimate {self.contraction_estimate:.3g}"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"no convergence after {iterations} sweeps at t={t}; "
+            f"last contraction estimate {self.contraction_estimate:.3g}"
+        )
 
 
 def _exponents(grid: Grid1D, c: CoefficientSet, dt: float) -> np.ndarray:
@@ -202,12 +201,43 @@ def _exponents(grid: Grid1D, c: CoefficientSet, dt: float) -> np.ndarray:
     return np.stack((c.d_u * dt * lam, c.d_v * dt * lam))
 
 
-def _diagonal_step(method: str, grid: Grid1D, dt: float, sources: SourcePair, c: CoefficientSet):
-    """exp_euler or imex as the diagonal update c <- a*c + b*DST(R(values) + S(t)).
+def _step_inputs(dt: float, values: np.ndarray, sources, coefficients):
+    """The grid of ``values`` (2, n), and the coefficients and sources with their defaults."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    grid = Grid1D(values.shape[-1])
+    c = coefficients if coefficients is not None else CoefficientSet()
+    return grid, c, sources if sources is not None else zero_sources(grid)
 
-    Returns ``step(coeffs, values, t) -> (coeffs, values)`` on the (2, n)
-    sine coefficients and nodal values of one state.
+
+def _substep_times(t: float, dt: float, m: int) -> list[float]:
+    # the m uniformly spaced samples of the slab [t, t + dt]
+    delta = dt / (m - 1)
+    return [t + i * delta for i in range(m)]
+
+
+def _stepper(
+    method: str, values: np.ndarray, dt: float, config: SolveConfig | None,
+    sources: SourcePair | None, coefficients: CoefficientSet | None,
+):
+    """One method's step, its starting carry, and the source times of a step.
+
+    Returns ``(step, carry, source_times)``: ``step(carry, values, t) ->
+    (carry, values, sweeps)`` advances nodal values (2, n) from t by dt,
+    the carry is the sine coefficients of ``values`` for exp_euler/imex
+    (the update c <- a*c + b*DST(R(values) + S(t))) and None for picard,
+    and ``source_times(t)`` lists the times at which a step from t
+    evaluates the sources.
     """
+    grid, c, src = _step_inputs(dt, values, sources, coefficients)
+    if method == "picard":
+
+        def step(carry, values, t):
+            # through the module binding, so a tracer of picard_slab sees every slab
+            result = picard_slab(values, t, dt, config, src, c)
+            return carry, result.values, result.iterations
+
+        return step, None, lambda t: _substep_times(t, dt, config.picard_substeps)
     z = _exponents(grid, c, dt)
     if method == "exp_euler":
         a, b = np.exp(z), dt * phi1(z)
@@ -215,10 +245,10 @@ def _diagonal_step(method: str, grid: Grid1D, dt: float, sources: SourcePair, c:
         a, b = 1.0 / (1.0 - z), dt / (1.0 - z)
 
     def step(coeffs, values, t):
-        coeffs = a * coeffs + b * to_coeffs(eval_reaction(values, t, sources, c))
-        return coeffs, to_values(coeffs)
+        coeffs = a * coeffs + b * to_coeffs(eval_reaction(values, t, src, c))
+        return coeffs, to_values(coeffs), 0
 
-    return step
+    return step, to_coeffs(values), lambda t: (t,)
 
 
 @lru_cache(maxsize=16)
@@ -237,59 +267,7 @@ def _picard_weights(grid: Grid1D, delta: float, m: int, c: CoefficientSet):
     return drift, kernel
 
 
-def _picard_sweeps(
-    grid: Grid1D, values: np.ndarray, t: float, dt: float, config: SolveConfig,
-    sources: SourcePair, c: CoefficientSet,
-) -> tuple[np.ndarray, tuple[float, ...]]:
-    """Fixed-point sweeps of one slab, all m substep samples at once.
-
-    Sample i of an iterate is E^i c_0 + sum_q K[i, q] F_q, with F_q the
-    reaction-plus-source coefficients at sample q.  Returns the end values
-    and the per-sweep changes.
-    """
-    m = config.picard_substeps
-    delta = dt / (m - 1)
-    drift, kernel = _picard_weights(grid, delta, m, c)
-    forcing = np.empty(drift.shape)
-    for i in range(m):
-        forcing[i, 0] = sources.f(t + i * delta)
-        forcing[i, 1] = sources.g(t + i * delta)
-    start = drift * to_coeffs(values)
-    iterate = start
-    diff_norms: list[float] = []
-    for _ in range(config.picard_max_iter):
-        rhs = to_coeffs(_reaction_terms(to_values(iterate), c) + forcing)
-        new = start + np.einsum("iqkn,qkn->ikn", kernel, rhs)
-        # Parseval on the unit interval: ||f||_2^2 = (1/2) sum c_k^2
-        diffs = 0.5 * np.sum((new - iterate) ** 2, axis=(1, 2))
-        diff_norms.append(float(np.sqrt(np.max(diffs))))
-        iterate = new
-        finite = np.all(np.isfinite(iterate))
-        if finite and diff_norms[-1] >= config.picard_tol:
-            continue
-        end = to_values(iterate[-1]) if finite else iterate[-1]
-        if not np.all(np.isfinite(end)):
-            raise PicardConvergenceError(t, len(diff_norms), tuple(diff_norms), non_finite=True)
-        return end, tuple(diff_norms)
-    raise PicardConvergenceError(t, config.picard_max_iter, tuple(diff_norms))
-
-
-def _step_inputs(dt: float, values: np.ndarray, sources, coefficients):
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    grid = Grid1D(values.shape[-1])
-    c = coefficients if coefficients is not None else CoefficientSet()
-    return grid, c, sources if sources is not None else zero_sources(grid)
-
-
-def _diagonal_one_step(method, values, t, dt, sources, coefficients) -> np.ndarray:
-    grid, c, src = _step_inputs(dt, values, sources, coefficients)
-    step = _diagonal_step(method, grid, dt, src, c)
-    return step(to_coeffs(values), values, t)[1]
-
-
-# step_exp_euler, step_imex and picard_slab are traced by perfbench/tracing.py;
-# _march calls picard_slab through this module, so every slab is seen
+# step_exp_euler, step_imex and picard_slab are traced by perfbench/tracing.py
 def step_exp_euler(
     values: np.ndarray,
     t: float,
@@ -302,7 +280,8 @@ def step_exp_euler(
     Exact on the diffusion part; the reaction is frozen at the left
     endpoint and weighted by phi1.
     """
-    return _diagonal_one_step("exp_euler", values, t, dt, sources, coefficients)
+    step, coeffs, _ = _stepper("exp_euler", values, dt, None, sources, coefficients)
+    return step(coeffs, values, t)[1]
 
 
 def step_imex(
@@ -318,7 +297,8 @@ def step_imex(
     exactly in the sine eigenbasis, where the inverse is the diagonal
     1/(1 - dt*d*lambda_k); unconditionally stable in the diffusion part.
     """
-    return _diagonal_one_step("imex", values, t, dt, sources, coefficients)
+    step, coeffs, _ = _stepper("imex", values, dt, None, sources, coefficients)
+    return step(coeffs, values, t)[1]
 
 
 def picard_slab(
@@ -332,17 +312,47 @@ def picard_slab(
     """Fixed-point solve of the variation-of-constants integral on [t, t+dt].
 
     ``values`` are the nodal values (2, n) at t.  The iterate is held at
-    ``picard_substeps`` uniformly spaced samples of the slab; each sweep
-    replaces it by the semigroup drift plus the trapezoid quadrature of
-    the propagated reaction history.  Sweeping stops when the
-    max-over-samples product-norm change drops below ``picard_tol``.  A
-    sweep that leaves the iterate non-finite, or exhausting
-    ``picard_max_iter``, raises :class:`PicardConvergenceError` (the former
-    with ``non_finite`` set).
+    ``picard_substeps`` uniformly spaced samples of the slab, all swept at
+    once: sample i is E^i c_0 + sum_q K[i, q] F_q, with F_q the
+    reaction-plus-source coefficients at sample q.  Sweeping stops when
+    the max-over-samples product-norm change drops below ``picard_tol``,
+    or when that change is non-finite and so is the new iterate (a finite
+    iterate whose squared change overflows keeps sweeping).  Either way the
+    slab's end values are returned, finite or not; the caller classifies
+    them.  Exhausting ``picard_max_iter`` raises
+    :class:`PicardConvergenceError`.
     """
     grid, c, src = _step_inputs(dt, values, sources, coefficients)
-    end, diff_norms = _picard_sweeps(grid, values, t, dt, config, src, c)
-    return PicardResult(end, len(diff_norms), diff_norms)
+    m = config.picard_substeps
+    drift, kernel = _picard_weights(grid, dt / (m - 1), m, c)
+    forcing = np.empty(drift.shape)
+    for i, s in enumerate(_substep_times(t, dt, m)):
+        forcing[i, 0] = src.f(s)
+        forcing[i, 1] = src.g(s)
+    start = drift * to_coeffs(values)
+    iterate = start
+    diff_norms: list[float] = []
+    for _ in range(config.picard_max_iter):
+        rhs = to_coeffs(_reaction_terms(to_values(iterate), c) + forcing)
+        new = start + np.einsum("iqkn,qkn->ikn", kernel, rhs)
+        # Parseval on the unit interval: ||f||_2^2 = (1/2) sum c_k^2
+        diffs = 0.5 * np.sum((new - iterate) ** 2, axis=(1, 2))
+        change = float(np.sqrt(np.max(diffs)))
+        diff_norms.append(change)
+        iterate = new
+        # a non-finite change with a finite iterate only overflowed when squared
+        if change < config.picard_tol or not (math.isfinite(change) or np.all(np.isfinite(new))):
+            return PicardResult(to_values(new[-1]), len(diff_norms), tuple(diff_norms))
+    raise PicardConvergenceError(t, config.picard_max_iter, tuple(diff_norms))
+
+
+def _non_finite_reason(sources: SourcePair, times) -> str:
+    """Name the first source component that is non-finite at one of ``times``."""
+    for t in times:
+        for name in ("f", "g"):
+            if not np.all(np.isfinite(getattr(sources, name)(t))):
+                return f"non-finite source {name} at t={t}"
+    return "non-finite state"
 
 
 def _march(
@@ -351,36 +361,32 @@ def _march(
 ) -> tuple[RunStatus, int, int]:
     """Advance ``values`` (2, n) from t = 0, appending each snapshot's time and values.
 
-    Returns the terminal status, the accepted steps and the Picard sweeps.
+    One loop for every method; returns the terminal status, the accepted
+    steps and the Picard sweeps.
     """
     if pair_norm(values, grid.h) >= config.blowup_threshold:
         return RunStatus.blowup_detected(0.0), 0, 0
-    picard = config.method == "picard"
-    if not picard:
-        step = _diagonal_step(config.method, grid, config.dt, src, c)
-        coeffs = to_coeffs(values)
+    step, carry, source_times = _stepper(config.method, values, config.dt, config, src, c)
     sweeps = 0
     n_steps = round(config.t_end / config.dt)
     for k in range(1, n_steps + 1):
         t_prev = (k - 1) * config.dt
-        if picard:
-            # a slab goes through picard_slab, whose result records its sweeps
-            try:
-                result = picard_slab(values, t_prev, config.dt, config, src, c)
-            except PicardConvergenceError as err:
-                return RunStatus.step_failure(t_prev, str(err)), k - 1, sweeps
-            values = result.values
-            sweeps += result.iterations
-        else:
-            coeffs, values = step(coeffs, values, t_prev)
-            if not np.all(np.isfinite(values)):
-                return RunStatus.step_failure(t_prev, "non-finite state"), k - 1, sweeps
+        try:
+            carry, values, used = step(carry, values, t_prev)
+        except PicardConvergenceError as err:
+            return RunStatus.step_failure(t_prev, str(err)), k - 1, sweeps
+        sweeps += used
         t_now = k * config.dt
-        blowup = pair_norm(values, grid.h) >= config.blowup_threshold
-        if blowup or k % config.snapshot_every == 0 or k == n_steps:
+        # a NaN norm is not below the threshold either, so only a state that
+        # is non-finite or a blow-up candidate pays for the finiteness scan
+        below = pair_norm(values, grid.h) < config.blowup_threshold
+        if not below and not np.all(np.isfinite(values)):
+            reason = _non_finite_reason(src, source_times(t_prev))
+            return RunStatus.step_failure(t_prev, reason), k - 1, sweeps
+        if not below or k % config.snapshot_every == 0 or k == n_steps:
             times.append(t_now)
             snapshots.append(values)
-        if blowup:
+        if not below:
             return RunStatus.blowup_detected(t_now), k, sweeps
     return RunStatus.completed(), n_steps, sweeps
 
@@ -410,17 +416,17 @@ def solve(
     the final accepted step.  Crossing the blow-up threshold stops the
     march with a candidate detection time; a Picard slab that does not
     converge or a step that leaves a non-finite state ends it as a step
-    failure that keeps the partial trajectory.  However the march ends,
-    the profiles and residuals of all snapshots come from one
-    ``reconstruct_w`` and one ``constraint_residual`` call on the stack.
+    failure that keeps the partial trajectory; the reason of the latter
+    names a non-finite source value the step used, if there is one.
+    However the march ends, the profiles and residuals of all snapshots
+    come from one ``reconstruct_w`` and one ``constraint_residual`` call
+    on the stack.
     Sources whose components at t = 0 are not float arrays of shape (n,)
     raise ValueError before the first step.
     """
-    grid = state0.grid
-    c = coefficients if coefficients is not None else CoefficientSet()
-    src = sources if sources is not None else zero_sources(grid)
-    _check_sources(src, grid.n_interior)
     values0 = np.stack((state0.u.values, state0.v.values))
+    grid, c, src = _step_inputs(config.dt, values0, sources, coefficients)
+    _check_sources(src, grid.n_interior)
     times, snapshots = [0.0], [values0]
     status, steps, sweeps = _march(values0, grid, config, src, c, times, snapshots)
     values = np.stack(snapshots)

@@ -87,8 +87,11 @@ class ScenarioConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if self.scenario == "custom" and self.ic_file is None:
             raise ValueError("custom scenario requires ic_file")
-        if self.scenario == "mms" and self.source_file is not None:
-            raise ValueError("mms scenario derives its own sources; source_file not allowed")
+        if self.scenario == "mms" and (self.ic_file, self.source_file) != (None, None):
+            raise ValueError(
+                "mms scenario starts from the manufactured pair and derives its own sources; "
+                "ic_file and source_file not allowed"
+            )
 
     def resolved(self) -> "ScenarioConfig":
         """Fill scenario-dependent defaults (currently the blow-up threshold)."""
@@ -121,10 +124,6 @@ class ScenarioConfig:
             if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
         return cls(**raw)
-
-    @classmethod
-    def from_json(cls, path: str) -> "ScenarioConfig":
-        return cls.from_dict(read_config(path))
 
 
 def _field_type(hint) -> tuple[type, bool]:
@@ -259,6 +258,12 @@ def scenario_sources(cfg: ScenarioConfig, grid: Grid1D, coefficients: Coefficien
     return zero_sources(grid)
 
 
+def _march_inputs(cfg: ScenarioConfig, grid: Grid1D):
+    """The initial state, sources and coefficients of a scenario's march on ``grid``."""
+    coefficients = CoefficientSet(cfg.d_u, cfg.d_v, cfg.p_u, cfg.p_v)
+    return initial_state(cfg, grid), scenario_sources(cfg, grid, coefficients), coefficients
+
+
 def _config_echo(cfg: ScenarioConfig) -> str:
     return json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
 
@@ -307,9 +312,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     cfg = cfg.resolved()
     try:
         grid = Grid1D(cfg.n_interior)
-        coefficients = CoefficientSet(cfg.d_u, cfg.d_v, cfg.p_u, cfg.p_v)
-        state0 = initial_state(cfg, grid)
-        sources = scenario_sources(cfg, grid, coefficients)
+        state0, sources, coefficients = _march_inputs(cfg, grid)
         solve_cfg = cfg.solve_config()
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -375,14 +378,12 @@ def run_scenario(cfg: ScenarioConfig) -> int:
 
 def _terminal_error(cfg: ScenarioConfig, n_interior: int, dt: float) -> float:
     grid = Grid1D(n_interior)
-    coefficients = CoefficientSet(cfg.d_u, cfg.d_v, cfg.p_u, cfg.p_v)
-    spec = MmsSpec(cfg.mms_a, cfg.mms_b)
-    sources = build_mms_sources(spec, grid, coefficients)
-    solve_cfg = cfg.solve_config(dt=dt, snapshot_every=10**9)
-    traj = solve(mms_state(spec, grid, 0.0), solve_cfg, sources, coefficients)
+    state0, sources, coefficients = _march_inputs(cfg, grid)
+    traj = solve(state0, cfg.solve_config(dt=dt, snapshot_every=10**9), sources, coefficients)
     if traj.status.kind != "completed":
         raise RuntimeError(f"manufactured run did not complete: {traj.status}")
-    return pair_norm(traj.values[-1] - _mms_values(spec, grid.nodes, traj.times[-1]), grid.h)
+    exact = _mms_values(MmsSpec(cfg.mms_a, cfg.mms_b), grid.nodes, traj.times[-1])
+    return pair_norm(traj.values[-1] - exact, grid.h)
 
 
 def run_convergence(cfg: ScenarioConfig, dt_levels=(), n_levels=()) -> list[dict]:

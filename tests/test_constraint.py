@@ -20,6 +20,10 @@ def fine_running_integral(fn, x, points=1_000_001):
     return np.trapezoid(fn(s), s)
 
 
+def zero_state(grid):
+    return StatePair(Field.zeros(grid), Field.zeros(grid))
+
+
 def sine_state(grid, amplitude=1.0):
     # u + v = amplitude * sin(pi x)
     return StatePair(
@@ -43,7 +47,7 @@ class TestCumulativeIntegral:
 
     def test_sine_against_quadrature_oracle(self):
         grid = Grid1D(127)
-        f = Field.sample(grid, lambda x: np.sin(np.pi * x))
+        f = Field(grid, np.sin(np.pi * grid.nodes))
         out = cumulative_integral(f)
         for j in (0, 31, 63, 126):
             oracle = fine_running_integral(lambda s: np.sin(np.pi * s), grid.nodes[j])
@@ -54,7 +58,7 @@ class TestCumulativeIntegral:
         errors = []
         for n in (31, 63, 127):
             grid = Grid1D(n)
-            out = cumulative_integral(Field.sample(grid, lambda x: np.sin(np.pi * x)))
+            out = cumulative_integral(Field(grid, np.sin(np.pi * grid.nodes)))
             exact = (1.0 - np.cos(np.pi * grid.nodes)) / np.pi
             errors.append(np.max(np.abs(out.values - exact)))
         ratios = [errors[i] / errors[i + 1] for i in range(2)]
@@ -115,7 +119,7 @@ class TestComputeWx:
 class TestReconstructW:
     def test_zero_state(self):
         grid = Grid1D(8)
-        w = reconstruct_w(StatePair.zeros(grid))
+        w = reconstruct_w(zero_state(grid))
         assert np.all(w.values == 0.0) and w.boundary == (0.0, 0.0)
 
     def test_sine_closed_form(self):
@@ -177,7 +181,7 @@ class TestReconstructW:
 class TestConstraintResidual:
     def test_zero_state_zero_report(self):
         grid = Grid1D(8)
-        state = StatePair.zeros(grid)
+        state = zero_state(grid)
         report = constraint_residual(state, reconstruct_w(state))
         assert report.residual_l2 == 0.0
         assert report.w_at_0 == 0.0 and report.wx_at_0 == 0.0 and report.w_at_1 == 0.0
@@ -209,7 +213,7 @@ class TestConstraintResidual:
         assert report.wx_at_0 == 0.0
 
     def test_grid_mismatch_rejected(self):
-        state = StatePair.zeros(Grid1D(8))
+        state = zero_state(Grid1D(8))
         with pytest.raises(ValueError):
             constraint_residual(state, Field.zeros(Grid1D(9)))
 

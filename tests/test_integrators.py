@@ -12,6 +12,7 @@ from pdae1d import (
     Grid1D,
     MmsSpec,
     PicardConvergenceError,
+    RunStatus,
     SolveConfig,
     SourcePair,
     StatePair,
@@ -27,7 +28,7 @@ from pdae1d import (
     step_imex,
     zero_sources,
 )
-from pdae1d import fields, spectral
+from pdae1d import fields, integrators, spectral
 from pdae1d.fields import pair_norm
 
 METHODS = ("exp_euler", "imex", "picard")
@@ -217,7 +218,7 @@ class TestSolve:
     def test_zero_initial_data_stays_zero(self):
         grid = Grid1D(12)
         cfg = SolveConfig(dt=0.05, t_end=0.5)
-        traj = solve(StatePair.zeros(grid), cfg)
+        traj = solve(as_pair(grid, np.zeros((2, 12))), cfg)
         assert traj.status.kind == "completed"
         assert np.all(pair_norm(traj.values, grid.h) == 0.0)
         assert traj.times[0] == 0.0
@@ -311,10 +312,12 @@ class TestSolve:
         grid = Grid1D(16)
         huge = np.full(16, 1e308)
         cfg = SolveConfig(dt=0.5, t_end=1.0, method=method)
-        traj = solve(StatePair.zeros(grid), cfg, SourcePair(f=lambda t: huge, g=lambda t: huge))
+        sources = SourcePair(f=lambda t: huge, g=lambda t: huge)
+        traj = solve(as_pair(grid, np.zeros((2, 16))), cfg, sources)
         assert traj.status.kind == "step_failure"
         assert traj.status.t == 0.0
-        assert "non-finite" in traj.status.reason
+        # the source is finite, so the state is to blame
+        assert traj.status.reason == "non-finite state"
         assert traj.times == [0.0]
 
     @pytest.mark.parametrize("method", METHODS)
@@ -432,13 +435,119 @@ class TestArrayCore:
             # the initial state once per march, then two per step
             assert shapes == [pair] * (1 + 2 * traj.steps_taken)
 
-    def test_picard_slab_raises_on_a_non_finite_sweep(self):
+    def test_picard_slab_returns_a_non_finite_end(self):
         huge = np.full(16, 1e308)
         cfg = SolveConfig(dt=0.5, t_end=1.0, method="picard")
-        with pytest.raises(PicardConvergenceError, match="^non-finite state") as caught:
-            picard_slab(np.zeros((2, 16)), 0.0, 0.5, cfg, SourcePair(f=lambda t: huge, g=lambda t: huge))
-        assert caught.value.non_finite
-        assert caught.value.iterations < cfg.picard_max_iter
+        sources = SourcePair(f=lambda t: huge, g=lambda t: huge)
+        result = picard_slab(np.zeros((2, 16)), 0.0, 0.5, cfg, sources)
+        assert not np.all(np.isfinite(result.values))
+        assert result.iterations < cfg.picard_max_iter
+        traj = solve(as_pair(Grid1D(16), np.zeros((2, 16))), cfg, sources)
+        assert traj.status == RunStatus.step_failure(0.0, "non-finite state")
+        assert traj.times == [0.0] and traj.steps_taken == 0
+        assert traj.picard_iterations_total == result.iterations
+
+
+def planting(monkeypatch, value, t_bad):
+    """Make every step from t >= t_bad return a state with one entry set to ``value``."""
+    original = integrators._stepper
+
+    def stepper(*args):
+        step, carry, source_times = original(*args)
+
+        def planted(carry, values, t):
+            carry, values, sweeps = step(carry, values, t)
+            if t >= t_bad:
+                values = values.copy()
+                values[1, 5] = value
+            return carry, values, sweeps
+
+        return planted, carry, source_times
+
+    monkeypatch.setattr(integrators, "_stepper", stepper)
+
+
+class TestClassification:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_state_fails_at_the_step_start(self, method, value, monkeypatch):
+        planting(monkeypatch, value, 0.1)
+        grid = Grid1D(16)
+        cfg = SolveConfig(dt=0.05, t_end=0.5, method=method)
+        traj = solve(decay_state(grid), cfg)
+        assert traj.status == RunStatus.step_failure(0.1, "non-finite state")
+        assert traj.steps_taken == 2
+        assert traj.times == [0.0, 0.05, 0.1]  # no snapshot of the failed step
+        assert np.all(np.isfinite(traj.values))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_finite_state_whose_norm_overflows_is_a_blowup_candidate(self, method, monkeypatch):
+        planting(monkeypatch, 1e200, 0.1)
+        grid = Grid1D(16)
+        cfg = SolveConfig(dt=0.05, t_end=0.5, method=method)
+        traj = solve(decay_state(grid), cfg)
+        assert traj.status == RunStatus.blowup_detected(3 * cfg.dt)
+        assert traj.steps_taken == 3 and traj.times[-1] == traj.status.t
+        assert traj.values[-1, 1, 5] == 1e200 and pair_norm(traj.values[-1], grid.h) == math.inf
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_finite_source_driving_the_norm_past_overflow(self, method):
+        # exp_euler/imex reach a finite state whose norm is inf; a Picard slab
+        # keeps sweeping past a change whose square overflows, then its
+        # reaction overflows and the slab ends non-finite
+        grid = Grid1D(16)
+        big, zero = np.full(16, 1e200), np.zeros(16)
+        sources = SourcePair(f=lambda t: big, g=lambda t: zero)
+        cfg = SolveConfig(dt=0.01, t_end=0.05, method=method)
+        traj = solve(as_pair(grid, np.zeros((2, 16))), cfg, sources)
+        if method == "picard":
+            assert traj.status == RunStatus.step_failure(0.0, "non-finite state")
+            assert traj.steps_taken == 0 and traj.times == [0.0]
+            result = picard_slab(np.zeros((2, 16)), 0.0, cfg.dt, cfg, sources)
+            assert result.iterations == traj.picard_iterations_total == 2
+            assert result.diff_norms[0] == math.inf and not np.all(np.isfinite(result.values))
+        else:
+            assert traj.status == RunStatus.blowup_detected(0.01)
+            assert traj.steps_taken == 1 and traj.times == [0.0, 0.01]
+            assert np.all(np.isfinite(traj.values))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("component", ["f", "g", "both"])
+    def test_non_finite_source_is_named(self, method, component):
+        # NaN from t = 0.1 on; exp_euler/imex use the source at the step
+        # start, Picard at the m substep samples of its slab
+        grid = Grid1D(16)
+        zero, nan = np.zeros(16), np.full(16, np.nan)
+        turning = lambda t: nan if t >= 0.1 else zero  # noqa: E731
+        steady = lambda t: zero  # noqa: E731
+        f = steady if component == "g" else turning
+        g = steady if component == "f" else turning
+        cfg = SolveConfig(dt=0.04, t_end=0.2, method=method)
+        traj = solve(as_pair(grid, np.zeros((2, 16))), cfg, SourcePair(f=f, g=g))
+        name = "g" if component == "g" else "f"
+        if method == "picard":
+            # the slab [0.08, 0.12] samples 0.08 + i * 0.04 / 3, i = 0..3
+            t_prev, first_bad = 0.08, 0.08 + 2 * (0.04 / 3)
+        else:
+            t_prev = first_bad = 0.12
+        reason = f"non-finite source {name} at t={first_bad}"
+        assert traj.status == RunStatus.step_failure(t_prev, reason)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_no_finiteness_scan_per_step_or_sweep(self, method, monkeypatch):
+        grid = Grid1D(15)
+        spec = MmsSpec()
+        state0, sources = mms_state(spec, grid, 0.0), build_mms_sources(spec, grid)
+        calls = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda *a, **k: calls.append(1) or isfinite(*a, **k))
+        scans = []
+        for steps in (2, 20):
+            calls.clear()
+            traj = solve(state0, SolveConfig(dt=0.01, t_end=0.01 * steps, method=method), sources)
+            assert traj.status.kind == "completed" and traj.steps_taken == steps
+            scans.append(len(calls))
+        assert scans[0] == scans[1]
 
 
 class TestSolveConfig:

@@ -135,6 +135,14 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="mms", source_file="somewhere.csv")
 
+    def test_mms_refuses_ic_file(self):
+        # an mms march starts from the manufactured pair its error is measured against
+        with pytest.raises(ValueError, match="ic_file and source_file not allowed"):
+            ScenarioConfig(scenario="mms", ic_file="somewhere.csv")
+        with pytest.raises(ValueError, match="ic_file and source_file not allowed"):
+            ScenarioConfig.from_dict({"scenario": "mms", "ic_file": "somewhere.csv"})
+        assert ScenarioConfig(scenario="custom", ic_file="somewhere.csv").ic_file == "somewhere.csv"
+
     def test_threshold_resolution(self):
         assert ScenarioConfig(scenario="decay").resolved().blowup_threshold == 1e6
         assert ScenarioConfig(scenario="growth_probe").resolved().blowup_threshold == 1e3
@@ -197,7 +205,7 @@ class TestScenarioConfig:
             scenario="decay", n_interior=15, dt=0.02, t_end=0.1, output_dir=str(tmp_path / "a")
         )
         assert run_scenario(cfg) == 0
-        reloaded = ScenarioConfig.from_json(str(tmp_path / "a" / "summary.json"))
+        reloaded = ScenarioConfig.from_dict(read_config(str(tmp_path / "a" / "summary.json")))
         assert reloaded.n_interior == 15 and reloaded.dt == 0.02
         assert reloaded.blowup_threshold == 1e6  # echo carries resolved values
 
@@ -482,6 +490,7 @@ class TestCli:
             "nan_blowup_threshold",
             "nan_picard_tol",
             "non_finite_source",
+            "mms_ic_file",
             "verify_zero_samples",
             "verify_unwritable_output",
             "mms_sources_n_interior_zero",
@@ -521,6 +530,8 @@ class TestCli:
             table.write_text("".join(f"0.0 {x!r} nan 0.0\n" for x in grid.nodes))
             argv = ["run", "--scenario", "custom", "--n-interior", "3", "--ic-file", str(ic)]
             argv += ["--source-file", str(table), "--dt", "0.01", "--t-end", "0.02"] + out
+        elif case == "mms_ic_file":
+            argv = ["run", "--scenario", "mms", "--n-interior", "3", "--ic-file", str(ic)] + out
         elif case == "verify_zero_samples":
             argv = ["verify", "--sizes", "8", "--samples", "0"]
         elif case == "verify_unwritable_output":

@@ -9,7 +9,9 @@ and keeping both maps exactly linear in the state.
 By construction w(0) = 0 and w_x(0) = 0 exactly; the right-end value w(1)
 is generally nonzero (it vanishes only for states whose double integral
 happens to cancel) and is reported as a compatibility diagnostic, never
-enforced.
+enforced.  Profiles are arrays at all n+2 nodes, so both ends are in the
+profile itself.  Every function takes nodal pairs shaped (..., 2, n); a
+``StatePair`` is converted to its (2, n) values once, at the top.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, StatePair, row_dot
+from .fields import StatePair, row_dot
 
 __all__ = [
     "ConstraintReport",
@@ -54,57 +56,40 @@ def running_integral(full: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-# Field form kept because perfbench/tracing.py wraps every module binding of it
-def cumulative_integral(f: Field) -> Field:
-    """Composite-trapezoid running integral int_0^{x_j} f, zero at x = 0.
-
-    The integrand's explicit boundary pair participates in the first and
-    last trapezoid cells; the result carries (0, full-interval integral)
-    as its own boundary pair.  Exact for piecewise-linear integrands.
-    """
-    acc = running_integral(f.values_full(), f.grid.h)
-    return Field(f.grid, acc[1:-1], boundary=(0.0, float(acc[-1])))
+# the benchmark's tracer (perfbench/tracing.py) counts calls through this
+# name in constraint, nonlinearity and pdae1d, so it stays bound there
+cumulative_integral = running_integral
 
 
-def _mass(state, p_u: float, p_v: float) -> np.ndarray:
-    """p_u*u + p_v*v at all n+2 nodes; a StatePair's boundary pairs are its end values."""
-    if isinstance(state, StatePair):
-        full = p_u * state.u.values_full() + p_v * state.v.values_full()
-        full[[0, -1]] += 0.0  # as a Field boundary pair stores them
-        return full
-    full = np.zeros(state.shape[:-2] + (state.shape[-1] + 2,))
-    full[..., 1:-1] = p_u * state[..., 0, :] + p_v * state[..., 1, :]
+def _mass(values: np.ndarray, p_u: float, p_v: float) -> np.ndarray:
+    """p_u*u + p_v*v of nodal pairs (..., 2, n) at all n+2 nodes, zero at both ends."""
+    full = np.zeros(values.shape[:-2] + (values.shape[-1] + 2,))
+    full[..., 1:-1] = p_u * values[..., 0, :] + p_v * values[..., 1, :]
     return full
 
 
 def _slope(mass: np.ndarray, h: float) -> np.ndarray:
     """w_x = -int_0^x mass at all nodes, with w_x(0) = 0 exactly."""
-    wx = -running_integral(mass, h)
-    # ends as a Field boundary pair stores them: -0.0 becomes 0.0
-    wx[..., 0] = 0.0
-    wx[..., -1] += 0.0
-    return wx
+    return -running_integral(mass, h)
 
 
-def reconstruct_w(state: StatePair | np.ndarray, p_u: float = 1.0, p_v: float = 1.0):
+def reconstruct_w(state: StatePair | np.ndarray, p_u: float = 1.0, p_v: float = 1.0) -> np.ndarray:
     """Constrained profile as the double running integral of -(p_u*u + p_v*v).
 
     Pins w(0) = 0 and w_x(0) = 0 exactly; w(1) lands wherever the state's
     mass sends it.  ``state`` holds Dirichlet nodal pairs shaped
-    (..., 2, n), giving w at all n+2 nodes shaped (..., n+2); each row of a
-    stack equals the single-state profile bit for bit.  The StatePair form,
-    giving a Field that carries (0, w(1)) as its boundary pair, is kept for
-    the benchmark's artifact checks (perfbench/workloads.py).
+    (..., 2, n), or is a StatePair, which is converted to its (2, n)
+    values; the result is w at all n+2 nodes shaped (..., n+2), w(0) first
+    and w(1) last.  Each row of a stack equals the single-state profile
+    bit for bit.
     """
-    pair = isinstance(state, StatePair)
-    h = state.grid.h if pair else 1.0 / (state.shape[-1] + 1)
-    w = running_integral(_slope(_mass(state, p_u, p_v), h), h)
-    w[..., -1] += 0.0
-    return Field(state.grid, w[1:-1], boundary=(0.0, w[-1])) if pair else w
+    values = state.values if isinstance(state, StatePair) else state
+    h = 1.0 / (values.shape[-1] + 1)
+    return running_integral(_slope(_mass(values, p_u, p_v), h), h)
 
 
 def constraint_residual(
-    state: StatePair | np.ndarray, w: Field | np.ndarray, p_u: float = 1.0, p_v: float = 1.0
+    state: StatePair | np.ndarray, w: np.ndarray, p_u: float = 1.0, p_v: float = 1.0
 ) -> ConstraintReport:
     """Discrete-L2 residual of w_xx + p_u*u + p_v*v over the interior nodes.
 
@@ -112,24 +97,22 @@ def constraint_residual(
     w(0) = 0 and the computed w(1) from the profile's end value.  The
     reported w_x(0) is the slope integral's value at x = 0, which the
     running integral pins to exactly 0, so it needs no second integration.
-    ``state`` and ``w`` are nodal pairs shaped (..., 2, n) and profiles at
-    all nodes shaped (..., n+2), giving a report of arrays over the leading
-    axes, each entry equal to the single-state report bit for bit.  The
-    form taking a StatePair and a Field, giving a report of floats, is kept
-    for the benchmark's artifact checks (perfbench/workloads.py).
+    ``state`` holds nodal pairs shaped (..., 2, n), or is a StatePair,
+    which is converted to its (2, n) values, and ``w`` the profiles at all
+    nodes shaped (..., n+2); a profile of another length raises ValueError.
+    The report holds floats for one state and arrays over the leading axes
+    for a stack, each entry equal to the single-state report bit for bit.
     """
-    pair = isinstance(state, StatePair)
-    if pair:
-        if w.grid != state.grid:
-            raise ValueError("profile and state live on different grids")
-        values, wf = np.stack((state.u.values, state.v.values)), w.values_full()
-    else:
-        values, wf = state, w
-    h = 1.0 / (values.shape[-1] + 1)
-    second_diff = (wf[..., :-2] - 2.0 * wf[..., 1:-1] + wf[..., 2:]) / h**2
+    values = state.values if isinstance(state, StatePair) else state
+    n = values.shape[-1]
+    if w.shape[-1] != n + 2:
+        raise ValueError(f"profile has {w.shape[-1]} nodes, expected {n + 2}")
+    h = 1.0 / (n + 1)
+    second_diff = (w[..., :-2] - 2.0 * w[..., 1:-1] + w[..., 2:]) / h**2
     residual = second_diff + p_u * values[..., 0, :] + p_v * values[..., 1, :]
     residual_l2 = np.sqrt(h * row_dot(residual, residual))
-    w_at_0, w_at_1 = wf[..., 0] + 0.0, wf[..., -1] + 0.0
-    if pair:
-        return ConstraintReport(float(residual_l2), float(w_at_0), 0.0, float(w_at_1))
-    return ConstraintReport(residual_l2, w_at_0, np.zeros(residual_l2.shape), w_at_1)
+    # "+ 0.0" copies the ends, so a report does not hold views of the
+    # profile, and reports a zero end as 0.0, never -0.0; "[()]" makes the
+    # zero slope a scalar for one state, as the other fields are
+    w_at_0, w_at_1 = w[..., 0] + 0.0, w[..., -1] + 0.0
+    return ConstraintReport(residual_l2, w_at_0, np.zeros(residual_l2.shape)[()], w_at_1)

@@ -374,7 +374,7 @@ def _march(
         try:
             carry, values, used = step(carry, values, t_prev)
         except PicardConvergenceError as err:
-            return RunStatus.step_failure(t_prev, str(err)), k - 1, sweeps
+            return RunStatus.step_failure(t_prev, str(err)), k - 1, sweeps + err.iterations
         sweeps += used
         t_now = k * config.dt
         # a NaN norm is not below the threshold either, so only a state that
@@ -424,7 +424,7 @@ def solve(
     Sources whose components at t = 0 are not float arrays of shape (n,)
     raise ValueError before the first step.
     """
-    values0 = np.stack((state0.u.values, state0.v.values))
+    values0 = state0.values
     grid, c, src = _step_inputs(config.dt, values0, sources, coefficients)
     _check_sources(src, grid.n_interior)
     times, snapshots = [0.0], [values0]

@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-# cumulative_integral stays bound here because perfbench/tracing.py wraps
-# every module binding of it
+# cumulative_integral, the same function as running_integral, stays bound
+# here because perfbench/tracing.py wraps every module binding of it
 from .constraint import cumulative_integral  # noqa: F401
 from .constraint import running_integral
 from .fields import Grid1D, _check_finite, _freeze, pair_norm, row_dot
@@ -214,7 +214,7 @@ def lipschitz_ratio(
 def h1_seminorm(f: np.ndarray):
     """Discrete first-derivative seminorm sqrt(h * sum((df/h)^2)).
 
-    Forward differences over every cell including the two boundary gaps of
+    Forward differences over every cell including the two end gaps of
     Dirichlet nodal values shaped (..., n) with zero ends; the result holds
     the per-row seminorms over the leading axes.
     """
@@ -241,7 +241,9 @@ def source_time_lipschitz(sources: SourcePair, times) -> float:
             raise ValueError("sample times must be increasing")
         cur_f, cur_g = sources.f(t_next), sources.g(t_next)
         df, dg = cur_f - prev_f, cur_g - prev_g
-        jump = np.hypot(np.sqrt(h * np.dot(df, df)), np.sqrt(h * np.dot(dg, dg)))
+        # a jump beyond float range is reported as inf, without a warning
+        with np.errstate(over="ignore"):
+            jump = np.hypot(np.sqrt(h * np.dot(df, df)), np.sqrt(h * np.dot(dg, dg)))
         worst = max(worst, jump / (t_next - t_prev))
         prev_f, prev_g = cur_f, cur_g
     return worst

@@ -15,6 +15,7 @@ clock.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import typing
@@ -219,7 +220,7 @@ def mms_source_table(
     times,
     coefficients: CoefficientSet | None = None,
 ) -> np.ndarray:
-    """Rows (t, x, f, g) over all nodes, boundary points included.
+    """Rows (t, x, f, g) over all nodes, both end points included.
 
     Shaped (len(times) * (n+2), 4): the n+2 rows of each time in turn.
     """
@@ -287,6 +288,24 @@ def _write_table(path: str, header: str, blocks, config_echo: str | None = None)
         fh.write(f"# {header}\n")
         for block in blocks:
             fh.write(_format_block(block))
+
+
+def _strict(value):
+    """``value`` with every non-finite float replaced by None."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _write_json(path: str, payload: dict) -> None:
+    """Indented, key-sorted JSON that strict parsers read: non-finite floats become null."""
+    with open(path, "w") as fh:
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def _trajectory_blocks(grid: Grid1D, traj: Trajectory):
@@ -367,9 +386,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
                 config_echo=echo,
             )
             summary["artifacts"]["mms_error"] = "mms_error.csv"
-        with open(os.path.join(cfg.output_dir, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(cfg.output_dir, "summary.json"), summary)
     except OSError as err:
         print(f"error writing artifacts under {cfg.output_dir}: {err}", file=sys.stderr)
         return 1
@@ -449,7 +466,5 @@ def run_verification(
     payload["all_passed"] = all_passed
     if output_path is not None:
         os.makedirs(os.path.dirname(output_path) or ".", exist_ok=True)
-        with open(output_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(output_path, payload)
     return all_passed, payload

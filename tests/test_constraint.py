@@ -7,7 +7,6 @@ from pdae1d import (
     Grid1D,
     StatePair,
     constraint_residual,
-    cumulative_integral,
     reconstruct_w,
 )
 from pdae1d import constraint
@@ -18,6 +17,11 @@ def fine_running_integral(fn, x, points=1_000_001):
     # independent quadrature oracle: dense trapezoid on [0, x]
     s = np.linspace(0.0, x, points)
     return np.trapezoid(fn(s), s)
+
+
+def padded(values, ends=(0.0, 0.0)):
+    # nodal values at all n+2 nodes: the interior values between the two end values
+    return np.concatenate(([ends[0]], values, [ends[1]]))
 
 
 def zero_state(grid):
@@ -34,42 +38,39 @@ def sine_state(grid, amplitude=1.0):
 class TestCumulativeIntegral:
     def test_zero(self):
         grid = Grid1D(10)
-        out = cumulative_integral(Field.zeros(grid))
-        assert np.all(out.values == 0.0)
-        assert out.boundary == (0.0, 0.0)
+        out = running_integral(np.zeros(12), grid.h)
+        assert np.all(out[1:-1] == 0.0)
+        assert (out[0], out[-1]) == (0.0, 0.0)
 
     def test_constant_is_exact(self):
         grid = Grid1D(12)
-        ones = Field(grid, np.ones(12), boundary=(1.0, 1.0))
-        out = cumulative_integral(ones)
-        np.testing.assert_allclose(out.values, grid.nodes, rtol=1e-14)
-        np.testing.assert_allclose(out.boundary[1], 1.0, rtol=1e-14)
+        out = running_integral(np.ones(14), grid.h)
+        np.testing.assert_allclose(out[1:-1], grid.nodes, rtol=1e-14)
+        np.testing.assert_allclose(out[-1], 1.0, rtol=1e-14)
 
     def test_sine_against_quadrature_oracle(self):
         grid = Grid1D(127)
-        f = Field(grid, np.sin(np.pi * grid.nodes))
-        out = cumulative_integral(f)
+        out = running_integral(padded(np.sin(np.pi * grid.nodes)), grid.h)[1:-1]
         for j in (0, 31, 63, 126):
             oracle = fine_running_integral(lambda s: np.sin(np.pi * s), grid.nodes[j])
-            assert abs(out.values[j] - oracle) < 1e-4
+            assert abs(out[j] - oracle) < 1e-4
             assert abs(oracle - (1.0 - np.cos(np.pi * grid.nodes[j])) / np.pi) < 1e-12
 
     def test_second_order_refinement(self):
         errors = []
         for n in (31, 63, 127):
             grid = Grid1D(n)
-            out = cumulative_integral(Field(grid, np.sin(np.pi * grid.nodes)))
+            out = running_integral(padded(np.sin(np.pi * grid.nodes)), grid.h)[1:-1]
             exact = (1.0 - np.cos(np.pi * grid.nodes)) / np.pi
-            errors.append(np.max(np.abs(out.values - exact)))
+            errors.append(np.max(np.abs(out - exact)))
         ratios = [errors[i] / errors[i + 1] for i in range(2)]
         assert all(3.2 <= r <= 4.8 for r in ratios)
 
     def test_starts_at_zero_exactly(self):
         grid = Grid1D(9)
         rng = np.random.default_rng(1)
-        f = Field(grid, rng.uniform(-1.0, 1.0, 9), boundary=(0.3, -0.2))
-        assert cumulative_integral(f).boundary[0] == 0.0
-
+        full = padded(rng.uniform(-1.0, 1.0, 9), ends=(0.3, -0.2))
+        assert running_integral(full, grid.h)[0] == 0.0
 
     def test_running_integral_on_a_stack_matches_each_row(self):
         grid = Grid1D(37)
@@ -78,11 +79,10 @@ class TestCumulativeIntegral:
         stacked = running_integral(full, grid.h)
         for s in range(5):
             for k in range(2):
-                row = full[s, k]
-                ref = cumulative_integral(Field(grid, row[1:-1], boundary=(row[0], row[-1])))
+                ref = loop_running_integral(full[s, k], grid.h)
                 assert stacked[s, k, 0] == 0.0
-                assert np.array_equal(stacked[s, k, 1:-1], ref.values)
-                assert stacked[s, k, -1] == ref.boundary[1]
+                assert np.array_equal(stacked[s, k], ref)
+                assert np.array_equal(stacked[s, k], running_integral(full[s, k], grid.h))
 
 
 def slope(values, p_u=1.0, p_v=1.0):
@@ -120,14 +120,14 @@ class TestReconstructW:
     def test_zero_state(self):
         grid = Grid1D(8)
         w = reconstruct_w(zero_state(grid))
-        assert np.all(w.values == 0.0) and w.boundary == (0.0, 0.0)
+        assert w.shape == (10,) and np.all(w == 0.0)
 
     def test_sine_closed_form(self):
         # u + v = sin(pi x): w = -(x/pi - sin(pi x)/pi^2)
         grid = Grid1D(127)
         w = reconstruct_w(sine_state(grid))
         exact = -(grid.nodes / np.pi - np.sin(np.pi * grid.nodes) / np.pi**2)
-        assert np.max(np.abs(w.values - exact)) < 2e-4
+        assert np.max(np.abs(w[1:-1] - exact)) < 2e-4
 
     def test_sine_against_nested_quadrature_oracle(self):
         grid = Grid1D(63)
@@ -136,19 +136,15 @@ class TestReconstructW:
         ys = np.linspace(0.0, x_probe, 2001)
         inner = np.array([fine_running_integral(lambda s: np.sin(np.pi * s), y, 20001) for y in ys])
         oracle = -np.trapezoid(inner, ys)
-        assert abs(w.values[31] - oracle) < 2e-4
+        assert abs(w[1:-1][31] - oracle) < 2e-4
 
     def test_constant_state_exact(self):
         # trapezoid is exact through linear integrands: w = -c x^2 / 2; the
-        # constant profile carries its end values explicitly
+        # constant mass is c at all n+2 nodes, ends included
         grid = Grid1D(40)
         c = 0.75
-        state = StatePair(
-            Field(grid, np.full(40, c), boundary=(c, c)),
-            Field.zeros(grid),
-        )
-        w = reconstruct_w(state)
-        np.testing.assert_allclose(w.values, -c * grid.nodes**2 / 2.0, rtol=0, atol=1e-12)
+        w = running_integral(constraint._slope(np.full(42, c), grid.h), grid.h)
+        np.testing.assert_allclose(w[1:-1], -c * grid.nodes**2 / 2.0, rtol=0, atol=1e-12)
 
     def test_left_boundary_conditions_exact(self):
         grid = Grid1D(50)
@@ -157,8 +153,8 @@ class TestReconstructW:
             state = StatePair(
                 Field(grid, rng.uniform(-1.0, 1.0, 50)), Field(grid, rng.uniform(-1.0, 1.0, 50))
             )
-            assert reconstruct_w(state).boundary[0] == 0.0
-            assert slope(np.stack((state.u.values, state.v.values)))[0] == 0.0
+            assert reconstruct_w(state)[0] == 0.0
+            assert slope(state.values)[0] == 0.0
 
     def test_linearity_in_state(self):
         rng = np.random.default_rng(6)
@@ -212,30 +208,35 @@ class TestConstraintResidual:
         assert report.w_at_0 == 0.0
         assert report.wx_at_0 == 0.0
 
-    def test_grid_mismatch_rejected(self):
+    def test_wrong_length_profile_rejected(self):
+        # a profile holds w at all n+2 = 10 nodes; the interior 8 or another grid's are refused
         state = zero_state(Grid1D(8))
-        with pytest.raises(ValueError):
-            constraint_residual(state, Field.zeros(Grid1D(9)))
+        for form, lead in ((state, ()), (state.values, ()), (np.zeros((3, 2, 8)), (3,))):
+            for length in (8, 9, 11):
+                with pytest.raises(ValueError, match="expected 10"):
+                    constraint_residual(form, np.zeros(lead + (length,)))
 
 
-def field_path_w(state, p_u, p_v):
-    # the per-state Field path: two cumulative integrals of Fields
-    u, v = state.u, state.v
-    mass = Field(
-        state.grid,
-        p_u * u.values + p_v * v.values,
-        (p_u * u.boundary[0] + p_v * v.boundary[0], p_u * u.boundary[1] + p_v * v.boundary[1]),
-    )
-    integral = cumulative_integral(mass)
-    wx = Field(state.grid, -integral.values, boundary=(0.0, -integral.boundary[1]))
-    return cumulative_integral(wx)
+def loop_running_integral(full, h):
+    # per-state reference: the trapezoid sum accumulated one cell at a time
+    out = [0.0]
+    for a, b in zip(full[:-1], full[1:]):
+        out.append(out[-1] + 0.5 * h * (a + b))
+    return np.array(out)
 
 
-def field_path_residual_l2(state, w, p_u, p_v):
-    wf = w.values_full()
-    second_diff = (wf[:-2] - 2.0 * wf[1:-1] + wf[2:]) / state.grid.h**2
-    residual = second_diff + p_u * state.u.values + p_v * state.v.values
-    return float(np.sqrt(state.grid.h * np.dot(residual, residual)))
+def field_path_w(u_full, v_full, p_u, p_v):
+    # the per-state path on padded (n+2) arrays: the mass with its end
+    # values, integrated twice one cell at a time
+    h = 1.0 / (len(u_full) - 1)
+    return loop_running_integral(-loop_running_integral(p_u * u_full + p_v * v_full, h), h)
+
+
+def field_path_residual_l2(values, w, p_u, p_v):
+    h = 1.0 / (values.shape[-1] + 1)
+    second_diff = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / h**2
+    residual = second_diff + p_u * values[0] + p_v * values[1]
+    return float(np.sqrt(h * np.dot(residual, residual)))
 
 
 class TestStackedForms:
@@ -253,24 +254,24 @@ class TestStackedForms:
         assert np.all(report.w_at_0 == 0.0) and np.all(report.wx_at_0 == 0.0)
         for index in np.ndindex(3, 4):
             state = StatePair(Field(grid, stack[index][0]), Field(grid, stack[index][1]))
-            ref = field_path_w(state, p_u, p_v)
+            ref = field_path_w(padded(stack[index][0]), padded(stack[index][1]), p_u, p_v)
             single = reconstruct_w(state, p_u, p_v)
-            assert np.array_equal(w[index], ref.values_full())
-            assert np.array_equal(single.values_full(), ref.values_full())
-            assert single.boundary == ref.boundary
-            ref_l2 = field_path_residual_l2(state, ref, p_u, p_v)
+            assert np.array_equal(w[index], ref)
+            assert np.array_equal(single, ref)
+            assert (single[0], single[-1]) == (ref[0], ref[-1])
+            ref_l2 = field_path_residual_l2(stack[index], ref, p_u, p_v)
             single_report = constraint_residual(state, single, p_u, p_v)
             assert report.residual_l2[index] == single_report.residual_l2 == ref_l2
-            assert report.w_at_1[index] == single_report.w_at_1 == ref.boundary[1]
+            assert report.w_at_1[index] == single_report.w_at_1 == ref[-1]
             assert single_report.w_at_0 == 0.0 and single_report.wx_at_0 == 0.0
 
     def test_field_path_with_boundary_pairs(self):
+        # nonzero end values reach the integrals only through running_integral
         grid = Grid1D(9)
         rng = np.random.default_rng(4)
         for p_u, p_v in [(1.0, 1.0), (2.0, -0.5)]:
-            u = Field(grid, rng.uniform(-1.0, 1.0, 9), boundary=(0.3, -0.7))
-            v = Field(grid, rng.uniform(-1.0, 1.0, 9), boundary=(-0.2, 0.5))
-            state = StatePair(u, v)
-            ref = field_path_w(state, p_u, p_v)
-            w = reconstruct_w(state, p_u, p_v)
-            assert np.array_equal(w.values, ref.values) and w.boundary == ref.boundary
+            u = padded(rng.uniform(-1.0, 1.0, 9), ends=(0.3, -0.7))
+            v = padded(rng.uniform(-1.0, 1.0, 9), ends=(-0.2, 0.5))
+            ref = field_path_w(u, v, p_u, p_v)
+            w = running_integral(constraint._slope(p_u * u + p_v * v, grid.h), grid.h)
+            assert np.array_equal(w[1:-1], ref[1:-1]) and (w[0], w[-1]) == (ref[0], ref[-1])

@@ -279,6 +279,13 @@ class TestSolve:
         assert traj.status.kind == "completed"
         assert traj.picard_iterations_total >= traj.steps_taken
 
+    def test_picard_counts_the_sweeps_of_a_slab_that_does_not_converge(self):
+        grid = Grid1D(16)
+        cfg = SolveConfig(dt=0.01, t_end=0.05, method="picard", picard_max_iter=1)
+        traj = solve(decay_state(grid), cfg)
+        assert traj.status.kind == "step_failure" and traj.status.t == 0.0
+        assert "no convergence after 1 sweeps" in traj.status.reason
+        assert traj.steps_taken == 0 and traj.picard_iterations_total == 1
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("ending", ["blowup_detected", "blowup_at_start", "step_failure"])

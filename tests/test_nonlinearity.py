@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,7 +108,8 @@ class TestEvalReaction:
         c = CoefficientSet(p_u=0.7, p_v=-1.3)
         u, v = random_state(grid, rng)
         out = eval_reaction(np.stack((u, v)), coefficients=c)
-        integral = cumulative_integral(Field(grid, c.p_u * u + c.p_v * v)).values
+        mass = np.concatenate(([0.0], c.p_u * u + c.p_v * v, [0.0]))
+        integral = cumulative_integral(mass, grid.h)[1:-1]
         assert np.array_equal(out[0], -u * integral)
         assert np.array_equal(out[1], v * integral)
 
@@ -267,6 +269,15 @@ def test_source_time_lipschitz_linear_rate(tmp_path):
     sources = SourcePair(f=lambda t: t * amplitude, g=lambda t: np.zeros(9), kind="custom")
     rate = source_time_lipschitz(sources, np.linspace(0.0, 1.0, 5))
     np.testing.assert_allclose(rate, np.sqrt(grid.h * np.dot(amplitude, amplitude)), rtol=1e-12)
+
+
+def test_source_time_lipschitz_overflow_is_inf_without_a_warning():
+    grid = Grid1D(9)
+    huge = np.full(9, 1e308)
+    sources = SourcePair(f=lambda t: t * huge, g=lambda t: t * huge, kind="custom")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert source_time_lipschitz(sources, (0.0, 1.0)) == math.inf
 
 
 def test_source_presets_return_read_only_float_arrays(tmp_path):

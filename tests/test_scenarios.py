@@ -25,7 +25,7 @@ from pdae1d import (
 from pdae1d.cli import build_parser, main
 from pdae1d.fields import pair_norm
 from pdae1d.integrators import METHODS
-from pdae1d.scenarios import CONFIG_TYPES, SCENARIOS, _format_block, read_config
+from pdae1d.scenarios import CONFIG_TYPES, SCENARIOS, _format_block, _write_json, read_config
 
 
 def mms_truth(spec, c, t, x):
@@ -339,6 +339,40 @@ class TestRunScenario:
         assert summary["status"]["kind"] == "step_failure"
         assert "no convergence" in summary["status"]["reason"]
 
+    def test_overflowing_floats_are_written_as_null(self, tmp_path):
+        # a finite IC whose norm overflows blows up at t = 0; a 0 -> 1e308
+        # source table overflows the source time-Lipschitz diagnostic
+        x = Grid1D(7).nodes.tolist()
+        ic, src = tmp_path / "ic.txt", tmp_path / "src.txt"
+        ic.write_text("".join(f"{node!r} 1e200 1e200\n" for node in x))
+        slabs = ((0, 0), (1, 1e308))
+        src.write_text("".join(f"{t} {node!r} {f} 0\n" for t, f in slabs for node in x))
+        cfg = ScenarioConfig(
+            scenario="custom", n_interior=7, dt=0.01, t_end=0.05, ic_file=str(ic),
+            source_file=str(src), output_dir=str(tmp_path / "huge"),
+        )
+        with np.errstate(over="ignore"):
+            assert run_scenario(cfg) == 2
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (tmp_path / "huge" / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=refuse)
+        assert summary["status"] == {"kind": "blowup_detected", "t": 0.0, "reason": None}
+        assert summary["initial_norm"] is None and summary["final_norm"] is None
+        assert summary["source_time_lipschitz"] is None
+
+    def test_json_writer_nulls_non_finite_floats_only(self, tmp_path):
+        payload = {"b": [1.5, float("nan"), {"c": -math.inf}], "a": (math.inf, 2, None, "x")}
+        path = tmp_path / "out.json"
+        _write_json(str(path), payload)
+        expected = {"a": [None, 2, None, "x"], "b": [1.5, None, {"c": None}]}
+        assert json.loads(path.read_text()) == expected
+        finite = {"z": [0.1, 1e308, -0.0], "y": {"w": 3, "v": True}}
+        _write_json(str(path), finite)
+        assert path.read_text() == json.dumps(finite, indent=2, sort_keys=True) + "\n"
+
     def test_missing_ic_file_exits_1(self, tmp_path):
         cfg = ScenarioConfig(
             scenario="custom", ic_file=str(tmp_path / "nope.csv"), output_dir=str(tmp_path / "x")
@@ -594,6 +628,14 @@ class TestCli:
         assert code == 1
         assert "error: t_end=1.0 is not a whole number of steps" in capsys.readouterr().err
         assert not (tmp_path / "off").exists()
+
+    def test_picard_slab_without_convergence_counts_its_sweep(self, tmp_path):
+        out = tmp_path / "p"
+        argv = ["run", "--scenario", "decay", "--method", "picard", "--picard-max-iter", "1"]
+        assert main(argv + ["--n-interior", "15", "--t-end", "0.05", "--output-dir", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"]["kind"] == "step_failure" and summary["timings"]["steps"] == 0
+        assert summary["timings"]["picard_iterations"] == 1
 
     def test_growth_probe_exit_code_propagates(self, tmp_path):
         code = main(

@@ -337,7 +337,8 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     traj = solve(state0, solve_cfg, sources, coefficients)
-    norms = pair_norm(traj.values, grid.h)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, written as null
+        norms = pair_norm(traj.values, grid.h)
 
     summary = {
         "status": {"kind": traj.status.kind, "t": traj.status.t, "reason": traj.status.reason},
@@ -412,12 +413,16 @@ def run_convergence(cfg: ScenarioConfig, dt_levels=(), n_levels=()) -> list[dict
     dt, which must be small enough to saturate.  observed_order is the
     log2 error ratio against the previous row of the same sweep, NaN on
     the first row.  Every level marches with the resolved blow-up
-    threshold; a level that stops early raises RuntimeError.  Writes
-    convergence.csv under the output directory.
+    threshold; a level that stops early raises RuntimeError, and a sweep
+    with no level at all raises ValueError.  Writes convergence.csv under
+    the output directory.
     """
     cfg = cfg.resolved()
     if cfg.scenario != "mms":
         raise ValueError("convergence sweeps require the mms scenario")
+    dt_levels, n_levels = tuple(dt_levels), tuple(n_levels)
+    if not dt_levels and not n_levels:
+        raise ValueError("a convergence sweep needs at least one dt or n_interior level")
     rows: list[dict] = []
 
     def sweep(settings):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -363,6 +364,44 @@ class TestRunScenario:
         assert summary["initial_norm"] is None and summary["final_norm"] is None
         assert summary["source_time_lipschitz"] is None
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("case", ["huge_ic", "huge_source"])
+    def test_overflow_is_classified_without_a_warning(self, case, method, tmp_path):
+        # a 1e200 IC overflows the norm at t = 0; a source table stepping
+        # from 0 to 1e308 overflows the state within two steps.  The march
+        # classifies both itself, so numpy may not warn on the way there
+        x = Grid1D(16).nodes.tolist()
+        ic = tmp_path / "ic.txt"
+        value = 1e200 if case == "huge_ic" else 0.0
+        ic.write_text("".join(f"{node!r} {value!r} {value!r}\n" for node in x))
+        extra = {}
+        if case == "huge_source":
+            table = tmp_path / "src.txt"
+            slabs = ((0, 0), (1, 1e308))
+            table.write_text("".join(f"{t} {node!r} {f} 0\n" for t, f in slabs for node in x))
+            extra["source_file"] = str(table)
+        cfg = ScenarioConfig(
+            scenario="custom", n_interior=16, dt=0.001, t_end=0.01, method=method,
+            ic_file=str(ic), output_dir=str(tmp_path / "out"), **extra,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_scenario(cfg)
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        # (exit code, status, steps, snapshots, Picard sweeps), as before the
+        # warnings were silenced
+        blowup = {"kind": "blowup_detected", "t": 0.0, "reason": None}
+        if case == "huge_ic":
+            expected = (2, blowup, 0, 1, 0)
+        elif method == "picard":
+            failure = {"kind": "step_failure", "t": 0.0, "reason": "non-finite state"}
+            expected = (1, failure, 0, 1, 2)
+        else:
+            expected = (2, dict(blowup, t=0.002), 2, 3, 0)
+        timings = summary["timings"]
+        got = (code, summary["status"], timings["steps"], timings["snapshots"])
+        assert got + (timings["picard_iterations"],) == expected
+
     def test_json_writer_nulls_non_finite_floats_only(self, tmp_path):
         payload = {"b": [1.5, float("nan"), {"c": -math.inf}], "a": (math.inf, 2, None, "x")}
         path = tmp_path / "out.json"
@@ -529,6 +568,7 @@ class TestCli:
             "verify_unwritable_output",
             "mms_sources_n_interior_zero",
             "mms_sources_unwritable_output",
+            "converge_no_levels",
         ],
     )
     def test_bad_input_exits_1_with_error_line(self, case, tmp_path, capsys):
@@ -573,8 +613,10 @@ class TestCli:
             argv += ["--output", str(blocker / "report.json")]
         elif case == "mms_sources_n_interior_zero":
             argv = ["mms-sources", "--n-interior", "0"]
-        else:
+        elif case == "mms_sources_unwritable_output":
             argv = ["mms-sources", "--output", str(blocker / "table.txt")]
+        else:
+            argv = ["converge", "--dt-levels", ",", "--n-levels", ","] + out
         assert main(argv) == 1
         assert "error: " in capsys.readouterr().err
     def test_run_subcommand(self, tmp_path, capsys):

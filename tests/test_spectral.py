@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.fft import dst as fft_dst
 from scipy.linalg import expm
 
 from pdae1d import (
@@ -12,6 +17,7 @@ from pdae1d import (
     sine_mode,
     solve_shifted,
 )
+from pdae1d import spectral
 from pdae1d.fields import pair_norm
 from pdae1d.spectral import to_coeffs, to_values
 
@@ -73,15 +79,73 @@ class TestDst:
         coeffs[0] = 1.0
         np.testing.assert_allclose(to_values(coeffs), np.sin(np.pi * grid.nodes), rtol=1e-13)
 
-    @pytest.mark.parametrize("n", [7, 16, 127, 128, 256, 1023])
+    @pytest.mark.parametrize(
+        "n", [7, 16, 63, 96, 97, 127, 128, 255, 256, 257, 440, 441, 1023]
+    )
     def test_batched_rows_equal_single_transforms(self, n):
-        # semigroup_apply and phi1_apply transform (u, v) as one stack, so a
-        # row of a batch must equal the same row transformed alone, bit for bit
-        stack = np.random.default_rng(n).standard_normal((2, n))
-        for transform in (to_coeffs, to_values):
-            batched = transform(stack)
-            for row in range(2):
-                assert np.array_equal(batched[row], transform(stack[row]))
+        # semigroup_apply and phi1_apply transform (u, v) as one stack, and the
+        # verification checks transform stacks of samples, so a row of a batch
+        # must equal the same row transformed alone, bit for bit, on both
+        # kernels of the sine transform and whatever the batch's memory layout
+        rng = np.random.default_rng(n)
+        for shape in [(n,), (2, n), (4, 2, n), (50, 2, n)]:
+            stack = rng.standard_normal(shape)
+            strided = rng.standard_normal(shape[:-1] + (2 * n,))[..., ::2]
+            for batch in (stack, strided, np.asfortranarray(stack)):
+                rows = batch.reshape(-1, n)
+                for transform in (to_coeffs, to_values):
+                    batched = transform(batch).reshape(-1, n)
+                    for row in range(rows.shape[0]):
+                        alone = np.array(rows[row])
+                        assert np.array_equal(batched[row], transform(alone))
+
+    def test_kernel_depends_on_the_row_length_alone(self):
+        # dense where n <= 128, or n <= 420 with a prime factor of n+1 above n/3
+        dense = [1, 7, 16, 63, 64, 96, 97, 127, 128, 256, 400, 420]
+        fast = [255, 257, 300, 421, 440, 441, 460, 1023]
+        assert all(spectral._sine_matrix(n) is not None for n in dense)
+        assert all(spectral._sine_matrix(n) is None for n in fast)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 63, 96, 97, 127, 128, 256, 400, 420])
+    def test_dense_kernel_agrees_with_pocketfft(self, n):
+        matrix = spectral._sine_matrix(n)
+        assert matrix is not None and not matrix.flags.writeable
+        stack = np.random.default_rng(n).standard_normal((8, 2, n))
+        dense, fast = spectral._dst(stack), fft_dst(stack, type=1)
+        assert np.max(np.abs(dense - fast)) <= 1e-13 * np.max(np.abs(fast))
+
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_roundtrip_across_the_dispatch(self, n):
+        # n = 256 runs the dense kernel (n+1 = 257 is prime), n = 255 pocketfft
+        rng = np.random.default_rng(n)
+        values, coeffs = rng.uniform(-1.0, 1.0, (2, 2, n))
+        back = to_values(to_coeffs(values))
+        assert np.max(np.abs(back - values)) <= 1e-12 * np.max(np.abs(values))
+        np.testing.assert_allclose(to_coeffs(to_values(coeffs)), coeffs, rtol=1e-12, atol=1e-14)
+
+    def test_transforms_do_not_depend_on_the_blas_thread_count(self):
+        # two child processes, one and two OpenBLAS threads, hash the same transforms
+        script = (
+            "import hashlib, numpy as np\n"
+            "from pdae1d.spectral import to_coeffs, to_values\n"
+            "digest = hashlib.sha256()\n"
+            "for n in (7, 63, 128, 255, 256, 400, 1023):\n"
+            "    stack = np.random.default_rng(n).standard_normal((50, 2, n))\n"
+            "    for out in (to_coeffs(stack), to_values(stack), to_coeffs(stack[0, 0])):\n"
+            "        digest.update(out.tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        source = os.path.dirname(os.path.dirname(spectral.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (source, env.get("PYTHONPATH"))))
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=120, check=True,
+            )
+            digests.append(done.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 class TestLaplacian:

@@ -15,7 +15,7 @@ from .scenarios import (
     SCENARIOS,
     MmsSpec,
     ScenarioConfig,
-    _format_block,
+    _format_slabs,
     mms_source_table,
     read_config,
     run_convergence,
@@ -106,8 +106,8 @@ def _cmd_mms_sources(args: argparse.Namespace) -> int:
         out = contextlib.nullcontext(sys.stdout)
     with out as fh:
         fh.write("# t x f g\n")
-        for block in table.reshape(-1, grid.n_interior + 2, 4):
-            fh.write(_format_block(block))
+        fg = table.reshape(-1, grid.n_interior + 2, 4)[..., 2:]
+        fh.writelines(_format_slabs(args.times, grid.nodes_full, 2, fg))
     return 0
 
 

@@ -136,11 +136,13 @@ def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pair_norm(values, h: float):
     """:meth:`StatePair.norm` of nodal values ``(u, v)`` on a grid of spacing h.
 
     ``values`` may also be an array shaped (..., 2, n) with a batch in front;
     the result is then an array of the norms, each equal to the single one.
+    A norm that overflows is inf, without a numpy warning: callers classify it.
     """
     if isinstance(values, np.ndarray) and values.ndim > 2:
         u, v = values[..., 0, :], values[..., 1, :]

@@ -267,7 +267,10 @@ def _picard_weights(grid: Grid1D, delta: float, m: int, c: CoefficientSet):
     return drift, kernel
 
 
-# step_exp_euler, step_imex and picard_slab are traced by perfbench/tracing.py
+# step_exp_euler, step_imex and picard_slab are traced by perfbench/tracing.py.
+# Each returns a state that overflowed or turned non-finite as it is, for the
+# caller to classify, so numpy's warnings on the way there are only noise.
+@np.errstate(over="ignore", invalid="ignore")
 def step_exp_euler(
     values: np.ndarray,
     t: float,
@@ -284,6 +287,7 @@ def step_exp_euler(
     return step(coeffs, values, t)[1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step_imex(
     values: np.ndarray,
     t: float,
@@ -301,6 +305,7 @@ def step_imex(
     return step(coeffs, values, t)[1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def picard_slab(
     values: np.ndarray,
     t: float,

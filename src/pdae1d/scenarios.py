@@ -280,14 +280,33 @@ def _format_block(block: np.ndarray) -> str:
     return (line * rows) % tuple((block + 0.0).ravel().tolist())
 
 
+def _format_slabs(times, x: np.ndarray, columns: int, blocks):
+    """Text of rows ``t x c_1 .. c_columns``, one slab of len(x) rows per time.
+
+    ``blocks`` yields one (len(x), columns) array per time in ``times``.
+    Every value prints as in :func:`_format_block`, but each node's x is
+    formatted once for all slabs and each t once for its slab: only the
+    per-node columns go through ``%.17g`` row by row.
+    """
+    tail = " %.17g" * columns + "\n"
+    rows = ["%.17g" % x_j + tail for x_j in (x + 0.0).tolist()]
+    for t, block in zip(times, blocks):
+        lead = "%.17g " % (t + 0.0)
+        yield (lead + lead.join(rows)) % tuple((block + 0.0).ravel().tolist())
+
+
 def _write_table(path: str, header: str, blocks, config_echo: str | None = None) -> None:
-    """A '#'-headed table whose data rows are the 2-D ``blocks``, formatted one at a time."""
+    """A '#'-headed table whose data rows are ``blocks``, written one at a time.
+
+    A block is either text already formatted (:func:`_format_slabs`) or a
+    2-D array, formatted by :func:`_format_block`.
+    """
     with open(path, "w") as fh:
         if config_echo is not None:
             fh.write(f"# config: {config_echo}\n")
         fh.write(f"# {header}\n")
         for block in blocks:
-            fh.write(_format_block(block))
+            fh.write(block if isinstance(block, str) else _format_block(block))
 
 
 def _strict(value):
@@ -308,15 +327,17 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _trajectory_blocks(grid: Grid1D, traj: Trajectory):
-    """One (n+2, 5) block of rows (t, x, u, v, w) per snapshot, ends included."""
-    for t, values, w in zip(traj.times, traj.values, traj.w):
-        block = np.zeros((grid.n_interior + 2, 5))
-        block[:, 0] = t
-        block[:, 1] = grid.nodes_full
-        block[1:-1, 2:4] = values.T
-        block[:, 4] = w
-        yield block
+def _trajectory_slabs(grid: Grid1D, traj: Trajectory):
+    """The text of each snapshot's rows (t, x, u, v, w), ends included."""
+
+    def uvw():
+        block = np.zeros((grid.n_interior + 2, 3))  # u and v stay 0 at both ends
+        for values, w in zip(traj.values, traj.w):
+            block[1:-1, :2] = values.T
+            block[:, 2] = w
+            yield block
+
+    return _format_slabs(traj.times, grid.nodes_full, 3, uvw())
 
 
 def _exit_code(traj: Trajectory) -> int:
@@ -337,8 +358,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     traj = solve(state0, solve_cfg, sources, coefficients)
-    with np.errstate(over="ignore"):  # an overflowing norm is inf, written as null
-        norms = pair_norm(traj.values, grid.h)
+    norms = pair_norm(traj.values, grid.h)  # an overflowing norm is inf, written as null
 
     summary = {
         "status": {"kind": traj.status.kind, "t": traj.status.t, "reason": traj.status.reason},
@@ -367,7 +387,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         _write_table(
             os.path.join(cfg.output_dir, "trajectory.csv"),
             "t x u v w",
-            _trajectory_blocks(grid, traj),
+            _trajectory_slabs(grid, traj),
             config_echo=echo,
         )
         _write_table(

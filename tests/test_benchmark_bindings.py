@@ -8,7 +8,9 @@ what the per-layer metrics assume: every Picard slab goes through
 reaction through ``integrators.eval_reaction`` once per step.  It also
 runs ``perfbench/workloads.py``'s artifact check, which rebuilds the last
 snapshot as a ``StatePair`` and recomputes its profile and report, on the
-artifacts of short runs.
+artifacts of short runs, and checks that ``trajectory.csv`` is written by
+one call of ``scenarios._write_table`` with the path first, where the
+benchmark's self-test plants a truncated table.
 """
 
 import importlib
@@ -18,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import pdae1d
-from pdae1d import Grid1D, MmsSpec, SolveConfig, cli
+from pdae1d import Grid1D, MmsSpec, SolveConfig, cli, scenarios
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -75,3 +77,22 @@ def test_artifact_check_passes_and_catches_a_planted_w_at_1(workloads, scenario,
     path.write_text("\n".join(lines) + "\n")
     problems, _, _ = workloads.check_artifacts(code, tmp_path, 0)
     assert problems == ["constraint.csv w_at_1 differs from the recomputed final profile"]
+
+
+@pytest.mark.parametrize("method", ["exp_euler", "picard"])
+def test_trajectory_is_written_through_the_write_table_binding(tracing, method, tmp_path):
+    written = {}
+
+    def make(fn):
+        def recording(path, *args, **kwargs):
+            fn(path, *args, **kwargs)
+            written[Path(path).name] = Path(path).read_text()
+
+        return recording
+
+    argv = ["run", "--method", method, "--n-interior", "7", "--t-end", "0.02"]
+    with tracing.patched(tracing.rebind("_write_table", (scenarios,), make)):
+        code = cli.main(argv + ["--output-dir", str(tmp_path)])
+    text = (tmp_path / "trajectory.csv").read_text()
+    assert code == 0 and written["trajectory.csv"] == text
+    assert text.splitlines()[1] == "# t x u v w" and len(text.splitlines()) == 2 + 21 * 9

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -446,7 +447,9 @@ class TestArrayCore:
         huge = np.full(16, 1e308)
         cfg = SolveConfig(dt=0.5, t_end=1.0, method="picard")
         sources = SourcePair(f=lambda t: huge, g=lambda t: huge)
-        result = picard_slab(np.zeros((2, 16)), 0.0, 0.5, cfg, sources)
+        with warnings.catch_warnings():  # the caller classifies the end, numpy need not warn
+            warnings.simplefilter("error")
+            result = picard_slab(np.zeros((2, 16)), 0.0, 0.5, cfg, sources)
         assert not np.all(np.isfinite(result.values))
         assert result.iterations < cfg.picard_max_iter
         traj = solve(as_pair(Grid1D(16), np.zeros((2, 16))), cfg, sources)
@@ -495,7 +498,11 @@ class TestClassification:
         traj = solve(decay_state(grid), cfg)
         assert traj.status == RunStatus.blowup_detected(3 * cfg.dt)
         assert traj.steps_taken == 3 and traj.times[-1] == traj.status.t
-        assert traj.values[-1, 1, 5] == 1e200 and pair_norm(traj.values[-1], grid.h) == math.inf
+        assert traj.values[-1, 1, 5] == 1e200
+        with warnings.catch_warnings():  # an overflowing norm is inf, without a warning
+            warnings.simplefilter("error")
+            assert pair_norm(traj.values[-1], grid.h) == math.inf
+            assert pair_norm(traj.values, grid.h)[-1] == math.inf
 
     @pytest.mark.parametrize("method", METHODS)
     def test_finite_source_driving_the_norm_past_overflow(self, method):
@@ -506,17 +513,25 @@ class TestClassification:
         big, zero = np.full(16, 1e200), np.zeros(16)
         sources = SourcePair(f=lambda t: big, g=lambda t: zero)
         cfg = SolveConfig(dt=0.01, t_end=0.05, method=method)
-        traj = solve(as_pair(grid, np.zeros((2, 16))), cfg, sources)
+        step = {"exp_euler": step_exp_euler, "imex": step_imex}.get(method)
+        with warnings.catch_warnings():  # the caller classifies, numpy need not warn
+            warnings.simplefilter("error")
+            traj = solve(as_pair(grid, np.zeros((2, 16))), cfg, sources)
+            if method == "picard":
+                result = picard_slab(np.zeros((2, 16)), 0.0, cfg.dt, cfg, sources)
+            else:
+                stepped = step(np.zeros((2, 16)), 0.0, cfg.dt, sources)
+                norm = pair_norm(stepped, grid.h)
         if method == "picard":
             assert traj.status == RunStatus.step_failure(0.0, "non-finite state")
             assert traj.steps_taken == 0 and traj.times == [0.0]
-            result = picard_slab(np.zeros((2, 16)), 0.0, cfg.dt, cfg, sources)
             assert result.iterations == traj.picard_iterations_total == 2
             assert result.diff_norms[0] == math.inf and not np.all(np.isfinite(result.values))
         else:
             assert traj.status == RunStatus.blowup_detected(0.01)
             assert traj.steps_taken == 1 and traj.times == [0.0, 0.01]
             assert np.all(np.isfinite(traj.values))
+            assert np.array_equal(stepped, traj.values[-1]) and norm == math.inf
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("component", ["f", "g", "both"])

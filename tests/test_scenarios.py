@@ -23,6 +23,7 @@ from pdae1d import (
     run_convergence,
     run_scenario,
 )
+from pdae1d import scenarios
 from pdae1d.cli import build_parser, main
 from pdae1d.fields import pair_norm
 from pdae1d.integrators import METHODS
@@ -503,6 +504,64 @@ class TestBlockFormatter:
         assert _format_block(np.zeros((0, 4))) == ""
 
 
+def trajectory_rows(traj):
+    # trajectory.csv's data rows by the per-value definition, from the
+    # returned Trajectory: u and v are 0 at both ends
+    rows = []
+    for t, values, w in zip(traj.times, traj.values, traj.w):
+        u, v = (np.concatenate(([0.0], row, [0.0])) for row in values)
+        for x, cells in zip(traj.grid.nodes_full, zip(u, v, w)):
+            rows.append(" ".join(format(float(c) + 0.0, ".17g") for c in (t, x) + cells))
+    return rows
+
+
+class TestTrajectoryTable:
+    CASES = {
+        "n1": dict(scenario="decay", n_interior=1, t_end=0.5),
+        "picard_every3": dict(scenario="mms", n_interior=7, t_end=0.6, method="picard",
+                              snapshot_every=3),
+        "growth_probe_blowup": dict(scenario="growth_probe", n_interior=7, method="imex"),
+        "custom_every3": dict(scenario="custom", n_interior=7, t_end=0.7, snapshot_every=3),
+        "planted": dict(scenario="decay", n_interior=7, t_end=0.3),
+    }
+    # -0.0 must print as 0; the others need every digit or a special form
+    PLANTED = [-0.0, 5e-324, 1e308, math.inf, -5e-324, -1e308, -math.inf]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rows_equal_per_value_format_of_the_trajectory(self, case, tmp_path, monkeypatch):
+        kwargs = dict(self.CASES[case], dt=0.1, output_dir=str(tmp_path / "out"))
+        if kwargs["scenario"] == "custom":
+            x = Grid1D(7).nodes.tolist()
+            ic, src = tmp_path / "ic.txt", tmp_path / "src.txt"
+            ic.write_text("".join(f"{a!r} {math.sin(math.pi * a)!r} {-a!r}\n" for a in x))
+            src.write_text("".join(f"{t} {a!r} {t - a!r} {a * t!r}\n" for t in (0, 1) for a in x))
+            kwargs.update(ic_file=str(ic), source_file=str(src))
+        returned = []
+
+        def solve(*args, **kw):
+            traj = original(*args, **kw)
+            if case == "planted":
+                values, w = traj.values.copy(), traj.w.copy()
+                values[1, 0, :7] = self.PLANTED
+                values[2, 1, :7] = self.PLANTED[::-1]
+                w[3, 1:8] = self.PLANTED
+                traj = dataclasses.replace(traj, values=values, w=w)
+            returned.append(traj)
+            return traj
+
+        original = scenarios.solve
+        monkeypatch.setattr(scenarios, "solve", solve)
+        code = run_scenario(ScenarioConfig(**kwargs))
+        (traj,) = returned
+        assert code == (2 if case == "growth_probe_blowup" else 0)
+        assert len(traj.times) > 2 and traj.values.shape[-1] == kwargs["n_interior"]
+        # some snapshot time, like 3 * 0.1, needs all 17 significant digits
+        assert any(float(format(t, ".16g")) != t for t in traj.times)
+        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        assert lines[1] == "# t x u v w"
+        assert lines[2:] == trajectory_rows(traj)
+
+
 class TestDeterminism:
     def test_run_artifacts_byte_identical(self, tmp_path):
         out = tmp_path / "run"
@@ -720,11 +779,17 @@ class TestCli:
         assert "dissipativity: PASS" in stdout
 
     def test_mms_sources_subcommand_stdout(self, capsys):
-        code = main(["mms-sources", "--n-interior", "7", "--times", "0.0,0.5"])
-        assert code == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "# t x f g"
-        assert len(lines) == 1 + 2 * 9  # two times, full node set each
+        times = (-0.0, 0.5, 3 * 0.1)
+        for n in (1, 7):
+            argv = ["mms-sources", "--n-interior", str(n), "--times=-0,0.5,0.30000000000000004"]
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0] == "# t x f g"
+            assert len(lines) == 1 + 3 * (n + 2)  # three times, full node set each
+            # every row as the per-value format of the table prints it
+            assert "".join(line + "\n" for line in lines[1:]) == per_value_rows(
+                mms_source_table(MmsSpec(), Grid1D(n), times)
+            )
 
     def test_mms_sources_creates_missing_output_dir(self, tmp_path, capsys):
         out = tmp_path / "missing" / "table.txt"

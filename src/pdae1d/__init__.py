@@ -41,7 +41,6 @@ from .scenarios import (
     MmsSpec,
     ScenarioConfig,
     build_mms_sources,
-    mms_source_table,
     mms_state,
     run_convergence,
     run_scenario,

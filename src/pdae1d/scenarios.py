@@ -44,7 +44,6 @@ __all__ = [
     "MmsSpec",
     "mms_state",
     "build_mms_sources",
-    "mms_source_table",
     "initial_state",
     "scenario_sources",
     "run_scenario",
@@ -212,23 +211,6 @@ def build_mms_sources(
     c = coefficients if coefficients is not None else CoefficientSet()
     f_at, g_at = _mms_source_fns(spec, c, grid.nodes)
     return SourcePair(f=lambda t: _freeze(f_at(t)), g=lambda t: _freeze(g_at(t)), kind="mms")
-
-
-def mms_source_table(
-    spec: MmsSpec,
-    grid: Grid1D,
-    times,
-    coefficients: CoefficientSet | None = None,
-) -> np.ndarray:
-    """Rows (t, x, f, g) over all nodes, both end points included.
-
-    Shaped (len(times) * (n+2), 4): the n+2 rows of each time in turn.
-    """
-    c = coefficients if coefficients is not None else CoefficientSet()
-    x = grid.nodes_full
-    f_at, g_at = _mms_source_fns(spec, c, x)
-    blocks = [np.column_stack((np.full_like(x, t), x, f_at(t), g_at(t))) for t in map(float, times)]
-    return np.reshape(blocks, (-1, 4))
 
 
 def _read_profile(path: str, grid: Grid1D) -> StatePair:

@@ -15,13 +15,13 @@ batch whose rows come out bit for bit as if transformed alone.
 
 The sine transform (DST-I) has two kernels, chosen from the row length n
 alone: a cached dense n x n sine matrix, applied as one matrix-vector
-product per row, or scipy's pocketfft.  At the sizes this package runs
-a pocketfft call is mostly overhead (n <= 128), or takes pocketfft's slow
-path when n+1 has a large prime factor p (a generic radix-p pass costs
-about (n+1)*p operations against the matrix's n^2, so pocketfft loses once
-p > n/3; n = 256 has n+1 = 257 prime).  Above n ~ 420 the n^2 matrix loses
-to pocketfft whatever n+1 factors into.  See :func:`_dst` for the rule
-and the measurements behind it.
+product per row, or numpy's real FFT (pocketfft) of the odd extension.
+At the sizes this package runs an FFT call is mostly overhead (n <= 128),
+or takes pocketfft's slow path when n+1 has a large prime factor p (a
+generic radix-p pass costs about (n+1)*p operations against the matrix's
+n^2, so the FFT loses once p > n/3; n = 256 has n+1 = 257 prime).  Above
+n ~ 420 the n^2 matrix loses to the FFT whatever n+1 factors into.  See
+:func:`_dst` for the rule and the measurements behind it.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dst as _fft_dst
-from scipy.linalg import solve_banded
 
 from .fields import Grid1D
 
@@ -66,7 +64,7 @@ def _largest_prime_factor(m: int) -> int:
 
 @lru_cache(maxsize=16)
 def _sine_matrix(n: int) -> np.ndarray | None:
-    """The frozen DST-I matrix 2 sin(pi*j*k/(n+1)), j, k = 1..n; None where pocketfft is faster.
+    """The frozen DST-I matrix 2 sin(pi*j*k/(n+1)), j, k = 1..n; None where the FFT is faster.
 
     j*k is reduced mod 2(n+1), one period of the sine, before it is
     scaled, so every angle is below 2*pi and its entry is within about
@@ -91,7 +89,7 @@ def _dst(x: np.ndarray) -> np.ndarray:
 
     The kernel depends on the row length n alone: the dense sine matrix
     where n <= 128, or where n <= 420 and the largest prime factor of n+1
-    exceeds n/3; pocketfft everywhere else.  The rule never looks at the
+    exceeds n/3; the FFT everywhere else.  The rule never looks at the
     batch: a batch-size rule would let a row of a stack take the other
     kernel than the same row transformed alone, and so differ from it in
     the last bits.  Measured per call in microseconds, pocketfft / dense,
@@ -123,6 +121,11 @@ def _dst(x: np.ndarray) -> np.ndarray:
     was 0.7% above that of the faster kernel at each n, and pocketfft's
     alone 8.9% above it.
 
+    The pocketfft column is scipy's ``dst(type=1)``; numpy's ``rfft`` of the
+    odd extension [0, -x, 0, x reversed] gives its bits at 2-4 us more per
+    call (6.5 -> 8.5 us at (2, 255), 15.4 -> 19.5 at (2, 1023)).  The rule is
+    not re-fit to that, because a re-fit moves the bits at each n it reassigns.
+
     The dense product is one matrix-vector product per row (``np.matmul``
     of a stack of 1 x n rows), never one matrix-matrix product of the
     batch: BLAS GEMM sums a row in an order that depends on the batch
@@ -131,9 +134,13 @@ def _dst(x: np.ndarray) -> np.ndarray:
     takes another BLAS path with other bits.  So a row's result depends on
     the row alone: not on the batch, its layout or the BLAS thread count.
     """
-    matrix = _sine_matrix(x.shape[-1])
+    n = x.shape[-1]
+    matrix = _sine_matrix(n)
     if matrix is None:
-        return _fft_dst(x, type=1)
+        z = np.zeros(x.shape[:-1] + (2 * (n + 1),))
+        np.negative(x, out=z[..., 1 : n + 1])
+        z[..., n + 2 :] = x[..., ::-1]
+        return np.fft.rfft(z).imag[..., 1 : n + 1]
     return np.matmul(np.ascontiguousarray(x, dtype=float)[..., None, :], matrix)[..., 0, :]
 
 
@@ -150,7 +157,7 @@ def to_coeffs(values: np.ndarray) -> np.ndarray:
 
     Leading axes are a batch: one call transforms a whole stack of nodal
     arrays, and each row comes out bit for bit as if transformed alone:
-    the DST-I behind it, a cached dense sine matrix or pocketfft, is
+    the DST-I behind it, a cached dense sine matrix or an FFT, is
     chosen from n alone (see :func:`_dst`).  Inverse of :func:`to_values`.
     """
     return _dst(values) / (values.shape[-1] + 1)
@@ -228,19 +235,28 @@ def solve_shifted(g: np.ndarray, lam: float) -> np.ndarray:
     """Solve (lam*I - Laplacian) u = g by tridiagonal elimination, lam > 0.
 
     The matrix is symmetric positive definite and strictly diagonally
-    dominant for lam > 0, so plain elimination is stable.  Its relative
-    residual grows with n (about 5e-13 at n = 256) and stays inside the
-    1e-12 maximality check up to a few hundred nodes.  ``g`` holds nodal
-    values shaped (..., n); a stack is solved as one multi-column
-    right-hand side.
+    dominant for lam > 0, so elimination without pivoting is stable.  Its
+    relative residual grows with n (about 5e-13 at n = 256) and stays
+    inside the 1e-12 maximality check up to a few hundred nodes.  ``g``
+    holds nodal values shaped (..., n), each row eliminated on its own in
+    LAPACK's order and roundings, so u equals ``scipy.linalg.solve_banded``
+    bit for bit: a loop over n, 0.5 ms at n = 256 for 64 rows (LAPACK: 0.17).
     """
     if lam <= 0:
         raise ValueError("shift must be positive (definiteness is lost otherwise)")
     n = g.shape[-1]
-    h2 = (1.0 / (n + 1)) ** 2
-    ab = np.empty((3, n))
-    ab[0, :] = -1.0 / h2
-    ab[1, :] = lam + 2.0 / h2
-    ab[2, :] = -1.0 / h2
-    u = solve_banded((1, 1), ab, g.reshape(-1, n).T, check_finite=False)
-    return u.T.reshape(g.shape)
+    off = -1.0 / (1.0 / (n + 1)) ** 2
+    diag = lam - 2.0 * off  # lam + 2/h^2: doubling is exact
+    y = np.array(g.reshape(-1, n).T, dtype=float, order="C")
+    rows = list(y)  # row i holds node i of every right-hand side
+    scratch = np.empty(y.shape[1:])
+    pivots = [diag]
+    for i in range(1, n):
+        m = off / pivots[-1]
+        pivots.append(diag - m * off)
+        np.subtract(rows[i], np.multiply(rows[i - 1], m, out=scratch), out=rows[i])
+    np.divide(rows[-1], pivots[-1], out=rows[-1])
+    for i in range(n - 2, -1, -1):
+        np.subtract(rows[i], np.multiply(rows[i + 1], off, out=scratch), out=rows[i])
+        np.divide(rows[i], pivots[i], out=rows[i])
+    return y.T.reshape(g.shape)

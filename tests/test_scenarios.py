@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -18,7 +20,6 @@ from pdae1d import (
     ScenarioConfig,
     SolveConfig,
     build_mms_sources,
-    mms_source_table,
     mms_state,
     run_convergence,
     run_scenario,
@@ -28,6 +29,14 @@ from pdae1d.cli import build_parser, main
 from pdae1d.fields import pair_norm
 from pdae1d.integrators import METHODS
 from pdae1d.scenarios import CONFIG_TYPES, SCENARIOS, _format_block, _write_json, read_config
+
+
+def mms_source_rows(spec, grid, times, c=CoefficientSet()):
+    """Rows (t, x, f, g) over all n+2 nodes, the n+2 rows of each time in turn."""
+    x = grid.nodes_full
+    f_at, g_at = scenarios._mms_source_fns(spec, c, x)
+    blocks = [np.column_stack((np.full_like(x, t), x, f_at(t), g_at(t))) for t in times]
+    return np.concatenate(blocks)
 
 
 def mms_truth(spec, c, t, x):
@@ -49,7 +58,7 @@ class TestMmsSources:
         c = CoefficientSet(d_u=0.8, d_v=1.7, p_u=1.1, p_v=0.4)
         sources = build_mms_sources(spec, grid, c)
         times = (0.0, 0.013, 0.25, 1.7)
-        rows = np.array(mms_source_table(spec, grid, times, c))
+        rows = mms_source_rows(spec, grid, times, c)
         rows = rows.reshape(len(times), grid.n_interior + 2, 4)
         for t, table in zip(times, rows):
             assert np.array_equal(sources.f(t), table[1:-1, 2])
@@ -96,7 +105,7 @@ class TestMmsSources:
 
     def test_sources_vanish_at_ends(self):
         grid = Grid1D(12)
-        rows = mms_source_table(MmsSpec(2.0, -1.5), grid, times=(0.0, 0.4))
+        rows = mms_source_rows(MmsSpec(2.0, -1.5), grid, times=(0.0, 0.4))
         for t, x, f, g in rows:
             if x in (0.0, 1.0):
                 assert abs(f) < 1e-12 and abs(g) < 1e-12
@@ -788,8 +797,15 @@ class TestCli:
             assert len(lines) == 1 + 3 * (n + 2)  # three times, full node set each
             # every row as the per-value format of the table prints it
             assert "".join(line + "\n" for line in lines[1:]) == per_value_rows(
-                mms_source_table(MmsSpec(), Grid1D(n), times)
+                mms_source_rows(MmsSpec(), Grid1D(n), times)
             )
+
+    @pytest.mark.parametrize("times", ["nan", "inf", "0,-inf", "nan,inf"])
+    def test_mms_sources_rejects_non_finite_times(self, times, tmp_path, capsys):
+        out = tmp_path / "table.txt"
+        assert main(["mms-sources", "--times=" + times, "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --times entries must be finite")
+        assert not out.exists()
 
     def test_mms_sources_creates_missing_output_dir(self, tmp_path, capsys):
         out = tmp_path / "missing" / "table.txt"
@@ -858,3 +874,35 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "conv" / "convergence.csv").exists()
         assert "order=" in capsys.readouterr().out
+
+
+def test_commands_do_not_import_scipy(tmp_path):
+    # numpy is the package's one numerical dependency; scipy is a test oracle
+    # only.  A fresh interpreter runs each subcommand and lists the scipy
+    # modules loaded after each: the run at n = 255 takes the FFT kernel of
+    # the sine transform, and verify calls the tridiagonal solve.
+    out = str(tmp_path)
+    commands = [
+        ["run", "--scenario", "mms", "--n-interior", "255", "--t-end", "0.01",
+         "--output-dir", out + "/run"],
+        ["converge", "--dt-levels", "0.01", "--n-levels", "", "--output-dir", out + "/conv"],
+        ["verify", "--sizes", "16"],
+        ["mms-sources", "--n-interior", "255", "--output", out + "/sources.txt"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from pdae1d.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = main(argv)\n"
+        "    loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "    print(json.dumps([argv[0], code, loaded]))\n"
+    )
+    source = os.path.dirname(os.path.dirname(scenarios.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (source, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)], env=env, capture_output=True,
+        text=True, timeout=300, check=True,
+    )
+    reports = [json.loads(line) for line in done.stdout.splitlines() if line.startswith("[")]
+    assert reports == [[argv[0], 0, []] for argv in commands]

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.fft import dst as fft_dst
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_banded
 
 from pdae1d import (
     Grid1D,
@@ -113,6 +113,15 @@ class TestDst:
         stack = np.random.default_rng(n).standard_normal((8, 2, n))
         dense, fast = spectral._dst(stack), fft_dst(stack, type=1)
         assert np.max(np.abs(dense - fast)) <= 1e-13 * np.max(np.abs(fast))
+
+    def test_fft_kernel_equals_scipy_dst(self):
+        # exact oracle: at every n the FFT kernel serves, scipy's DST-I bit for bit
+        sizes = [n for n in range(1, 701) if spectral._sine_matrix(n) is None] + [1023]
+        assert 255 in sizes and 256 not in sizes
+        rng = np.random.default_rng(11)
+        for n in sizes:
+            stack = rng.standard_normal((3, 2, n))
+            assert np.array_equal(spectral._dst(stack), fft_dst(stack, type=1)), n
 
     @pytest.mark.parametrize("n", [255, 256])
     def test_roundtrip_across_the_dispatch(self, n):
@@ -310,6 +319,19 @@ class TestSolveShifted:
             residual[1:] -= u[:-1] / h2
             residual -= g
             assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize("shift", [1.0, 2.5])
+    @pytest.mark.parametrize("n", [1, 2, 16, 64, 256, 1024])
+    def test_equals_lapack_banded_solve(self, n, shift):
+        # exact oracle: LAPACK's tridiagonal solve through scipy, bit for bit
+        h2 = (1.0 / (n + 1)) ** 2
+        bands = np.empty((3, n))
+        bands[[0, 2]] = -1.0 / h2
+        bands[1] = shift + 2.0 / h2
+        stack = np.random.default_rng(n).uniform(-1.0, 1.0, (5, 2, n))
+        for rhs in (stack[0, 0], stack, stack[..., ::-1]):
+            expected = solve_banded((1, 1), bands, rhs.reshape(-1, n).T).T.reshape(rhs.shape)
+            assert np.array_equal(solve_shifted(rhs, shift), expected)
 
     def test_rejects_nonpositive_shift(self):
         for shift in (0.0, -1.0):

@@ -50,9 +50,11 @@ def running_integral(full: np.ndarray, h: float) -> np.ndarray:
     ``full`` holds the integrand at all n+2 nodes, both ends included; the
     result has the same shape and holds int_0^{x_j} at every node.  Leading
     axes are a batch; each row is summed in the same order as a single one.
+    The trapezoids (f_{j-1} + f_j)*(h/2) are summed left to right into the result.
     """
-    out = np.zeros(full.shape)
-    np.cumsum(0.5 * h * (full[..., :-1] + full[..., 1:]), axis=-1, out=out[..., 1:])
+    out = np.empty(full.shape)
+    out[..., 0] = 0.0
+    np.add.accumulate((full[..., :-1] + full[..., 1:]) * (0.5 * h), axis=-1, out=out[..., 1:])
     return out
 
 

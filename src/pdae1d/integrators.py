@@ -20,8 +20,9 @@ the edge, and builds no ``Field``/``StatePair`` after it.
 One factory builds each method's ``step(carry, values, t) -> (carry,
 values, sweeps)``.  For exponential Euler and IMEX the carry is the (2, n)
 sine coefficients, so a step is one batched inverse and one batched
-forward sine transform; a Picard step is one ``picard_slab``, whose sweeps
-each transform all substep samples at once, and carries nothing.  The
+forward sine transform; a Picard step is one ``picard_slab``, and carries
+nothing.  Its first sweep transforms all substep samples at once, and each
+later sweep all but sample 0, the slab's start, which no sweep moves.  The
 public one-step functions are thin calls of the same kernels.  ``solve``
 runs one loop for every method: a step, then one norm that classifies it.
 A norm below the blow-up threshold continues.  Otherwise a finiteness
@@ -319,12 +320,17 @@ def picard_slab(
     ``values`` are the nodal values (2, n) at t.  The iterate is held at
     ``picard_substeps`` uniformly spaced samples of the slab, all swept at
     once: sample i is E^i c_0 + sum_q K[i, q] F_q, with F_q the
-    reaction-plus-source coefficients at sample q.  Sweeping stops when
-    the max-over-samples product-norm change drops below ``picard_tol``,
-    or when that change is non-finite and so is the new iterate (a finite
-    iterate whose squared change overflows keeps sweeping).  Either way the
-    slab's end values are returned, finite or not; the caller classifies
-    them.  Exhausting ``picard_max_iter`` raises
+    reaction-plus-source coefficients at sample q.  E^0 = 1 and K[0] = 0, so
+    sample 0 is c_0 in every sweep: the first sweep transforms all m
+    samples, each later one only the m - 1 that move.  A transformed row does
+    not depend on its batch, so each F_q has the bits of a transform of all
+    m, up to the sign of a zero: the swept sample 0, c_0 + 0*F, turns a -0.0
+    of c_0 into +0.0, and F_0 stays the one made from c_0.  Sweeping stops
+    when the max-over-samples product-norm change drops below
+    ``picard_tol``, or when that change is non-finite and so is the new
+    iterate (a finite iterate whose squared change overflows keeps
+    sweeping).  Either way the slab's end values are returned, finite or not;
+    the caller classifies them.  Exhausting ``picard_max_iter`` raises
     :class:`PicardConvergenceError`.
     """
     grid, c, src = _step_inputs(dt, values, sources, coefficients)
@@ -336,9 +342,11 @@ def picard_slab(
         forcing[i, 1] = src.g(s)
     start = drift * to_coeffs(values)
     iterate = start
+    rhs = to_coeffs(_reaction_terms(to_values(start), c) + forcing)
     diff_norms: list[float] = []
-    for _ in range(config.picard_max_iter):
-        rhs = to_coeffs(_reaction_terms(to_values(iterate), c) + forcing)
+    for sweep in range(config.picard_max_iter):
+        if sweep:  # sample 0 stays start[0], so its rhs[0] stays too
+            rhs[1:] = to_coeffs(_reaction_terms(to_values(iterate[1:]), c) + forcing[1:])
         new = start + np.einsum("iqkn,qkn->ikn", kernel, rhs)
         # Parseval on the unit interval: ||f||_2^2 = (1/2) sum c_k^2
         diffs = 0.5 * np.sum((new - iterate) ** 2, axis=(1, 2))

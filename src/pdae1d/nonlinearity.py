@@ -22,7 +22,7 @@ import numpy as np
 # cumulative_integral, the same function as running_integral, stays bound
 # here because perfbench/tracing.py wraps every module binding of it
 from .constraint import cumulative_integral  # noqa: F401
-from .constraint import running_integral
+from .constraint import _mass, running_integral
 from .fields import Grid1D, _check_finite, _freeze, pair_norm, row_dot
 
 __all__ = [
@@ -83,9 +83,12 @@ def read_node_table(path: str, grid: Grid1D, columns: tuple[str, ...]):
     ``("t", "x", ...)`` for time slabs.  '#' starts a comment; entries are
     separated by commas or whitespace and must be finite.  Each slab lists
     either the n interior nodes or all n + 2 nodes, in any order, with x
-    within 1e-12 of the grid.  ``times`` holds the sorted distinct t (None
-    for a profile); ``values`` is shaped (slabs, columns after x, n) and
-    holds the interior nodes in grid order.
+    within 1e-12 of the grid.  A profile that lists all nodes must hold
+    values within 1e-12 * max(1, largest interior |value|) of 0 at x = 0 and
+    x = 1, the Dirichlet ends; the end rows of a time slab are dropped
+    unchecked.  ``times`` holds the sorted distinct t (None for a profile);
+    ``values`` is shaped (slabs, columns after x, n) and holds the interior
+    nodes in grid order.
     """
     rows = []
     with open(path) as fh:
@@ -123,6 +126,11 @@ def read_node_table(path: str, grid: Grid1D, columns: tuple[str, ...]):
         nodes = grid.nodes_full if full else grid.nodes
         if not np.allclose(block[:, 0], nodes, rtol=0.0, atol=1e-12):
             raise ValueError(f"{path}{where}: x values do not align with the grid")
+        if full and not keyed:
+            # the slack scales with the interior: A*sin(pi*x) rounds to A*1.2e-16 at x = 1
+            slack = 1e-12 * max(1.0, float(np.max(np.abs(block[1:-1, 1:]))))
+            if np.any(np.abs(block[[0, -1], 1:]) > slack):
+                raise ValueError(f"{path}: values at x = 0 and x = 1 must be 0 (Dirichlet ends)")
         slabs.append((block[1:-1] if full else block)[:, 1:].T)
     return times, np.asarray(slabs)
 
@@ -131,7 +139,8 @@ def tabulated_sources(grid: Grid1D, path: str) -> SourcePair:
     """Sources from a table with columns (t, x, f, g), read by :func:`read_node_table`.
 
     Evaluation interpolates linearly in t and clamps outside the tabulated
-    range; values at x = 0 and x = 1, if tabulated, are checked and dropped.
+    range.  Values at x = 0 and x = 1, if tabulated, are dropped without a
+    check: a source at a Dirichlet node never enters the interior solve.
     """
     times, slabs = read_node_table(path, grid, ("t", "x", "f", "g"))
     _freeze(slabs)
@@ -156,16 +165,16 @@ def _reaction_terms(values: np.ndarray, c: CoefficientSet) -> np.ndarray:
     """Source-free reaction (-u*I, +v*I) of nodal pairs shaped (..., 2, n).
 
     I is the trapezoid running integral of p_u*u + p_v*v over the pair with
-    its Dirichlet zero ends, evaluated at the interior nodes.  Leading axes
-    are a batch.
+    its Dirichlet zero ends, evaluated at the interior nodes: the mass from
+    ``constraint._mass`` and the integral from ``running_integral``, the
+    helpers ``reconstruct_w`` uses.  Leading axes are a batch.
     """
-    n = values.shape[-1]
-    full = np.zeros(values.shape[:-1] + (n + 2,))
-    full[..., 1:-1] = values
-    integral = running_integral(c.p_u * full[..., 0, :] + c.p_v * full[..., 1, :], 1.0 / (n + 1))
-    out = np.empty(values.shape)
-    out[..., 0, :] = -values[..., 0, :] * integral[..., 1:-1]
-    out[..., 1, :] = values[..., 1, :] * integral[..., 1:-1]
+    h = 1.0 / (values.shape[-1] + 1)
+    integral = running_integral(_mass(values, c.p_u, c.p_v), h)[..., None, 1:-1]
+    out = np.array(values, dtype=float)
+    # negate u before the product: negating u*I would flip the sign of a NaN in I
+    np.negative(out[..., 0, :], out=out[..., 0, :])
+    out *= integral
     return out
 
 

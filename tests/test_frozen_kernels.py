@@ -1,0 +1,162 @@
+"""The reaction, the trapezoid integral and the Picard sweeps against frozen plain copies.
+
+The package computes the reaction on the shared mass builder and a
+running integral summed straight into its result, and its Picard sweeps
+re-transform only the substep samples that move.  The copies below are the plain forms they
+replaced: a padded (..., 2, n+2) pair, a cumsum of fresh temporaries, and
+every sweep transforming all samples.  Outputs must match them bit for
+bit, NaN payloads and infinities included.  Only the sign of a zero may
+differ, from two sources.  The shared mass builder pads with +0.0 where
+the padded pair gave p_u*0 + p_v*0, which is -0.0 when both are negative.
+And a Picard sweep's sample 0 is start + 0*rhs, which turns a -0.0 start
+coefficient into +0.0: the plain loop re-transformed that +0.0, the
+package keeps the right-hand side made from the -0.0.  Any sum with a
+nonzero term or a +0.0 source erases either difference.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from pdae1d import CoefficientSet, Grid1D, PicardConvergenceError, SolveConfig, SourcePair
+from pdae1d import constraint, integrators, zero_sources
+from pdae1d.nonlinearity import _reaction_terms
+from pdae1d.spectral import to_coeffs, to_values
+
+SIZES = (1, 2, 7, 31, 128, 255, 256)
+IMPACTS = (1.0, -0.7, 0.0, 2.5)
+PAIRS = [(p_u, p_v) for p_u in IMPACTS for p_v in IMPACTS] + [(-1.3, -2.5)]
+
+
+def frozen_running_integral(full, h):
+    out = np.zeros(full.shape)
+    np.cumsum(0.5 * h * (full[..., :-1] + full[..., 1:]), axis=-1, out=out[..., 1:])
+    return out
+
+
+def frozen_reaction_terms(values, c):
+    n = values.shape[-1]
+    full = np.zeros(values.shape[:-1] + (n + 2,))
+    full[..., 1:-1] = values
+    integral = frozen_running_integral(c.p_u * full[..., 0, :] + c.p_v * full[..., 1, :], 1.0 / (n + 1))
+    out = np.empty(values.shape)
+    out[..., 0, :] = -values[..., 0, :] * integral[..., 1:-1]
+    out[..., 1, :] = values[..., 1, :] * integral[..., 1:-1]
+    return out
+
+
+def frozen_reconstruct_w(values, p_u, p_v):
+    h = 1.0 / (values.shape[-1] + 1)
+    return frozen_running_integral(-frozen_running_integral(constraint._mass(values, p_u, p_v), h), h)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def frozen_picard_slab(values, t, dt, config, src, c):
+    """(end values, sweeps, diff_norms), or ("no convergence", sweeps, diff_norms)."""
+    m = config.picard_substeps
+    drift, kernel = integrators._picard_weights(Grid1D(values.shape[-1]), dt / (m - 1), m, c)
+    forcing = np.empty(drift.shape)
+    for i, s in enumerate(integrators._substep_times(t, dt, m)):
+        forcing[i, 0] = src.f(s)
+        forcing[i, 1] = src.g(s)
+    start = drift * to_coeffs(values)
+    iterate = start
+    diff_norms = []
+    for _ in range(config.picard_max_iter):
+        rhs = to_coeffs(frozen_reaction_terms(to_values(iterate), c) + forcing)
+        new = start + np.einsum("iqkn,qkn->ikn", kernel, rhs)
+        diffs = 0.5 * np.sum((new - iterate) ** 2, axis=(1, 2))
+        change = float(np.sqrt(np.max(diffs)))
+        diff_norms.append(change)
+        iterate = new
+        if change < config.picard_tol or not (math.isfinite(change) or np.all(np.isfinite(new))):
+            return to_values(new[-1]), len(diff_norms), tuple(diff_norms)
+    return "no convergence", config.picard_max_iter, tuple(diff_norms)
+
+
+def picard(values, t, dt, config, src, c):
+    try:
+        result = integrators.picard_slab(values, t, dt, config, src, c)
+    except PicardConvergenceError as err:
+        return "no convergence", err.iterations, err.diff_norms
+    return result
+
+
+def same_bits(a, b):
+    """Equal bit for bit, NaN payloads included, except for the sign of a zero."""
+    a, b = np.asarray(a, dtype=float) + 0.0, np.asarray(b, dtype=float) + 0.0
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def states(n, rng):
+    yield "random", rng.standard_normal((2, n))
+    yield "stack", rng.standard_normal((5, 2, n)) * np.array([1e-3, 1.0, 30.0, 1e150, 0.0])[:, None, None]
+    yield "zero", np.zeros((2, n))
+    non_finite = rng.standard_normal((2, n))
+    non_finite[0, n // 2], non_finite[1, -1] = np.inf, -np.inf  # I turns inf, then NaN
+    yield "non-finite", non_finite
+    yield "zero stack", np.zeros((5, 2, n))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_reaction_and_profiles_equal_the_frozen_copies(n):
+    rng = np.random.default_rng(n)
+    for p_u, p_v in PAIRS:
+        c = CoefficientSet(p_u=p_u, p_v=p_v)
+        for kind, values in states(n, rng):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = _reaction_terms(values, c), frozen_reaction_terms(values, c)
+            assert np.array_equal(got, want, equal_nan=True), (kind, p_u, p_v)
+            assert same_bits(got, want), (kind, p_u, p_v)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = constraint.reconstruct_w(values, p_u, p_v)
+                want = frozen_reconstruct_w(values, p_u, p_v)
+            assert same_bits(got, want), (kind, p_u, p_v)
+    full = rng.standard_normal((3, 2, n + 2))
+    h = 1.0 / (n + 1)
+    assert same_bits(constraint.running_integral(full, h), frozen_running_integral(full, h))
+    assert same_bits(constraint.running_integral(full[1, 0], h), frozen_running_integral(full[1, 0], h))
+
+
+def slab_cases(n):
+    """(name, values, dt, config, sources, coefficients) of slabs at n nodes."""
+    rng = np.random.default_rng(100 + n)
+    grid = Grid1D(n)
+    x = grid.nodes
+    wave = 0.4 * np.sin(np.pi * x) * np.cos(3.0 * x)
+    sources = SourcePair(f=lambda t: np.cos(t) * wave, g=lambda t: np.sin(2.0 * t) * np.sin(np.pi * x))
+    for p_u, p_v in PAIRS[::3] + [(-1.3, -2.5)]:
+        c = CoefficientSet(d_u=1.0, d_v=0.3, p_u=p_u, p_v=p_v)
+        config = SolveConfig(dt=0.005, t_end=0.005, method="picard")
+        yield f"sources p=({p_u}, {p_v})", rng.standard_normal((2, n)), 0.005, config, sources, c
+        yield f"zero p=({p_u}, {p_v})", np.zeros((2, n)), 0.005, config, zero_sources(grid), c
+    # a large state whose sweep budget runs out
+    tight = SolveConfig(dt=0.05, t_end=0.05, method="picard", picard_max_iter=3)
+    yield "budget", 100.0 * rng.standard_normal((2, n)), 0.05, tight, zero_sources(grid), CoefficientSet()
+    # sources stepping from 0 at t to a huge value: 1e308 turns the first
+    # sweep non-finite, 1e160 the second, and 1e100 keeps a finite iterate
+    # whose squared change overflows until the budget runs out
+    long = SolveConfig(dt=0.5, t_end=1.0, method="picard")
+    for height in (1e308, 1e160, 1e100):
+        top = np.full(n, height)
+        step = SourcePair(f=lambda t, top=top: top * (t > 0), g=lambda t, top=top: top * (t > 0))
+        yield f"0 -> {height:g}", np.zeros((2, n)), 0.5, long, step, CoefficientSet()
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_picard_slabs_equal_the_frozen_sweep_loop(n):
+    endings = set()
+    for name, values, dt, config, src, c in slab_cases(n):
+        got = picard(values, 0.0, dt, config, src, c)
+        want = frozen_picard_slab(values, 0.0, dt, config, src, c)
+        assert got[1] == want[1], name
+        assert same_bits(got[2], want[2]), name
+        if isinstance(want[0], str):
+            assert got[0] == want[0], name
+            endings.add("no convergence")
+        else:
+            assert same_bits(got[0], want[0]), name
+            endings.add("finite" if np.all(np.isfinite(want[0])) else f"non-finite after {want[1]}")
+    # every ending is reached: converged, out of budget, non-finite in sweep 1 and in sweep 2
+    assert endings == {"finite", "no convergence", "non-finite after 1", "non-finite after 2"}

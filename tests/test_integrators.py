@@ -426,19 +426,33 @@ class TestArrayCore:
             return dst(x, *args, **kwargs)
 
         monkeypatch.setattr(spectral, "_dst", counting)
+        sweeps_per_slab = []
+        slab = integrators.picard_slab
+
+        def recording(*args, **kwargs):
+            result = slab(*args, **kwargs)
+            sweeps_per_slab.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(integrators, "picard_slab", recording)
         grid = Grid1D(31)
         spec = MmsSpec()
         cfg = SolveConfig(dt=0.01, t_end=0.06, method=method, snapshot_every=2)
         traj = solve(mms_state(spec, grid, 0.0), cfg, build_mms_sources(spec, grid))
         assert traj.steps_taken == 6
-        pair, samples = (2, 31), (cfg.picard_substeps, 2, 31)
+        m = cfg.picard_substeps
+        pair, samples, moving = (2, 31), (m, 2, 31), (m - 1, 2, 31)
         if method == "picard":
-            # a forward and an inverse transform of all samples per sweep,
-            # and per slab the start coefficients and the end values
-            assert traj.picard_iterations_total >= traj.steps_taken
-            assert shapes.count(samples) == 2 * traj.picard_iterations_total
-            assert shapes.count(pair) == 2 * traj.steps_taken
-            assert len(shapes) == 2 * (traj.picard_iterations_total + traj.steps_taken)
+            # per slab: the start coefficients, an inverse and a forward
+            # transform of all samples in the first sweep, the pair of all
+            # but the unchanging sample 0 in each later sweep, the end values
+            assert len(sweeps_per_slab) == traj.steps_taken
+            assert sum(sweeps_per_slab) == traj.picard_iterations_total
+            assert traj.picard_iterations_total > traj.steps_taken
+            expected = []
+            for sweeps in sweeps_per_slab:
+                expected += [pair, samples, samples] + [moving] * (2 * (sweeps - 1)) + [pair]
+            assert shapes == expected
         else:
             # the initial state once per march, then two per step
             assert shapes == [pair] * (1 + 2 * traj.steps_taken)

@@ -619,12 +619,20 @@ class TestCli:
             ]
             assert rows[0] and rows[0] == rows[1]
 
+    # the cases that read the IC file fail for their own reason, not a parse error
+    MESSAGES = {
+        "nonzero_ic_end": "values at x = 0 and x = 1 must be 0",
+        "non_finite_source": "table entries must be finite",
+        "mms_ic_file": "ic_file and source_file not allowed",
+    }
+
     @pytest.mark.parametrize(
         "case",
         [
             "n_interior_zero",
             "zero_diffusion",
             "empty_ic_file",
+            "nonzero_ic_end",
             "config_list",
             "config_string_dt",
             "config_infinite_t_end",
@@ -643,7 +651,7 @@ class TestCli:
         out = ["--output-dir", str(tmp_path / "out")]
         grid = Grid1D(3)
         ic = tmp_path / "ic.txt"
-        ic.write_text("".join(f"{x!r} 0.1 0.2\n" for x in grid.nodes))
+        ic.write_text("".join(f"{x!r} 0.1 0.2\n" for x in grid.nodes.tolist()))
         config = tmp_path / "cfg.json"
         blocker = tmp_path / "a_file"
         blocker.write_text("")
@@ -654,6 +662,11 @@ class TestCli:
         elif case == "empty_ic_file":
             (tmp_path / "empty.txt").write_text("")
             argv = ["run", "--scenario", "custom", "--ic-file", str(tmp_path / "empty.txt")] + out
+        elif case == "nonzero_ic_end":
+            # all nodes listed, with u(0) = 1 at a Dirichlet end
+            rows = [(0.0, 1.0, 0.0)] + [(x, 0.1, 0.2) for x in grid.nodes.tolist()] + [(1.0, 0.0, 0.0)]
+            ic.write_text("".join(f"{x!r} {u!r} {v!r}\n" for x, u, v in rows))
+            argv = ["run", "--scenario", "custom", "--n-interior", "3", "--ic-file", str(ic)] + out
         elif case == "config_list":
             config.write_text("[1, 2]")
             argv = ["run", "--config", str(config)] + out
@@ -669,7 +682,7 @@ class TestCli:
             argv = ["run", "--method", "picard", "--picard-tol", "nan"] + out
         elif case == "non_finite_source":
             table = tmp_path / "src.txt"
-            table.write_text("".join(f"0.0 {x!r} nan 0.0\n" for x in grid.nodes))
+            table.write_text("".join(f"0.0 {x!r} nan 0.0\n" for x in grid.nodes.tolist()))
             argv = ["run", "--scenario", "custom", "--n-interior", "3", "--ic-file", str(ic)]
             argv += ["--source-file", str(table), "--dt", "0.01", "--t-end", "0.02"] + out
         elif case == "mms_ic_file":
@@ -686,7 +699,11 @@ class TestCli:
         else:
             argv = ["converge", "--dt-levels", ",", "--n-levels", ","] + out
         assert main(argv) == 1
-        assert "error: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: " in err
+        if case in self.MESSAGES:
+            assert self.MESSAGES[case] in err
+
     def test_run_subcommand(self, tmp_path, capsys):
         code = main(
             [

@@ -5,6 +5,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,10 @@ from pdae1d.nonlinearity import read_node_table
 PROFILE = ("x", "u", "v")
 SOURCES = ("t", "x", "f", "g")
 SEPARATORS = (" ", "  ", "\t", ",", ", ", " ,")
-CORRUPTIONS = ("none", "columns", "misaligned", "duplicate_x", "non_finite")
+CORRUPTIONS = ("none", "columns", "misaligned", "duplicate_x", "non_finite", "nonzero_end")
+# what a profile may hold at its Dirichlet ends x = 0 and x = 1 at any interior scale:
+# zero within 1e-12 * max(1, largest interior |value|)
+END_VALUES = (0.0, -0.0, 1e-13, -1e-12, 1e-12)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -40,6 +44,9 @@ def tables(draw):
         full = draw(st.booleans())
         nodes = grid.nodes_full if full else grid.nodes
         values = draw(st.lists(st.tuples(finite, finite), min_size=len(nodes), max_size=len(nodes)))
+        if full and not keyed:
+            ends = st.tuples(st.sampled_from(END_VALUES), st.sampled_from(END_VALUES))
+            values[0], values[-1] = draw(ends), draw(ends)
         slab = [([t] if keyed else []) + [float(x), a, b] for x, (a, b) in zip(nodes, values)]
         rows.append(slab)
         slabs.append(np.array(values[1:-1] if full else values).T)
@@ -61,6 +68,15 @@ def tables(draw):
         else:
             other = slab[draw(st.integers(0, len(slab) - 1).filter(lambda i: slab[i] is not row))]
             row[x_col] = other[x_col]
+    elif corruption == "nonzero_end":
+        if keyed or len(slab) == n:
+            corruption = "none"  # only a profile listing all nodes has checked ends
+        else:
+            end = slab[draw(st.sampled_from((0, -1)))]
+            sign = draw(st.sampled_from((-1.0, 1.0)))
+            end[draw(st.sampled_from((1, 2)))] = value = sign * draw(st.floats(2e-12, 1e300))
+            if abs(value) <= 1e-12 * max(1.0, max(abs(v) for r in slab[1:-1] for v in r[1:])):
+                corruption = "none"  # inside the slack of a large interior
     elif corruption == "non_finite":
         row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
 
@@ -107,3 +123,26 @@ def test_arbitrary_text_never_raises_anything_but_value_error(text, n, columns):
         read(text, Grid1D(n), columns)
     except ValueError:
         pass
+
+
+def test_profile_ends_must_be_zero_and_source_ends_are_dropped():
+    grid = Grid1D(3)
+    interior = "".join(f"{x!r} 0.5 -0.5\n" for x in grid.nodes.tolist())
+    for u0, v1 in ((0.0, 0.0), (-1e-12, 1e-12)):
+        _, values = read(f"0.0 {u0!r} 0.0\n{interior}1.0 0.0 {v1!r}\n", grid, PROFILE)
+        assert np.array_equal(values, [[[0.5] * 3, [-0.5] * 3]])
+    for u0, v1 in ((1.0, 0.0), (0.0, -1.1e-12), (1e300, 0.0)):
+        with pytest.raises(ValueError, match="must be 0"):
+            read(f"0.0 {u0!r} 0.0\n{interior}1.0 0.0 {v1!r}\n", grid, PROFILE)
+    # the slack scales with the interior: A*sin(pi*x) on all nodes, A*1.2e-16 at x = 1
+    for amplitude in (1e4, 1e200):
+        u = amplitude * np.sin(np.pi * grid.nodes_full)
+        assert u[-1] > 1e-12
+        rows = [f"{x!r} {a!r} {-a!r}\n" for x, a in zip(grid.nodes_full.tolist(), u.tolist())]
+        _, values = read("".join(rows), grid, PROFILE)
+        assert np.array_equal(values, [[u[1:-1], -u[1:-1]]])
+        with pytest.raises(ValueError, match="must be 0"):
+            read("".join(rows[:-1]) + f"1.0 {2e-12 * amplitude!r} 0.0\n", grid, PROFILE)
+    slab = "".join(f"0.0 {x!r} 2.0 {-x!r}\n" for x in grid.nodes_full.tolist())
+    _, values = read(slab, grid, SOURCES)
+    assert np.array_equal(values, [[[2.0] * 3, -grid.nodes]])

@@ -177,8 +177,8 @@ class PicardResult(NamedTuple):
 class PicardConvergenceError(RuntimeError):
     """Raised when a slab's fixed point does not contract within the sweep budget.
 
-    It means only "no convergence": a slab whose iterate turns non-finite
-    returns its end values, and ``solve`` classifies them.
+    It means only "no convergence": a slab whose end values turn non-finite
+    or reach the blow-up threshold returns them, and ``solve`` classifies them.
     """
 
     def __init__(self, t: float, iterations: int, diff_norms: tuple[float, ...]):
@@ -327,11 +327,13 @@ def picard_slab(
     m, up to the sign of a zero: the swept sample 0, c_0 + 0*F, turns a -0.0
     of c_0 into +0.0, and F_0 stays the one made from c_0.  Sweeping stops
     when the max-over-samples product-norm change drops below
-    ``picard_tol``, or when that change is non-finite and so is the new
-    iterate (a finite iterate whose squared change overflows keeps
-    sweeping).  Either way the slab's end values are returned, finite or not;
-    the caller classifies them.  Exhausting ``picard_max_iter`` raises
-    :class:`PicardConvergenceError`.
+    ``picard_tol``, and the end values are returned.  It also stops when
+    that change is non-finite (NaN, or a squared change that overflowed):
+    end values that are non-finite or whose norm reaches
+    ``blowup_threshold`` are returned for the caller to classify, as the
+    other methods' are.  Any other ending, finite end values after a
+    non-finite change or ``picard_max_iter`` sweeps spent, raises
+    :class:`PicardConvergenceError`, so an unconverged slab never passes.
     """
     grid, c, src = _step_inputs(dt, values, sources, coefficients)
     m = config.picard_substeps
@@ -353,10 +355,16 @@ def picard_slab(
         change = float(np.sqrt(np.max(diffs)))
         diff_norms.append(change)
         iterate = new
-        # a non-finite change with a finite iterate only overflowed when squared
-        if change < config.picard_tol or not (math.isfinite(change) or np.all(np.isfinite(new))):
+        if change < config.picard_tol:
             return PicardResult(to_values(new[-1]), len(diff_norms), tuple(diff_norms))
-    raise PicardConvergenceError(t, config.picard_max_iter, tuple(diff_norms))
+        if not math.isfinite(change):
+            # the sweeps cannot contract from here: end values that are
+            # non-finite or a blow-up candidate go to the caller to classify
+            end = to_values(new[-1])
+            if not pair_norm(end, grid.h) < config.blowup_threshold:
+                return PicardResult(end, len(diff_norms), tuple(diff_norms))
+            break
+    raise PicardConvergenceError(t, len(diff_norms), tuple(diff_norms))
 
 
 def _non_finite_reason(sources: SourcePair, times) -> str:

@@ -203,7 +203,7 @@ def semigroup_apply(values: np.ndarray, t, d_u: float = 1.0, d_v: float = 1.0) -
     ``values`` are nodal pairs shaped (..., 2, n), with t a scalar or an
     array over the leading axes.
     """
-    if np.any(np.asarray(t) < 0):
+    if not np.all(np.asarray(t) >= 0):  # a NaN t fails this too
         raise ValueError("the heat semigroup is defined for t >= 0 only")
     return _weigh_modes(values, np.exp, t, d_u, d_v)
 
@@ -226,7 +226,7 @@ def phi1(z):
 
 def phi1_apply(values: np.ndarray, t: float, d_u: float = 1.0, d_v: float = 1.0) -> np.ndarray:
     """Scale each sine coefficient of nodal pairs (..., 2, n) by phi1(d * lambda_k * t), t > 0."""
-    if t <= 0:
+    if not t > 0:  # a NaN t fails this too
         raise ValueError("phi1 weight requires t > 0")
     return _weigh_modes(values, phi1, t, d_u, d_v)
 

@@ -12,6 +12,10 @@ And a Picard sweep's sample 0 is start + 0*rhs, which turns a -0.0 start
 coefficient into +0.0: the plain loop re-transformed that +0.0, the
 package keeps the right-hand side made from the -0.0.  Any sum with a
 nonzero term or a +0.0 source erases either difference.
+
+One Picard ending differs by design.  The package ends the sweeps at the
+first non-finite change; the plain loop sweeps on while its iterate stays
+finite.  There the package's sweep changes must be a prefix of the loop's.
 """
 
 import math
@@ -21,6 +25,7 @@ import pytest
 
 from pdae1d import CoefficientSet, Grid1D, PicardConvergenceError, SolveConfig, SourcePair
 from pdae1d import constraint, integrators, zero_sources
+from pdae1d.fields import pair_norm
 from pdae1d.nonlinearity import _reaction_terms
 from pdae1d.spectral import to_coeffs, to_values
 
@@ -135,8 +140,8 @@ def slab_cases(n):
     tight = SolveConfig(dt=0.05, t_end=0.05, method="picard", picard_max_iter=3)
     yield "budget", 100.0 * rng.standard_normal((2, n)), 0.05, tight, zero_sources(grid), CoefficientSet()
     # sources stepping from 0 at t to a huge value: 1e308 turns the first
-    # sweep non-finite, 1e160 the second, and 1e100 keeps a finite iterate
-    # whose squared change overflows until the budget runs out
+    # sweep non-finite; 1e160 and 1e100 leave a finite iterate whose squared
+    # change overflows in sweep 1 and 2, and the frozen loop sweeps on
     long = SolveConfig(dt=0.5, t_end=1.0, method="picard")
     for height in (1e308, 1e160, 1e100):
         top = np.full(n, height)
@@ -150,6 +155,15 @@ def test_picard_slabs_equal_the_frozen_sweep_loop(n):
     for name, values, dt, config, src, c in slab_cases(n):
         got = picard(values, 0.0, dt, config, src, c)
         want = frozen_picard_slab(values, 0.0, dt, config, src, c)
+        overflow = next(i + 1 for i, d in enumerate(want[2] + (math.nan,)) if not math.isfinite(d))
+        if overflow < want[1]:
+            # the package ends the sweeps at the first non-finite change and
+            # hands its finite end values on as a blow-up candidate
+            assert got[1] == overflow and same_bits(got[2], want[2][:overflow]), name
+            assert np.all(np.isfinite(got[0])), name
+            assert not pair_norm(got[0], 1.0 / (n + 1)) < config.blowup_threshold, name
+            endings.add(f"overflow after {overflow}")
+            continue
         assert got[1] == want[1], name
         assert same_bits(got[2], want[2]), name
         if isinstance(want[0], str):
@@ -158,5 +172,6 @@ def test_picard_slabs_equal_the_frozen_sweep_loop(n):
         else:
             assert same_bits(got[0], want[0]), name
             endings.add("finite" if np.all(np.isfinite(want[0])) else f"non-finite after {want[1]}")
-    # every ending is reached: converged, out of budget, non-finite in sweep 1 and in sweep 2
-    assert endings == {"finite", "no convergence", "non-finite after 1", "non-finite after 2"}
+    # every ending is reached: converged, out of budget, non-finite in sweep 1,
+    # and an overflowing change in sweep 1 and in sweep 2
+    assert endings == {"finite", "no convergence", "non-finite after 1", "overflow after 1", "overflow after 2"}

@@ -204,6 +204,40 @@ class TestPicard:
         assert excinfo.value.iterations == 8
         assert np.isfinite(excinfo.value.contraction_estimate)
 
+    @pytest.mark.parametrize("n", [7, 256])
+    def test_overflowing_change_ends_the_slab(self, n):
+        # sources stepping from 0 to 1e100: the squared change of sweep 2
+        # overflows while the iterate stays finite
+        grid = Grid1D(n)
+        top = np.full(n, 1e100)
+        sources = SourcePair(f=lambda t: top * (t > 0), g=lambda t: top * (t > 0))
+        zero = as_pair(grid, np.zeros((2, n)))
+        for method, t_blowup in (("exp_euler", 1.0), ("imex", 1.0), ("picard", 0.5)):
+            traj = solve(zero, SolveConfig(dt=0.5, t_end=1.0, method=method), sources)
+            assert traj.status == RunStatus.blowup_detected(t_blowup), method
+        cfg = SolveConfig(dt=0.5, t_end=1.0, method="picard")
+        result = picard_slab(np.zeros((2, n)), 0.0, 0.5, cfg, sources)
+        assert result.iterations == traj.picard_iterations_total == 2
+        assert math.isfinite(result.diff_norms[0]) and result.diff_norms[1] == math.inf
+        assert np.all(np.isfinite(result.values))
+        assert pair_norm(result.values, grid.h) >= cfg.blowup_threshold
+
+    @pytest.mark.parametrize("n", [7, 256])
+    def test_overflowing_change_with_a_small_end_raises(self, n):
+        # a 1e200 source at the slab's second substep sample only: its
+        # change overflows in sweep 1, and a slab of 30 time units damps
+        # the end values to a norm below the threshold.  They have not
+        # converged, so the slab raises rather than pass them on
+        top, zero = np.full(n, 1e200), np.zeros(n)
+        sources = SourcePair(f=lambda t: top if t == 10.0 else zero, g=lambda t: zero)
+        cfg = SolveConfig(dt=30.0, t_end=30.0, method="picard", blowup_threshold=1e300)
+        with pytest.raises(PicardConvergenceError) as excinfo:
+            picard_slab(np.zeros((2, n)), 0.0, 30.0, cfg, sources)
+        assert excinfo.value.iterations == 1 and excinfo.value.diff_norms == (math.inf,)
+        traj = solve(as_pair(Grid1D(n), np.zeros((2, n))), cfg, sources)
+        assert traj.status == RunStatus.step_failure(0.0, str(excinfo.value))
+        assert traj.picard_iterations_total == 1
+
     def test_solve_reports_step_failure_with_partial_trajectory(self):
         grid = Grid1D(16)
         state = as_pair(grid, 50.0 * decay_values(grid, amplitude=1.0))
@@ -520,9 +554,8 @@ class TestClassification:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_finite_source_driving_the_norm_past_overflow(self, method):
-        # exp_euler/imex reach a finite state whose norm is inf; a Picard slab
-        # keeps sweeping past a change whose square overflows, then its
-        # reaction overflows and the slab ends non-finite
+        # every method reaches a finite state whose norm is inf; a Picard slab
+        # ends its sweeps at the first change whose square overflows
         grid = Grid1D(16)
         big, zero = np.full(16, 1e200), np.zeros(16)
         sources = SourcePair(f=lambda t: big, g=lambda t: zero)
@@ -537,15 +570,13 @@ class TestClassification:
                 stepped = step(np.zeros((2, 16)), 0.0, cfg.dt, sources)
                 norm = pair_norm(stepped, grid.h)
         if method == "picard":
-            assert traj.status == RunStatus.step_failure(0.0, "non-finite state")
-            assert traj.steps_taken == 0 and traj.times == [0.0]
-            assert result.iterations == traj.picard_iterations_total == 2
-            assert result.diff_norms[0] == math.inf and not np.all(np.isfinite(result.values))
-        else:
-            assert traj.status == RunStatus.blowup_detected(0.01)
-            assert traj.steps_taken == 1 and traj.times == [0.0, 0.01]
-            assert np.all(np.isfinite(traj.values))
-            assert np.array_equal(stepped, traj.values[-1]) and norm == math.inf
+            assert result.iterations == traj.picard_iterations_total == 1
+            assert result.diff_norms == (math.inf,)
+            stepped, norm = result.values, pair_norm(result.values, grid.h)
+        assert traj.status == RunStatus.blowup_detected(0.01)
+        assert traj.steps_taken == 1 and traj.times == [0.0, 0.01]
+        assert np.all(np.isfinite(traj.values))
+        assert np.array_equal(stepped, traj.values[-1]) and norm == math.inf
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("component", ["f", "g", "both"])

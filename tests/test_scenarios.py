@@ -398,14 +398,14 @@ class TestRunScenario:
             warnings.simplefilter("error")
             code = run_scenario(cfg)
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        # (exit code, status, steps, snapshots, Picard sweeps), as before the
-        # warnings were silenced
+        # (exit code, status, steps, snapshots, Picard sweeps); a Picard slab
+        # ends at its first sweep, whose squared change overflows, with a
+        # finite state of infinite norm
         blowup = {"kind": "blowup_detected", "t": 0.0, "reason": None}
         if case == "huge_ic":
             expected = (2, blowup, 0, 1, 0)
         elif method == "picard":
-            failure = {"kind": "step_failure", "t": 0.0, "reason": "non-finite state"}
-            expected = (1, failure, 0, 1, 2)
+            expected = (2, dict(blowup, t=0.001), 1, 2, 1)
         else:
             expected = (2, dict(blowup, t=0.002), 2, 3, 0)
         timings = summary["timings"]

@@ -215,6 +215,11 @@ class TestSemigroup:
         with pytest.raises(ValueError):
             semigroup_apply(np.zeros((2, 4)), -0.1)
 
+    @pytest.mark.parametrize("t", [np.nan, np.array([0.1, np.nan])], ids=["scalar", "array"])
+    def test_rejects_nan_duration(self, t):
+        with pytest.raises(ValueError):
+            semigroup_apply(np.zeros((2, 2, 4)), t)
+
     def test_contraction_random_sample(self):
         grid = Grid1D(32)
         rng = np.random.default_rng(21)
@@ -286,6 +291,10 @@ class TestPhi1:
         for t in (0.0, -0.5):
             with pytest.raises(ValueError):
                 phi1_apply(state, t)
+
+    def test_rejects_nan_duration(self):
+        with pytest.raises(ValueError):
+            phi1_apply(np.zeros((2, 4)), np.nan)
 
 
 class TestSolveShifted:

@@ -89,6 +89,50 @@ class TestSemigroup:
         with pytest.raises(ValueError):
             check_semigroup(10, Grid1D(8), seed=0, times=(-0.1,))
 
+    def test_rejects_nan_times(self):
+        with pytest.raises(ValueError):
+            check_semigroup(10, Grid1D(8), seed=0, times=(0.1, np.nan))
+
+    # (semigroup_apply calls, DST rows) of check_semigroup(50, Grid1D(n)): per
+    # block one call for times, t + s and s and one for S(t) of the S(s) row;
+    # then the 18 halvings in chunks and the 4 generator durations in one call
+    @pytest.mark.parametrize("n, calls, rows", [(16, 4, 1146), (64, 14, 1178), (256, 44, 1274)])
+    def test_transforms_each_state_once_per_call(self, n, calls, rows, monkeypatch):
+        counts = {"apply": 0, "dst": 0, "rows": 0}
+        true_apply, true_dst = spectral.semigroup_apply, spectral._dst
+
+        def apply(values, t, **k):
+            counts["apply"] += 1
+            return true_apply(values, t, **k)
+
+        def dst(x):
+            counts["dst"] += 1
+            counts["rows"] += x.size // x.shape[-1]
+            return true_dst(x)
+
+        monkeypatch.setattr(spectral, "semigroup_apply", apply)
+        monkeypatch.setattr(spectral, "_dst", dst)
+        assert check_semigroup(50, Grid1D(n), seed=3).passed
+        # two transforms per call, and one to build the smooth state
+        assert counts == {"apply": calls, "dst": 2 * calls + 1, "rows": rows}
+
+    @pytest.mark.parametrize("times", [(0.01, 0.1, 1.0), (0.0, 0.01, 0.1, 0.5, 2.0)])
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_stacked_calls_stay_block_sized(self, n, times, monkeypatch):
+        from pdae1d.verification import _BLOCK_POINTS
+
+        sizes = []
+        true_apply = spectral.semigroup_apply
+
+        def apply(values, t, **k):
+            out = true_apply(values, t, **k)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(spectral, "semigroup_apply", apply)
+        check_semigroup(300, Grid1D(n), seed=1, times=times)
+        assert max(sizes) <= max(2 * _BLOCK_POINTS, 2 * n * (len(times) + 2))
+
 
 class TestLipschitz:
     def test_passes_and_records_sharpest_ratio(self):
@@ -108,6 +152,11 @@ class TestLipschitz:
     def test_rejects_bad_levels(self):
         with pytest.raises(ValueError):
             check_lipschitz(10, Grid1D(8), seed=0, C_levels=(0.0,))
+
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_levels(self, level):
+        with pytest.raises(ValueError):
+            check_lipschitz(10, Grid1D(8), seed=0, C_levels=(1.0, level))
 
 
 class TestReports:
@@ -294,14 +343,31 @@ ORACLES = {
 }
 
 
+# each check at its defaults, and the two checks that take durations or
+# levels with other ones
+CASES = [(check, {}) for check in ORACLES] + [
+    (check_semigroup, {"times": (0.3,)}),
+    (check_semigroup, {"times": (0.0, 0.01, 0.1, 0.5, 2.0)}),
+    (check_lipschitz, {"C_levels": (2.0,)}),
+    (check_lipschitz, {"C_levels": (0.1, 3.0, 7.5, 20.0)}),
+]
+
+
+def case_id(case):
+    check, options = case
+    values = [f"{key}=" + ",".join(map(str, value)) for key, value in options.items()]
+    return "-".join([check.__name__] + values)
+
+
 # sample counts that leave a partial last block (blocks hold 4096 // n samples)
 @pytest.mark.parametrize("n, n_samples", [(1, 5), (2, 7), (16, 300), (63, 70), (256, 37)])
 @pytest.mark.parametrize("seed", [0, 7, 2024])
-@pytest.mark.parametrize("check", list(ORACLES), ids=lambda check: check.__name__)
+@pytest.mark.parametrize("check", CASES, ids=case_id)
 def test_batched_check_equals_per_sample_oracle(check, seed, n, n_samples):
+    check, options = check
     grid = Grid1D(n)
-    report = check(n_samples, grid, seed=seed)
-    worst, observed = ORACLES[check](n_samples, grid, seed)
+    report = check(n_samples, grid, seed=seed, **options)
+    worst, observed = ORACLES[check](n_samples, grid, seed, **options)
     assert report.worst_value == worst
     assert report.observed == observed
 
@@ -326,6 +392,20 @@ class TestPlantedDefects:
         true_solve = spectral.solve_shifted
         monkeypatch.setattr(spectral, "solve_shifted", lambda g, lam: true_solve(g, lam) * (1.0 + 1e-9))
         assert not check_maximality(50, Grid1D(16), seed=2).passed
+
+    @pytest.mark.parametrize("bad", [0.01, 0.1, 1.0])
+    def test_expansion_at_any_duration_fails_contraction(self, bad, monkeypatch):
+        true_apply = spectral.semigroup_apply
+
+        # S(bad) grows every state by 1e-9 instead of damping it
+        def apply(state, t, **k):
+            hit = (np.asarray(t) == bad)[..., None, None]
+            return np.where(hit, (1.0 + 1e-9) * state, true_apply(state, t, **k))
+
+        monkeypatch.setattr(spectral, "semigroup_apply", apply)
+        report = check_semigroup(50, Grid1D(16), seed=3)
+        assert not report.passed
+        assert report.observed["max_contraction_slack"] > 1e-12
 
     def test_wrong_exponent_fails_semigroup(self, monkeypatch):
         true_apply = spectral.semigroup_apply

@@ -458,17 +458,26 @@ def run_verification(
     n_samples: int = 1000,
     lipschitz_samples: int = 10000,
 ) -> tuple[bool, dict]:
-    """All property checks at each grid size; consolidated JSON on request."""
-    payload: dict = {"seed": seed, "grid_sizes": list(int(n) for n in grid_sizes), "reports": {}}
+    """All property checks at each grid size; consolidated JSON on request.
+
+    The sizes must be distinct and there must be at least one; otherwise
+    ValueError, since reports are keyed by size and no check means no pass.
+    """
+    sizes = [int(n) for n in grid_sizes]
+    if not sizes:
+        raise ValueError("verification needs at least one grid size")
+    if len(set(sizes)) != len(sizes):
+        raise ValueError(f"grid sizes must be distinct, got {sizes}")
+    payload: dict = {"seed": seed, "grid_sizes": sizes, "reports": {}}
     all_passed = True
-    for index, n in enumerate(grid_sizes):
+    for index, n in enumerate(sizes):
         reports = run_checks(
-            Grid1D(int(n)),
+            Grid1D(n),
             seed=seed + 100 * index,
             n_samples=n_samples,
             lipschitz_samples=lipschitz_samples,
         )
-        payload["reports"][str(int(n))] = [report_to_dict(r) for r in reports]
+        payload["reports"][str(n)] = [report_to_dict(r) for r in reports]
         all_passed = all_passed and all(r.passed for r in reports)
     payload["all_passed"] = all_passed
     if output_path is not None:

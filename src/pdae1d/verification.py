@@ -20,9 +20,11 @@ L2 x L2 throughout the package.
 Samples are drawn and evaluated as stacks, block by block, with one call of
 each public operator per block (looked up on its module at call time, so a
 patched operator is the one checked); the semigroup check makes two, one
-for all durations and one for S(t) of the S(s) rows.  A report equals, bit
-for bit, the one a sample-by-sample evaluation of the same seeded stream
-gives.
+for all durations and one for S(t) of the S(s) rows.  Blocks are sized by
+the values they stack (see _BLOCK_POINTS), large enough that the fixed cost
+of a call, such as the elimination loop of a shifted solve, is paid rarely.
+A report equals, bit for bit, the one a sample-by-sample evaluation of the
+same seeded stream gives.
 """
 
 from __future__ import annotations
@@ -79,11 +81,23 @@ def report_to_dict(report: PropertyReport) -> dict:
 # keep a NaN, so a non-finite operator result fails its check.
 #
 # Samples per block: max(1, _BLOCK_POINTS // points), where points is n per
-# sample, or n times the durations per sample for the stacked semigroup
-# calls.  Sizing blocks by stacked points keeps each stack and its
-# temporaries near a fixed size at every n, so the batched checks hold no
-# more memory at n = 256 than at n = 16.
-_BLOCK_POINTS = 4096
+# sample, n times the durations per sample for the stacked semigroup calls,
+# or 4n for the Lipschitz check (each sample is a (2, 2, n) pair stack).
+# Sizing blocks by stacked points keeps each stack and its temporaries near a
+# fixed size at every n.  The budget trades that size against the fixed cost
+# a block pays: a Python elimination loop of 2(n - 1) steps per maximality
+# block, two transform calls per semigroup block.  Lipschitz work is
+# elementwise and pays no such cost, so its blocks count all 4n values and
+# stay at 4096 // n samples; 16x larger ones outgrow the cache.  In-process
+# medians of 40 interleaved rounds, ms, at budgets 4096 / 16384 / 65536
+# (2 shared vCPUs, one BLAS thread):
+#
+#   maximality, 1000 samples, n = 256      90.8 / 41.3 / 37.8
+#   semigroup, 1000 samples, n = 64        36.8 / 26.1 / 29.3
+#   dissipativity, 1000 samples, n = 256   10.3 /  8.9 / 13.0
+#   lipschitz, 300 samples, n = 256, at 1x / 4x / 16x its blocks:
+#                                          23.8 / 19.7 / 33.8
+_BLOCK_POINTS = 16384
 
 
 def _blocks(n_samples: int, points: int):
@@ -328,7 +342,7 @@ def check_lipschitz(
     for level in C_levels:
         bound = nonlinearity.LIPSCHITZ_BOUND_FACTOR * level
         max_ratio = 0.0
-        for count in _blocks(n_samples, n):
+        for count in _blocks(n_samples, 4 * n):
             pairs = _random_states(rng, (count, 2), n, target_norm=level)
             ratios = nonlinearity.lipschitz_ratio(pairs[:, 0], pairs[:, 1])
             max_ratio = np.max(ratios, initial=max_ratio)

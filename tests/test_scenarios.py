@@ -804,6 +804,23 @@ class TestCli:
         stdout = capsys.readouterr().out
         assert "dissipativity: PASS" in stdout
 
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [("", "at least one grid size"), (",,", "at least one grid size"),
+         ("16,16", "grid sizes must be distinct"), ("8,16,8", "grid sizes must be distinct")],
+    )
+    def test_verify_rejects_no_or_repeated_sizes(self, sizes, message, tmp_path, capsys):
+        # no size would pass with no check run; a repeated one would key two
+        # runs under one size and drop the first from the report
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--sizes", sizes, "--samples", "5", "--lipschitz-samples", "5",
+                "--output", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_mms_sources_subcommand_stdout(self, capsys):
         times = (-0.0, 0.5, 3 * 0.1)
         for n in (1, 7):

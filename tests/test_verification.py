@@ -58,6 +58,31 @@ class TestMaximality:
             assert report.passed
             assert report.observed["max_relative_residual"] <= 1e-12
 
+    # solve_shifted calls of check_maximality: blocks hold 16384 // n
+    # samples, so one elimination solves 1024, 256 or 64 of them; at
+    # n = 20000 a block holds one sample
+    @pytest.mark.parametrize(
+        "n, n_samples, calls",
+        [(16, 50, 1), (64, 50, 1), (256, 50, 1), (16, 1000, 1), (64, 1000, 4), (256, 1000, 16),
+         (20000, 2, 2)],
+    )
+    def test_one_block_sized_elimination_per_block(self, n, n_samples, calls, monkeypatch):
+        from pdae1d.verification import _BLOCK_POINTS
+
+        sizes = []
+        true_solve = spectral.solve_shifted
+
+        def solve(g, lam):
+            sizes.append(g.size)
+            return true_solve(g, lam)
+
+        monkeypatch.setattr(spectral, "solve_shifted", solve)
+        check_maximality(n_samples, Grid1D(n), seed=2)
+        assert len(sizes) == calls
+        # every sample's two components in both elimination orders
+        assert sum(sizes) == 4 * n * n_samples
+        assert max(sizes) <= max(4 * _BLOCK_POINTS, 4 * n)
+
     def test_single_mode_resolvent_identity(self):
         grid = Grid1D(21)
         lam = laplacian_eigenvalues(grid)
@@ -95,8 +120,9 @@ class TestSemigroup:
 
     # (semigroup_apply calls, DST rows) of check_semigroup(50, Grid1D(n)): per
     # block one call for times, t + s and s and one for S(t) of the S(s) row;
-    # then the 18 halvings in chunks and the 4 generator durations in one call
-    @pytest.mark.parametrize("n, calls, rows", [(16, 4, 1146), (64, 14, 1178), (256, 44, 1274)])
+    # then the 18 halvings in chunks and the 4 generator durations in one call.
+    # Blocks hold 16384 // (5n) samples: 204, 51 and 12.
+    @pytest.mark.parametrize("n, calls, rows", [(16, 4, 1146), (64, 4, 1146), (256, 14, 1178)])
     def test_transforms_each_state_once_per_call(self, n, calls, rows, monkeypatch):
         counts = {"apply": 0, "dst": 0, "rows": 0}
         true_apply, true_dst = spectral.semigroup_apply, spectral._dst
@@ -148,6 +174,22 @@ class TestLipschitz:
         # quadratic reaction: ratios at C=5 sit about 5x above those at C=1
         quotient = report.observed["max_ratio_at_C=5"] / report.observed["max_ratio_at_C=1"]
         assert 3.0 <= quotient <= 7.0
+
+    # lipschitz_ratio calls per level of check_lipschitz(300, Grid1D(n)):
+    # blocks count the 4n values of a sample's pair stack, 4096 // n samples
+    @pytest.mark.parametrize("n, calls", [(16, 2), (64, 5), (256, 19)])
+    def test_blocks_count_four_values_per_node(self, n, calls, monkeypatch):
+        grid = Grid1D(n)
+        levels = []
+        true_ratio = nonlinearity.lipschitz_ratio
+
+        def ratio(a, b):
+            levels.append(round(float(pair_norm(a[0], grid.h)), 9))
+            return true_ratio(a, b)
+
+        monkeypatch.setattr(nonlinearity, "lipschitz_ratio", ratio)
+        assert check_lipschitz(300, grid, seed=4, C_levels=(0.5, 1.0, 5.0)).passed
+        assert levels == [0.5] * calls + [1.0] * calls + [5.0] * calls
 
     def test_rejects_bad_levels(self):
         with pytest.raises(ValueError):
@@ -359,8 +401,12 @@ def case_id(case):
     return "-".join([check.__name__] + values)
 
 
-# sample counts that leave a partial last block (blocks hold 4096 // n samples)
-@pytest.mark.parametrize("n, n_samples", [(1, 5), (2, 7), (16, 300), (63, 70), (256, 37)])
+# sample counts that leave one block, or a partial last block (blocks hold
+# 16384 // n samples, 16384 // (n * (len(times) + 2)) for the semigroup
+# stacks, and 4096 // n for the Lipschitz pair stacks)
+@pytest.mark.parametrize(
+    "n, n_samples", [(1, 5), (2, 7), (16, 300), (63, 70), (256, 37), (256, 100)]
+)
 @pytest.mark.parametrize("seed", [0, 7, 2024])
 @pytest.mark.parametrize("check", CASES, ids=case_id)
 def test_batched_check_equals_per_sample_oracle(check, seed, n, n_samples):

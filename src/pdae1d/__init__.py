@@ -60,7 +60,6 @@ from .verification import (
     check_lipschitz,
     check_maximality,
     check_semigroup,
-    report_to_dict,
     run_checks,
 )
 

@@ -96,6 +96,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_mms_sources(args: argparse.Namespace) -> int:
+    if not args.times:
+        raise ValueError("--times needs at least one time")
     if not np.isfinite(args.times).all():
         raise ValueError(f"--times entries must be finite numbers, got {args.times!r}")
     cfg = _config_from_args(args, fallback={"n_interior": 32})
@@ -145,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.set_defaults(handler=_cmd_converge)
 
     p_ver = sub.add_parser("verify", help="run the property checks and report pass/fail")
+    # the one statement of verify's sizes, seed and sample counts
     p_ver.add_argument("--sizes", type=_parse_ints, default=(16, 64, 256))
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--output", help="write the consolidated JSON report here")

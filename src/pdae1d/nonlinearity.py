@@ -3,9 +3,11 @@
 The non-diffusive part of the dynamics couples the two components through
 the running integral I(x) = int_0^x (p_u*u + p_v*v): the first component
 loses -u*I and the second gains +v*I, plus time-dependent sources.  The
-quadratic term makes the operator only locally Lipschitz, with constant
-4*sqrt(3)*C on the ball of radius C in the product norm; ``lipschitz_ratio``
-measures the realized quotient so that bound can be checked empirically.
+quadratic term makes the operator only locally Lipschitz: at the default
+impact coefficients p_u = p_v = 1 its constant is 4*sqrt(3)*C on the ball of
+radius C in the product norm.  ``lipschitz_ratio`` measures the realized
+quotient at those coefficients, without sources (they cancel in the
+difference), so that bound can be checked empirically.
 
 States are Dirichlet nodal pairs (u, v) shaped (2, n), or stacks of them
 shaped (..., 2, n); sources return each component as a read-only float
@@ -198,16 +200,11 @@ def eval_reaction(
     return out
 
 
-def lipschitz_ratio(
-    a: np.ndarray,
-    b: np.ndarray,
-    sources: SourcePair | None = None,
-    t: float = 0.0,
-    coefficients: CoefficientSet | None = None,
-):
+def lipschitz_ratio(a: np.ndarray, b: np.ndarray):
     """Realized quotient ||R(a) - R(b)|| / ||a - b|| of the reaction operator.
 
-    Sources cancel in the difference, so the result does not depend on them.
+    R has the default coefficients (p_u = p_v = 1), for which the bound
+    4*sqrt(3)*C holds, and no sources: they cancel in the difference.
     ``a`` and ``b`` are Dirichlet nodal pairs shaped (2, n), giving a float,
     or stacks shaped (..., 2, n), giving an array of the per-pair quotients.
     """
@@ -216,7 +213,7 @@ def lipschitz_ratio(
     if np.any(denom == 0.0):
         raise ValueError("states coincide; the quotient is undefined")
     # one call on the stacked pair: each row reacts as if evaluated alone
-    ra, rb = eval_reaction(np.stack((a, b)), t, sources, coefficients)
+    ra, rb = eval_reaction(np.stack((a, b)))
     return pair_norm(ra - rb, h) / denom
 
 

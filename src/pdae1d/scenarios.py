@@ -36,7 +36,7 @@ from .nonlinearity import (
     tabulated_sources,
     zero_sources,
 )
-from .verification import report_to_dict, run_checks
+from .verification import run_checks
 
 __all__ = [
     "ScenarioConfig",
@@ -44,8 +44,6 @@ __all__ = [
     "MmsSpec",
     "mms_state",
     "build_mms_sources",
-    "initial_state",
-    "scenario_sources",
     "run_scenario",
     "run_convergence",
     "run_verification",
@@ -218,7 +216,7 @@ def _read_profile(path: str, grid: Grid1D) -> StatePair:
     return StatePair(Field(grid, values[0, 0]), Field(grid, values[0, 1]))
 
 
-def initial_state(cfg: ScenarioConfig, grid: Grid1D) -> StatePair:
+def _initial_state(cfg: ScenarioConfig, grid: Grid1D) -> StatePair:
     if cfg.ic_file is not None:
         return _read_profile(cfg.ic_file, grid)
     x = grid.nodes
@@ -233,9 +231,9 @@ def initial_state(cfg: ScenarioConfig, grid: Grid1D) -> StatePair:
     raise ValueError("custom scenario requires ic_file")
 
 
-def scenario_sources(cfg: ScenarioConfig, grid: Grid1D, coefficients: CoefficientSet) -> SourcePair:
+def _scenario_sources(cfg: ScenarioConfig, grid: Grid1D, c: CoefficientSet) -> SourcePair:
     if cfg.scenario == "mms":
-        return build_mms_sources(MmsSpec(cfg.mms_a, cfg.mms_b), grid, coefficients)
+        return build_mms_sources(MmsSpec(cfg.mms_a, cfg.mms_b), grid, c)
     if cfg.source_file is not None:
         return tabulated_sources(grid, cfg.source_file)
     return zero_sources(grid)
@@ -244,7 +242,7 @@ def scenario_sources(cfg: ScenarioConfig, grid: Grid1D, coefficients: Coefficien
 def _march_inputs(cfg: ScenarioConfig, grid: Grid1D):
     """The initial state, sources and coefficients of a scenario's march on ``grid``."""
     coefficients = CoefficientSet(cfg.d_u, cfg.d_v, cfg.p_u, cfg.p_v)
-    return initial_state(cfg, grid), scenario_sources(cfg, grid, coefficients), coefficients
+    return _initial_state(cfg, grid), _scenario_sources(cfg, grid, coefficients), coefficients
 
 
 def _config_echo(cfg: ScenarioConfig) -> str:
@@ -277,15 +275,14 @@ def _format_slabs(times, x: np.ndarray, columns: int, blocks):
         yield (lead + lead.join(rows)) % tuple((block + 0.0).ravel().tolist())
 
 
-def _write_table(path: str, header: str, blocks, config_echo: str | None = None) -> None:
-    """A '#'-headed table whose data rows are ``blocks``, written one at a time.
+def _write_table(path: str, header: str, blocks, config_echo: str) -> None:
+    """The config echo, a '#' header line, then the data rows ``blocks``, one at a time.
 
     A block is either text already formatted (:func:`_format_slabs`) or a
     2-D array, formatted by :func:`_format_block`.
     """
     with open(path, "w") as fh:
-        if config_echo is not None:
-            fh.write(f"# config: {config_echo}\n")
+        fh.write(f"# config: {config_echo}\n")
         fh.write(f"# {header}\n")
         for block in blocks:
             fh.write(block if isinstance(block, str) else _format_block(block))
@@ -452,16 +449,18 @@ def run_convergence(cfg: ScenarioConfig, dt_levels=(), n_levels=()) -> list[dict
 
 
 def run_verification(
-    grid_sizes=(16, 64, 256),
-    seed: int = 0,
+    grid_sizes,
+    seed: int,
+    n_samples: int,
+    lipschitz_samples: int,
     output_path: str | None = None,
-    n_samples: int = 1000,
-    lipschitz_samples: int = 10000,
 ) -> tuple[bool, dict]:
     """All property checks at each grid size; consolidated JSON on request.
 
     The sizes must be distinct and there must be at least one; otherwise
     ValueError, since reports are keyed by size and no check means no pass.
+    The size at position i seeds its checks with ``seed + 100 * i``; each
+    report is the ``asdict`` of its ``PropertyReport``.
     """
     sizes = [int(n) for n in grid_sizes]
     if not sizes:
@@ -471,13 +470,8 @@ def run_verification(
     payload: dict = {"seed": seed, "grid_sizes": sizes, "reports": {}}
     all_passed = True
     for index, n in enumerate(sizes):
-        reports = run_checks(
-            Grid1D(n),
-            seed=seed + 100 * index,
-            n_samples=n_samples,
-            lipschitz_samples=lipschitz_samples,
-        )
-        payload["reports"][str(n)] = [report_to_dict(r) for r in reports]
+        reports = run_checks(Grid1D(n), seed + 100 * index, n_samples, lipschitz_samples)
+        payload["reports"][str(n)] = [asdict(r) for r in reports]
         all_passed = all_passed and all(r.passed for r in reports)
     payload["all_passed"] = all_passed
     if output_path is not None:

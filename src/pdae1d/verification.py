@@ -10,7 +10,12 @@ system as a reproducible pass/fail report:
   machine-precision residual, and two elimination orders agree;
 * semigroup: contraction, the composition law, strong continuity in t,
   and first-order consistency of (S(t)-I)/t with the generator;
-* local Lipschitz bound of the reaction operator on norm balls.
+* local Lipschitz bound of the reaction operator, at its default
+  coefficients, on norm balls.
+
+The semigroup durations and the Lipschitz ball radii are stated once, as
+the defaults of their checks; the sizes, sample counts and seed of
+``pdae1d verify`` are stated once, as the CLI's defaults.
 
 These are finite-dimensional analogues: the interior second-difference
 matrix is symmetric negative definite, so the first three hold at machine
@@ -43,7 +48,6 @@ __all__ = [
     "check_semigroup",
     "check_lipschitz",
     "run_checks",
-    "report_to_dict",
 ]
 
 
@@ -61,20 +65,6 @@ class PropertyReport:
 
     def __post_init__(self):
         object.__setattr__(self, "passed", bool(self.worst_value <= self.tolerance))
-
-
-def report_to_dict(report: PropertyReport) -> dict:
-    out = {
-        "name": report.name,
-        "samples": report.samples,
-        "worst_value": report.worst_value,
-        "tolerance": report.tolerance,
-        "passed": report.passed,
-        "seed": report.seed,
-    }
-    if report.observed:
-        out["observed"] = dict(report.observed)
-    return out
 
 
 # Maxima over samples fold with np.max(..., initial=...) and np.maximum, which
@@ -244,8 +234,8 @@ def check_semigroup(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if not all(t >= 0 for t in times):
-        raise ValueError("sample durations must be nonnegative numbers")
+    if len(times) == 0 or not all(t >= 0 for t in times):
+        raise ValueError("sample durations must be one or more nonnegative numbers")
     rng = np.random.default_rng(seed)
     n, h = grid.n_interior, grid.h
 
@@ -333,8 +323,8 @@ def check_lipschitz(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if not all(0 < c < np.inf for c in C_levels):
-        raise ValueError("C levels must be positive and finite")
+    if len(C_levels) == 0 or not all(0 < c < np.inf for c in C_levels):
+        raise ValueError("C levels must be one or more positive finite numbers")
     rng = np.random.default_rng(seed)
     n = grid.n_interior
     worst_slack = -np.inf
@@ -359,17 +349,12 @@ def check_lipschitz(
 
 
 def run_checks(
-    grid: Grid1D,
-    seed: int = 0,
-    n_samples: int = 1000,
-    lipschitz_samples: int = 10000,
-    times: tuple = (0.01, 0.1, 1.0),
-    C_levels: tuple = (0.5, 1.0, 5.0),
+    grid: Grid1D, seed: int, n_samples: int, lipschitz_samples: int
 ) -> list[PropertyReport]:
-    """All four checks on one grid; per-check seeds are fixed offsets of ``seed``."""
+    """All four checks on one grid at their default durations and C levels, seeds seed + 0..3."""
     return [
         check_dissipativity(n_samples, grid, seed),
         check_maximality(n_samples, grid, seed + 1),
-        check_semigroup(n_samples, grid, seed + 2, times),
-        check_lipschitz(lipschitz_samples, grid, seed + 3, C_levels),
+        check_semigroup(n_samples, grid, seed + 2),
+        check_lipschitz(lipschitz_samples, grid, seed + 3),
     ]

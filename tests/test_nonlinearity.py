@@ -131,17 +131,6 @@ class TestLipschitzRatio:
         base = lipschitz_ratio(a, b)
         np.testing.assert_allclose(lipschitz_ratio(2.5 * a, 2.5 * b), 2.5 * base, rtol=1e-12)
 
-    def test_source_invariance(self):
-        grid = Grid1D(24)
-        rng = np.random.default_rng(16)
-        a = random_state(grid, rng)
-        b = random_state(grid, rng)
-        f = mode(grid, 1, 4.0)
-        with_sources = SourcePair(f=lambda t: f, g=lambda t: f)
-        np.testing.assert_allclose(
-            lipschitz_ratio(a, b, with_sources, 0.3), lipschitz_ratio(a, b), rtol=1e-12
-        )
-
     def test_zero_vs_state(self):
         grid = Grid1D(30)
         rng = np.random.default_rng(17)
@@ -303,11 +292,10 @@ class TestStackedForms:
     def test_lipschitz_ratio(self, n):
         rng = np.random.default_rng(n)
         a, b = rng.uniform(-1.0, 1.0, (2, 5, 2, n))
-        c = CoefficientSet(p_u=0.5, p_v=2.0)
-        ratios = lipschitz_ratio(a, b, coefficients=c)
+        ratios = lipschitz_ratio(a, b)
         assert ratios.shape == (5,)
         for i in range(5):
-            single = lipschitz_ratio(a[i].copy(), b[i].copy(), coefficients=c)
+            single = lipschitz_ratio(a[i].copy(), b[i].copy())
             assert isinstance(single, float) and ratios[i] == single
 
     def test_lipschitz_ratio_rejects_a_coinciding_pair(self):

@@ -841,6 +841,14 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: --times entries must be finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("times", ["", ",,"])
+    def test_mms_sources_rejects_no_times(self, times, tmp_path, capsys):
+        # no time would write a header-only table and report success
+        out = tmp_path / "table.txt"
+        assert main(["mms-sources", "--times=" + times, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --times needs at least one time\n"
+        assert not out.exists()
+
     def test_mms_sources_creates_missing_output_dir(self, tmp_path, capsys):
         out = tmp_path / "missing" / "table.txt"
         assert main(["mms-sources", "--n-interior", "7", "--output", str(out)]) == 0

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from pdae1d import (
     discrete_laplacian,
     h1_seminorm,
     laplacian_eigenvalues,
-    report_to_dict,
     run_checks,
     run_verification,
     sine_mode,
@@ -118,6 +119,11 @@ class TestSemigroup:
         with pytest.raises(ValueError):
             check_semigroup(10, Grid1D(8), seed=0, times=(0.1, np.nan))
 
+    def test_rejects_no_times(self):
+        # with no duration the contraction sub-check would pass unchecked
+        with pytest.raises(ValueError, match="one or more"):
+            check_semigroup(10, Grid1D(8), seed=0, times=())
+
     # (semigroup_apply calls, DST rows) of check_semigroup(50, Grid1D(n)): per
     # block one call for times, t + s and s and one for S(t) of the S(s) row;
     # then the 18 halvings in chunks and the 4 generator durations in one call.
@@ -195,6 +201,11 @@ class TestLipschitz:
         with pytest.raises(ValueError):
             check_lipschitz(10, Grid1D(8), seed=0, C_levels=(0.0,))
 
+    def test_rejects_no_levels(self):
+        # with no level the check would pass at worst value -inf
+        with pytest.raises(ValueError, match="one or more"):
+            check_lipschitz(10, Grid1D(8), seed=0, C_levels=())
+
     @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_levels(self, level):
         with pytest.raises(ValueError):
@@ -209,7 +220,7 @@ class TestReports:
 
     def test_json_schema(self):
         report = check_dissipativity(20, Grid1D(8), seed=7)
-        payload = report_to_dict(report)
+        payload = asdict(report)
         assert set(payload) == {
             "name",
             "samples",
@@ -219,21 +230,12 @@ class TestReports:
             "seed",
             "observed",
         }
-        bare = PropertyReport(name="y", samples=1, worst_value=0.0, tolerance=1.0, seed=0)
-        assert set(report_to_dict(bare)) == {
-            "name",
-            "samples",
-            "worst_value",
-            "tolerance",
-            "passed",
-            "seed",
-        }
 
     def test_bitwise_reproducible_from_seed(self):
         grid = Grid1D(32)
         first = check_lipschitz(100, grid, seed=11)
         second = check_lipschitz(100, grid, seed=11)
-        assert report_to_dict(first) == report_to_dict(second)
+        assert asdict(first) == asdict(second)
         different = check_lipschitz(100, grid, seed=12)
         assert different.observed != first.observed
 

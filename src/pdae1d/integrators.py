@@ -2,7 +2,8 @@
 
 Three one-step methods share the split "stiff diffusion + mild reaction",
 all written in the exact sine eigenbasis of the discrete Laplacian, where
-diffusion is diagonal with z_k = d * lambda_k * dt per component:
+diffusion is diagonal with z_k = d * lambda_k * dt per component, built by
+``spectral._exponents`` for every method:
 
 * exponential Euler, exact on the diffusion part,
   c_{n+1} = exp(z) c_n + dt * phi1(z) DST(R(U_n, t_n));
@@ -18,16 +19,18 @@ as a float array of shape (n,).  Only ``solve`` takes a ``StatePair``, at
 the edge, and builds no ``Field``/``StatePair`` after it.
 
 One factory builds each method's ``step(carry, values, t) -> (carry,
-values, sweeps)``.  For exponential Euler and IMEX the carry is the (2, n)
-sine coefficients, so a step is one batched inverse and one batched
-forward sine transform; a Picard step is one ``picard_slab``, and carries
-nothing.  Its first sweep transforms all substep samples at once, and each
-later sweep all but sample 0, the slab's start, which no sweep moves.  The
-public one-step functions are thin calls of the same kernels.  ``solve``
-runs one loop for every method: a step, then one norm that classifies it.
-A norm below the blow-up threshold continues.  Otherwise a finiteness
-scan, made only on that path, tells the two endings apart.  A non-finite
-state is a step failure at the step's start time; its reason names the
+values, sweeps)``.  For exponential Euler and IMEX it is ``_diagonal_step``
+on the weights (a, b) that ``_weights`` builds from z, both for any leading
+shape; the carry is the (2, n) sine coefficients, so a step is one batched
+inverse and one batched forward sine transform; a Picard step is one
+``picard_slab``, and carries nothing.  Its first sweep transforms all
+substep samples at once, and each later sweep all but sample 0, the
+slab's start, which no sweep moves.  The public one-step functions are
+thin calls of the same kernels.  ``solve`` runs one loop for every
+method: a step, then one norm that classifies it.  A norm below the
+blow-up threshold continues.  Otherwise a finiteness scan, made only on
+that path, tells the two endings apart.  A non-finite state is a step
+failure at the step's start time; its reason names the
 first source component that is non-finite at a time the step used, or
 else reads "non-finite state".  A finite one is a blow-up candidate (a
 detection heuristic: the reported time is a candidate, not a proven
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +65,7 @@ from .nonlinearity import (
 # phi1_apply, semigroup_apply and solve_shifted stay bound here because
 # perfbench/tracing.py wraps every module binding of them
 from .spectral import (  # noqa: F401
-    laplacian_eigenvalues,
+    _exponents,
     phi1,
     phi1_apply,
     semigroup_apply,
@@ -196,12 +199,6 @@ class PicardConvergenceError(RuntimeError):
         )
 
 
-def _exponents(grid: Grid1D, c: CoefficientSet, dt: float) -> np.ndarray:
-    # z_k = d * dt * lambda_k per component, shape (2, n)
-    lam = laplacian_eigenvalues(grid)
-    return np.stack((c.d_u * dt * lam, c.d_v * dt * lam))
-
-
 def _step_inputs(dt: float, values: np.ndarray, sources, coefficients):
     """The grid of ``values`` (2, n), and the coefficients and sources with their defaults."""
     if not dt > 0:
@@ -226,9 +223,9 @@ def _stepper(
     Returns ``(step, carry, source_times)``: ``step(carry, values, t) ->
     (carry, values, sweeps)`` advances nodal values (2, n) from t by dt,
     the carry is the sine coefficients of ``values`` for exp_euler/imex
-    (the update c <- a*c + b*DST(R(values) + S(t))) and None for picard,
-    and ``source_times(t)`` lists the times at which a step from t
-    evaluates the sources.
+    (whose step is :func:`_diagonal_step` on the method's weights) and None
+    for picard, and ``source_times(t)`` lists the times at which a step
+    from t evaluates the sources.
     """
     grid, c, src = _step_inputs(dt, values, sources, coefficients)
     if method == "picard":
@@ -239,17 +236,28 @@ def _stepper(
             return carry, result.values, result.iterations
 
         return step, None, lambda t: _substep_times(t, dt, config.picard_substeps)
-    z = _exponents(grid, c, dt)
+    a, b = _weights(method, _exponents(grid.n_interior, c.d_u, c.d_v, dt), dt)
+    return partial(_diagonal_step, a, b, src, c), to_coeffs(values), lambda t: (t,)
+
+
+def _weights(method: str, z: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
+    """The weights (a, b) of an exp_euler or imex step of length dt, for z of any shape.
+
+    exp_euler: a = exp(z), b = dt * phi1(z); imex: a = 1/(1 - z), b = dt/(1 - z).
+    """
     if method == "exp_euler":
-        a, b = np.exp(z), dt * phi1(z)
-    else:
-        a, b = 1.0 / (1.0 - z), dt / (1.0 - z)
+        return np.exp(z), dt * phi1(z)
+    return 1.0 / (1.0 - z), dt / (1.0 - z)
 
-    def step(coeffs, values, t):
-        coeffs = a * coeffs + b * to_coeffs(eval_reaction(values, t, src, c))
-        return coeffs, to_values(coeffs), 0
 
-    return step, to_coeffs(values), lambda t: (t,)
+def _diagonal_step(a, b, src: SourcePair, c: CoefficientSet, coeffs, values, t):
+    """The diagonal update c <- a*c + b*DST(R(values) + S(t)); returns (c, values, 0).
+
+    ``coeffs`` and ``values`` are (..., 2, n), the sine coefficients and
+    nodal values of one state or a stack, and a, b broadcast against them.
+    """
+    coeffs = a * coeffs + b * to_coeffs(eval_reaction(values, t, src, c))
+    return coeffs, to_values(coeffs), 0
 
 
 @lru_cache(maxsize=16)
@@ -259,7 +267,8 @@ def _picard_weights(grid: Grid1D, delta: float, m: int, c: CoefficientSet):
     E is the propagator over one substep gap; K[i, q] is the trapezoid
     weight times E^(i - q).  Cached, so a march builds them once.
     """
-    drift = np.exp(np.arange(m)[:, None, None] * _exponents(grid, c, delta))
+    z = _exponents(grid.n_interior, c.d_u, c.d_v, delta)
+    drift = np.exp(np.arange(m)[:, None, None] * z)
     kernel = np.zeros((m,) + drift.shape)
     for i in range(1, m):
         kernel[i, : i + 1] = delta * drift[i::-1]  # E^(i - q) for q = 0..i

@@ -413,15 +413,20 @@ def run_convergence(cfg: ScenarioConfig, dt_levels=(), n_levels=()) -> list[dict
     log2 error ratio against the previous row of the same sweep, NaN on
     the first row.  Every level marches with the resolved blow-up
     threshold; a level that stops early raises RuntimeError, and a sweep
-    with no level at all raises ValueError.  Writes convergence.csv under
-    the output directory.
+    with no level at all or a level repeated within its sweep raises
+    ValueError before any march.  Writes convergence.csv under the output
+    directory.
     """
     cfg = cfg.resolved()
     if cfg.scenario != "mms":
         raise ValueError("convergence sweeps require the mms scenario")
-    dt_levels, n_levels = tuple(dt_levels), tuple(n_levels)
+    dt_levels, n_levels = tuple(map(float, dt_levels)), tuple(map(int, n_levels))
     if not dt_levels and not n_levels:
         raise ValueError("a convergence sweep needs at least one dt or n_interior level")
+    for name, levels in (("dt", dt_levels), ("n_interior", n_levels)):
+        repeated = [level for i, level in enumerate(levels) if level in levels[:i]]
+        if repeated:
+            raise ValueError(f"{name} level {repeated[0]} repeats: a sweep's levels must differ")
     rows: list[dict] = []
 
     def sweep(settings):
@@ -434,8 +439,8 @@ def run_convergence(cfg: ScenarioConfig, dt_levels=(), n_levels=()) -> list[dict
             )
             previous = error
 
-    sweep((cfg.n_interior, float(dt)) for dt in dt_levels)
-    sweep((int(n), cfg.dt) for n in n_levels)
+    sweep((cfg.n_interior, dt) for dt in dt_levels)
+    sweep((n, cfg.dt) for n in n_levels)
 
     table = [(r["dt"], r["n_interior"], r["error_H"], r["observed_order"]) for r in rows]
     os.makedirs(cfg.output_dir, exist_ok=True)

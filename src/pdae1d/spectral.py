@@ -4,10 +4,12 @@ The interior second-difference matrix has the exact eigenpairs
 sin(k*pi*x_j) with eigenvalue lambda_k = -(4/h^2) sin^2(k*pi*h/2), so the
 heat semigroup, the exponential-integrator weight phi1, and the shifted
 resolvent can all be evaluated exactly on the grid through one sine
-transform per direction.  Using the discrete eigenvalues (rather than
--(k*pi)^2) keeps the dissipativity, contraction, and integrator checks
-mutually consistent at machine precision; the continuum enters only as an
-O(h^2) discretization error.
+transform per direction.  :func:`_exponents` alone builds the exponents
+z_k = d * lambda_k * t of those weights, the integrators' included.
+Using the discrete eigenvalues (rather than -(k*pi)^2) keeps the
+dissipativity, contraction, and integrator checks mutually consistent at
+machine precision; the continuum enters only as an O(h^2) discretization
+error.
 
 Every operator takes and returns plain arrays: one component shaped
 (..., n), or nodal pairs (u, v) shaped (..., 2, n), with any leading axes a
@@ -183,16 +185,19 @@ def discrete_laplacian(f: np.ndarray) -> np.ndarray:
     return out / (1.0 / (f.shape[-1] + 1)) ** 2
 
 
-def _weigh_modes(values: np.ndarray, weight, t, d_u: float, d_v: float) -> np.ndarray:
-    """Scale each component's sine coefficients by weight(d * t * lambda_k).
+def _exponents(n: int, d_u, d_v, t) -> np.ndarray:
+    """Exponents z_k = (d * t) * lambda_k of both components, shaped (..., 2, n).
 
-    ``values`` are nodal pairs shaped (..., 2, n), with t a scalar or an
-    array over the leading axes.
+    d_u, d_v and t are scalars or arrays over the leading axes.  Every
+    weight on the sine basis, here and in ``integrators``, takes z from here.
     """
     t = np.asarray(t, dtype=float)
-    lam = _eigenvalues(values.shape[-1])
-    factors = weight(np.stack((d_u * t, d_v * t), axis=-1)[..., None] * lam)
-    return to_values(factors * to_coeffs(values))
+    return np.stack((d_u * t, d_v * t), axis=-1)[..., None] * _eigenvalues(n)
+
+
+def _weigh_modes(values: np.ndarray, weight, t, d_u: float, d_v: float) -> np.ndarray:
+    """Scale the sine coefficients of nodal pairs (..., 2, n) by weight(z), z from _exponents."""
+    return to_values(weight(_exponents(values.shape[-1], d_u, d_v, t)) * to_coeffs(values))
 
 
 def semigroup_apply(values: np.ndarray, t, d_u: float = 1.0, d_v: float = 1.0) -> np.ndarray:

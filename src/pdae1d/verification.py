@@ -205,13 +205,11 @@ def _evolve_each(states: np.ndarray, durations: list):
     """S(t) ``states`` for every t in ``durations``, a few durations per call.
 
     Yields ``(t, evolved)``: t shaped (k, 1) and evolved (k,) + states.shape.
-    A call stacks at most _BLOCK_POINTS points, or one duration where that
-    alone holds more.  Each call transforms ``states`` forward once.
+    The durations go in the blocks of :func:`_blocks`, each duration counting
+    the points of ``states``.  Each call transforms ``states`` forward once.
     """
-    durations = np.array(durations)[:, None]
-    size = max(1, _BLOCK_POINTS // (len(states) * states.shape[-1]))
-    for start in range(0, len(durations), size):
-        t = durations[start : start + size]
+    counts = list(_blocks(len(durations), len(states) * states.shape[-1]))
+    for t in np.split(np.array(durations)[:, None], np.cumsum(counts)[:-1]):
         yield t, spectral.semigroup_apply(states, t)
 
 

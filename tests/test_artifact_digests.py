@@ -1,0 +1,37 @@
+"""Smoke test of tools/artifact_digests.py, the command behind the byte-identity checks."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "artifact_digests.py"
+
+
+def test_prints_the_exit_code_and_a_digest_of_every_output():
+    out = subprocess.run(
+        [sys.executable, str(TOOL)], capture_output=True, text=True, check=True, timeout=300,
+    ).stdout
+    blocks = [block.splitlines() for block in out.split("# pdae1d ")[1:]]
+    commands = {block[0].split()[0]: [] for block in blocks}
+    for block in blocks:
+        command = block[0].split()
+        assert re.fullmatch(r"exit [0-2]", block[1])
+        names = []
+        for line in block[2:]:
+            digest, name = line.split("  ")
+            assert re.fullmatch("[0-9a-f]{64}", digest)
+            names.append(name)
+        assert names[:2] == ["stdout", "stderr"]
+        commands[command[0]].append((command, block[1], names[2:]))
+    assert [len(commands[name]) for name in ("run", "converge", "verify", "mms-sources")] == [10, 1, 1, 2]
+    for command, code, files in commands["run"]:
+        scenario, out_dir = command[command.index("--scenario") + 1], command[-1]
+        assert code == ("exit 2" if scenario == "growth_probe" else "exit 0")
+        tables = ["constraint.csv", "mms_error.csv", "summary.json", "trajectory.csv"]
+        if scenario != "mms":
+            tables.remove("mms_error.csv")
+        assert files == [f"{out_dir}/{table}" for table in tables]
+    assert commands["converge"][0][1:] == ("exit 0", ["converge/convergence.csv"])
+    assert commands["verify"][0][1:] == ("exit 0", ["verify/report.json"])
+    assert [files for _, _, files in commands["mms-sources"]] == [["mms-sources/table.txt"], []]

@@ -1,4 +1,4 @@
-"""The reaction, the trapezoid integral and the Picard sweeps against frozen plain copies.
+"""The reaction, the trapezoid integral, the Picard sweeps and the diagonal steps against frozen plain copies.
 
 The package computes the reaction on the shared mass builder and a
 running integral summed straight into its result, and its Picard sweeps
@@ -24,10 +24,10 @@ import numpy as np
 import pytest
 
 from pdae1d import CoefficientSet, Grid1D, PicardConvergenceError, SolveConfig, SourcePair
-from pdae1d import constraint, integrators, zero_sources
+from pdae1d import constraint, integrators, spectral, step_exp_euler, step_imex, zero_sources
 from pdae1d.fields import pair_norm
-from pdae1d.nonlinearity import _reaction_terms
-from pdae1d.spectral import to_coeffs, to_values
+from pdae1d.nonlinearity import _reaction_terms, eval_reaction
+from pdae1d.spectral import laplacian_eigenvalues, phi1, to_coeffs, to_values
 
 SIZES = (1, 2, 7, 31, 128, 255, 256)
 IMPACTS = (1.0, -0.7, 0.0, 2.5)
@@ -175,3 +175,73 @@ def test_picard_slabs_equal_the_frozen_sweep_loop(n):
     # every ending is reached: converged, out of budget, non-finite in sweep 1,
     # and an overflowing change in sweep 1 and in sweep 2
     assert endings == {"finite", "no convergence", "non-finite after 1", "overflow after 1", "overflow after 2"}
+
+
+# The diagonal steps of exp_euler and imex: the exponents z = d * dt * lambda
+# come from spectral._exponents, the weights from integrators._weights, and the
+# update from integrators._diagonal_step.  The frozen copies are the forms
+# they replaced, an exponent built inline from the eigenvalues and a step
+# closure with its weights built once per march.  The arithmetic is the same,
+# so here even the sign of a zero must match.
+STEP_SIZES = (64, 255, 256)  # dense sine matrix, FFT, dense again (257 is prime)
+
+
+def identical(a, b):
+    """Equal bit for bit, the sign of a zero included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def frozen_exponents(n, d_u, d_v, dt):
+    lam = laplacian_eigenvalues(Grid1D(n))
+    return np.stack((d_u * dt * lam, d_v * dt * lam))
+
+
+def frozen_diagonal_step(method, values, t, dt, src, c):
+    z = frozen_exponents(values.shape[-1], c.d_u, c.d_v, dt)
+    if method == "exp_euler":
+        a, b = np.exp(z), dt * phi1(z)
+    else:
+        a, b = 1.0 / (1.0 - z), dt / (1.0 - z)
+    coeffs = a * to_coeffs(values) + b * to_coeffs(eval_reaction(values, t, src, c))
+    return coeffs, to_values(coeffs)
+
+
+@pytest.mark.parametrize("n", (1, 7, 64, 255, 256))
+def test_exponents_equal_the_frozen_formula(n):
+    for d_u, d_v in ((1.0, 1.0), (1.0, 0.3), (2.5, 1e-3), (0.7, 13.0)):
+        for dt in (1e-5, 1e-3, 0.005, 0.1 / 3, 1.0, 7.25):
+            want = frozen_exponents(n, d_u, d_v, dt)
+            assert identical(spectral._exponents(n, d_u, d_v, dt), want), (d_u, d_v, dt)
+            # arrays over a leading axis give each member's bits
+            stacked = spectral._exponents(n, np.array([d_u, 1.0]), np.array([d_v, 1.0]), np.array([dt, 1.0]))
+            assert identical(stacked[0], want), (d_u, d_v, dt)
+
+
+def step_sources(n):
+    x = Grid1D(n).nodes
+    wave = 0.4 * np.sin(np.pi * x) * np.cos(3.0 * x)
+    return SourcePair(f=lambda t: np.cos(t) * wave, g=lambda t: np.sin(2.0 * t) * np.sin(np.pi * x))
+
+
+@pytest.mark.parametrize("method", ("exp_euler", "imex"))
+@pytest.mark.parametrize("n", STEP_SIZES)
+def test_a_leading_unit_axis_gives_the_plain_step(n, method):
+    rng = np.random.default_rng(n)
+    src = step_sources(n)
+    for d_u, d_v, p_u, p_v, dt in ((1.0, 1.0, 1.0, 1.0, 0.005), (1.0, 0.3, -0.7, 2.5, 1e-3)):
+        c = CoefficientSet(d_u=d_u, d_v=d_v, p_u=p_u, p_v=p_v)
+        values, t = rng.standard_normal((2, n)), 0.3
+        coeffs = to_coeffs(values)
+        a, b = integrators._weights(method, spectral._exponents(n, d_u, d_v, dt), dt)
+        plain = integrators._diagonal_step(a, b, src, c, coeffs, values, t)
+        want = frozen_diagonal_step(method, values, t, dt, src, c)
+        assert identical(plain[0], want[0]) and identical(plain[1], want[1])
+        stepper = step_exp_euler if method == "exp_euler" else step_imex
+        assert identical(stepper(values, t, dt, src, c), want[1])
+        # weights built from z with a leading (1,) axis, on a (1, 2, n) state
+        z = spectral._exponents(n, np.array([d_u]), np.array([d_v]), np.array([dt]))
+        a1, b1 = integrators._weights(method, z, np.array([dt])[:, None, None])
+        assert a1.shape == b1.shape == (1, 2, n)
+        unit = integrators._diagonal_step(a1, b1, src, c, coeffs[None], values[None], t)
+        assert identical(unit[0], plain[0][None]) and identical(unit[1], plain[1][None])
+        assert unit[2] == plain[2] == 0

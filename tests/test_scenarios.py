@@ -470,6 +470,33 @@ class TestRunConvergence:
         with pytest.raises(ValueError):
             run_convergence(cfg, dt_levels=(0.01,))
 
+    @pytest.mark.parametrize(
+        "dt_levels, n_levels, message",
+        [((0.02, 0.01, 0.02), (7, 15), "dt level 0.02 repeats"),
+         ((0.02, 0.01), (7, 15, 15), "n_interior level 15 repeats")],
+        ids=["dt sweep", "n sweep"],
+    )
+    def test_a_repeated_level_is_rejected_before_any_march(
+        self, dt_levels, n_levels, message, tmp_path, monkeypatch
+    ):
+        # a repeated level would march twice and report order 0 against itself
+        def no_march(*args):
+            raise AssertionError("a level was marched")
+
+        monkeypatch.setattr(scenarios, "_terminal_error", no_march)
+        cfg = ScenarioConfig(scenario="mms", n_interior=15, output_dir=str(tmp_path / "conv"))
+        with pytest.raises(ValueError, match=message):
+            run_convergence(cfg, dt_levels=dt_levels, n_levels=n_levels)
+        assert not (tmp_path / "conv").exists()
+
+    def test_a_dt_level_may_equal_the_n_sweeps_dt(self, tmp_path):
+        cfg = ScenarioConfig(
+            scenario="mms", n_interior=15, dt=0.02, t_end=0.2, output_dir=str(tmp_path)
+        )
+        rows = run_convergence(cfg, dt_levels=(0.02, 0.01), n_levels=(7, 15))
+        assert [(r["dt"], r["n_interior"]) for r in rows] == [(0.02, 15), (0.01, 15), (0.02, 7), (0.02, 15)]
+        assert rows[0]["error_H"] == rows[3]["error_H"]  # the same march, in two sweeps
+
     def test_quick_temporal_sweep(self, tmp_path):
         cfg = ScenarioConfig(
             scenario="mms", n_interior=64, dt=1e-4, t_end=0.1, output_dir=str(tmp_path)
@@ -894,6 +921,21 @@ class TestCli:
             assert len((tmp_path / "conv" / "convergence.csv").read_text().splitlines()) == 4
         else:
             assert captured.err.startswith("error: manufactured run did not complete")
+
+    @pytest.mark.parametrize(
+        "levels, message",
+        [(["--n-interior", "15", "--dt-levels", "0.02,0.02", "--n-levels", ","],
+          "error: dt level 0.02 repeats"),
+         (["--dt-levels", ",", "--n-levels", "7,7", "--dt", "1e-3"],
+          "error: n_interior level 7 repeats")],
+        ids=["dt sweep", "n sweep"],
+    )
+    def test_converge_rejects_a_repeated_level(self, levels, message, tmp_path, capsys):
+        out = tmp_path / "conv"
+        assert main(["converge", *levels, "--output-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(message)
+        assert not (out / "convergence.csv").exists()
 
     def test_converge_subcommand_quick(self, tmp_path, capsys):
         code = main(

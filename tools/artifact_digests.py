@@ -1,0 +1,78 @@
+"""sha256 of every output of a fixed set of pdae1d commands.
+
+Runs each command of COMMANDS in-process through ``pdae1d.cli.main``, in
+one fresh temporary working directory, with relative output paths, so the
+``# config:`` echoes and the summaries agree across checkouts.  The
+commands cover ``run`` for decay, mms and growth_probe with each method at
+n = 64, one mms run at n = 255 (the FFT kernel), a small ``converge``, a
+small ``verify`` and ``mms-sources``.  For each command it prints the
+command, its exit code, and ``sha256  name`` lines for its stdout, its
+stderr and every file it wrote, in path order.  BLAS is held to one
+thread, set before numpy is imported, and the package is imported from
+this checkout's ``src/``.  It has no options:
+
+    python tools/artifact_digests.py
+
+Two checkouts produce the same outputs exactly when the two printouts are
+identical: copy this file into the other one's tools/, run it in each, and
+diff the two printouts.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from pdae1d import cli  # noqa: E402
+
+COMMANDS = [
+    f"run --scenario {scenario} --method {method} --n-interior 64 --output-dir run-{scenario}-{method}"
+    for scenario in ("decay", "mms", "growth_probe")
+    for method in ("exp_euler", "imex", "picard")
+] + [
+    "run --scenario mms --n-interior 255 --t-end 0.1 --d-v 0.3 --p-u -0.7 --output-dir run-mms-n255",
+    "converge --n-interior 31 --dt 1e-3 --t-end 0.1 --dt-levels 0.02,0.01,0.005"
+    " --n-levels 7,15 --output-dir converge",
+    "verify --sizes 16,64,256 --samples 50 --lipschitz-samples 200 --output verify/report.json",
+    "mms-sources --n-interior 16 --times 0,0.25,1 --output mms-sources/table.txt",
+    "mms-sources --n-interior 7 --times 0.5",
+]
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as workdir:
+        home = os.getcwd()
+        os.chdir(workdir)
+        try:
+            for command in COMMANDS:
+                seen = {path for path in Path(".").rglob("*") if path.is_file()}
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(command.split())
+                print(f"# pdae1d {command}")
+                print(f"exit {code}")
+                print(f"{digest(out.getvalue().encode())}  stdout")
+                print(f"{digest(err.getvalue().encode())}  stderr")
+                written = sorted(p for p in Path(".").rglob("*") if p.is_file() and p not in seen)
+                for path in written:
+                    print(f"{digest(path.read_bytes())}  {path.as_posix()}")
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -52,8 +52,7 @@ def running_integral(full: np.ndarray, h: float) -> np.ndarray:
     axes are a batch; each row is summed in the same order as a single one.
     The trapezoids (f_{j-1} + f_j)*(h/2) are summed left to right into the result.
     """
-    out = np.empty(full.shape)
-    out[..., 0] = 0.0
+    out = np.zeros(full.shape)
     np.add.accumulate((full[..., :-1] + full[..., 1:]) * (0.5 * h), axis=-1, out=out[..., 1:])
     return out
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,6 +40,16 @@ def _check_finite(config) -> None:
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int: an integer, numpy's included; ValueError naming anything else.
+
+    A float, even a whole one, a string or a bool is refused, never truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform interior nodes of [0, 1] with Dirichlet end points.
@@ -51,7 +62,7 @@ class Grid1D:
     n_interior: int
 
     def __post_init__(self):
-        n = int(self.n_interior)
+        n = _whole(self.n_interior, "n_interior")
         if n < 1:
             raise ValueError("n_interior must be a positive integer")
         object.__setattr__(self, "n_interior", n)
@@ -136,6 +147,17 @@ def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
+def _pair_norm(values, h: float) -> float:
+    """:func:`pair_norm` of one pair ``(u, v)``, bit for bit, without its ``np.errstate``.
+
+    For callers that already ignore overflow and invalid results, as
+    ``solve`` does around its march: entering the guard costs more than the
+    norm of a small pair.
+    """
+    u, v = values
+    return math.sqrt(h * (np.dot(u, u) + np.dot(v, v)))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def pair_norm(values, h: float):
     """:meth:`StatePair.norm` of nodal values ``(u, v)`` on a grid of spacing h.
@@ -147,8 +169,7 @@ def pair_norm(values, h: float):
     if isinstance(values, np.ndarray) and values.ndim > 2:
         u, v = values[..., 0, :], values[..., 1, :]
         return np.sqrt(h * (row_dot(u, u) + row_dot(v, v)))
-    u, v = values
-    return float(np.sqrt(h * (np.dot(u, u) + np.dot(v, v))))
+    return _pair_norm(values, h)
 
 
 def sine_mode(grid: Grid1D, k: int, amplitude: float = 1.0) -> Field:

@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constraint import constraint_residual, reconstruct_w
-from .fields import Grid1D, StatePair, _check_finite, pair_norm
+from .fields import Grid1D, StatePair, _check_finite, _pair_norm, pair_norm
 
 # eval_reaction and zero_sources are looked up here at call time, so the
 # wrappers perfbench/tracing.py puts on this module's bindings see every call
@@ -199,11 +199,15 @@ class PicardConvergenceError(RuntimeError):
         )
 
 
+# one Grid1D per node count, so a step or a slab builds none and keys its caches on the same one
+_grid = lru_cache(maxsize=16)(Grid1D)
+
+
 def _step_inputs(dt: float, values: np.ndarray, sources, coefficients):
     """The grid of ``values`` (2, n), and the coefficients and sources with their defaults."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    grid = Grid1D(values.shape[-1])
+    grid = _grid(values.shape[-1])
     c = coefficients if coefficients is not None else CoefficientSet()
     return grid, c, sources if sources is not None else zero_sources(grid)
 
@@ -354,17 +358,20 @@ def picard_slab(
     start = drift * to_coeffs(values)
     iterate = start
     rhs = to_coeffs(_reaction_terms(to_values(start), c) + forcing)
+    moving_forcing, tol = forcing[1:], config.picard_tol
     diff_norms: list[float] = []
     for sweep in range(config.picard_max_iter):
         if sweep:  # sample 0 stays start[0], so its rhs[0] stays too
-            rhs[1:] = to_coeffs(_reaction_terms(to_values(iterate[1:]), c) + forcing[1:])
+            rhs[1:] = to_coeffs(_reaction_terms(to_values(iterate[1:]), c) + moving_forcing)
         new = start + np.einsum("iqkn,qkn->ikn", kernel, rhs)
-        # Parseval on the unit interval: ||f||_2^2 = (1/2) sum c_k^2
-        diffs = 0.5 * np.sum((new - iterate) ** 2, axis=(1, 2))
-        change = float(np.sqrt(np.max(diffs)))
+        # Parseval on the unit interval: ||f||_2^2 = (1/2) sum c_k^2; the
+        # reductions are np.sum's and np.max's, called without their wrappers
+        moved = new - iterate
+        diffs = 0.5 * np.add.reduce(np.square(moved, out=moved), axis=(1, 2))
+        change = math.sqrt(np.maximum.reduce(diffs))
         diff_norms.append(change)
         iterate = new
-        if change < config.picard_tol:
+        if change < tol:
             return PicardResult(to_values(new[-1]), len(diff_norms), tuple(diff_norms))
         if not math.isfinite(change):
             # the sweeps cannot contract from here: end values that are
@@ -392,28 +399,30 @@ def _march(
     """Advance ``values`` (2, n) from t = 0, appending each snapshot's time and values.
 
     One loop for every method; returns the terminal status, the accepted
-    steps and the Picard sweeps.
+    steps and the Picard sweeps.  Runs inside ``solve``'s ``np.errstate``,
+    so its norm is the unguarded one.
     """
-    if pair_norm(values, grid.h) >= config.blowup_threshold:
+    dt, h, threshold, every = config.dt, grid.h, config.blowup_threshold, config.snapshot_every
+    if _pair_norm(values, h) >= threshold:
         return RunStatus.blowup_detected(0.0), 0, 0
-    step, carry, source_times = _stepper(config.method, values, config.dt, config, src, c)
+    step, carry, source_times = _stepper(config.method, values, dt, config, src, c)
     sweeps = 0
-    n_steps = round(config.t_end / config.dt)
+    n_steps = round(config.t_end / dt)
+    t_now = 0.0
     for k in range(1, n_steps + 1):
-        t_prev = (k - 1) * config.dt
+        t_prev, t_now = t_now, k * dt
         try:
             carry, values, used = step(carry, values, t_prev)
         except PicardConvergenceError as err:
             return RunStatus.step_failure(t_prev, str(err)), k - 1, sweeps + err.iterations
         sweeps += used
-        t_now = k * config.dt
         # a NaN norm is not below the threshold either, so only a state that
         # is non-finite or a blow-up candidate pays for the finiteness scan
-        below = pair_norm(values, grid.h) < config.blowup_threshold
+        below = _pair_norm(values, h) < threshold
         if not below and not np.all(np.isfinite(values)):
             reason = _non_finite_reason(src, source_times(t_prev))
             return RunStatus.step_failure(t_prev, reason), k - 1, sweeps
-        if not below or k % config.snapshot_every == 0 or k == n_steps:
+        if not below or k % every == 0 or k == n_steps:
             times.append(t_now)
             snapshots.append(values)
         if not below:

@@ -171,12 +171,12 @@ def _reaction_terms(values: np.ndarray, c: CoefficientSet) -> np.ndarray:
     ``constraint._mass`` and the integral from ``running_integral``, the
     helpers ``reconstruct_w`` uses.  Leading axes are a batch.
     """
-    h = 1.0 / (values.shape[-1] + 1)
-    integral = running_integral(_mass(values, c.p_u, c.p_v), h)[..., None, 1:-1]
+    integral = running_integral(_mass(values, c.p_u, c.p_v), 1.0 / (values.shape[-1] + 1))
     out = np.array(values, dtype=float)
     # negate u before the product: negating u*I would flip the sign of a NaN in I
-    np.negative(out[..., 0, :], out=out[..., 0, :])
-    out *= integral
+    u = out[..., 0, :]
+    np.negative(u, out=u)
+    out *= integral[..., None, 1:-1]
     return out
 
 
@@ -195,8 +195,9 @@ def eval_reaction(
     c = coefficients if coefficients is not None else CoefficientSet()
     out = _reaction_terms(values, c)
     if sources is not None:
-        out[..., 0, :] += sources.f(t)
-        out[..., 1, :] += sources.g(t)
+        u, v = out[..., 0, :], out[..., 1, :]
+        u += sources.f(t)
+        v += sources.g(t)
     return out
 
 

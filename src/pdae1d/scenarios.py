@@ -26,7 +26,7 @@ import numpy as np
 # reconstruct_w stays bound here because perfbench/tracing.py wraps every
 # module binding of it
 from .constraint import reconstruct_w  # noqa: F401
-from .fields import Field, Grid1D, StatePair, _check_finite, _freeze, pair_norm
+from .fields import Field, Grid1D, StatePair, _check_finite, _whole, pair_norm
 from .integrators import METHODS, SolveConfig, Trajectory, solve
 from .nonlinearity import (
     CoefficientSet,
@@ -79,6 +79,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_finite(self)
+        # an int, never truncated, so the grid a run uses is the one its echo states
+        object.__setattr__(self, "n_interior", _whole(self.n_interior, "n_interior"))
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
         if self.method not in METHODS:
@@ -174,25 +176,44 @@ def mms_state(spec: MmsSpec, grid: Grid1D, t: float) -> StatePair:
 
 
 def _mms_source_fns(spec: MmsSpec, c: CoefficientSet, x: np.ndarray):
-    """(f, g) as functions of t on the nodes x; the spatial profiles are fixed."""
+    """(f, g) as functions of t on the nodes x, each value a fresh read-only array.
+
+    Everything but the decay e^(-t) is built here, once per pair: the
+    spatial profiles, the mass and the two diffusion gains.
+    """
+    a, b = spec.a, spec.b
     sin_1 = np.sin(np.pi * x)
     sin_2 = np.sin(2.0 * np.pi * x)
     # closed form of int_0^x (p_u*u + p_v*v) ds for the manufactured pair, over exp(-t)
     mass = (
-        c.p_u * spec.a * (1.0 - np.cos(np.pi * x)) / np.pi
-        + c.p_v * spec.b * (1.0 - np.cos(2.0 * np.pi * x)) / (2.0 * np.pi)
+        c.p_u * a * (1.0 - np.cos(np.pi * x)) / np.pi
+        + c.p_v * b * (1.0 - np.cos(2.0 * np.pi * x)) / (2.0 * np.pi)
     )
-
     # time derivative is -u (resp. -v); second space derivative brings pi^2 factors
+    gain_u = c.d_u * np.pi**2 - 1.0
+    gain_v = 4.0 * np.pi**2 * c.d_v - 1.0
+
+    # f = gain_u*u + u*(decay*mass) and g = gain_v*v - v*(decay*mass), each
+    # product and sum rounded as written, formed in place on fresh arrays
     def f(t: float) -> np.ndarray:
         decay = np.exp(-t)
-        u = spec.a * decay * sin_1
-        return (c.d_u * np.pi**2 - 1.0) * u + u * (decay * mass)
+        u = a * decay * sin_1
+        coupling = decay * mass
+        coupling *= u
+        u *= gain_u
+        u += coupling
+        u.flags.writeable = False
+        return u
 
     def g(t: float) -> np.ndarray:
         decay = np.exp(-t)
-        v = spec.b * decay * sin_2
-        return (4.0 * np.pi**2 * c.d_v - 1.0) * v - v * (decay * mass)
+        v = b * decay * sin_2
+        coupling = decay * mass
+        coupling *= v
+        v *= gain_v
+        v -= coupling
+        v.flags.writeable = False
+        return v
 
     return f, g
 
@@ -207,8 +228,8 @@ def build_mms_sources(
     its own discretization error.
     """
     c = coefficients if coefficients is not None else CoefficientSet()
-    f_at, g_at = _mms_source_fns(spec, c, grid.nodes)
-    return SourcePair(f=lambda t: _freeze(f_at(t)), g=lambda t: _freeze(g_at(t)), kind="mms")
+    f, g = _mms_source_fns(spec, c, grid.nodes)
+    return SourcePair(f=f, g=g, kind="mms")
 
 
 def _read_profile(path: str, grid: Grid1D) -> StatePair:
@@ -245,8 +266,13 @@ def _march_inputs(cfg: ScenarioConfig, grid: Grid1D):
     return _initial_state(cfg, grid), _scenario_sources(cfg, grid, coefficients), coefficients
 
 
+def _config_dict(cfg: ScenarioConfig) -> dict:
+    # every field is a number, a string or None, so asdict's deep copy buys nothing
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+
+
 def _config_echo(cfg: ScenarioConfig) -> str:
-    return json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
+    return json.dumps(_config_dict(cfg), sort_keys=True, separators=(",", ":"))
 
 
 def _format_block(block: np.ndarray) -> str:
@@ -351,7 +377,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
             "picard_iterations": traj.picard_iterations_total,
         },
         "seed": cfg.seed,
-        "config": asdict(cfg),
+        "config": _config_dict(cfg),
         "artifacts": {"trajectory": "trajectory.csv", "constraint": "constraint.csv"},
     }
     if sources.kind != "zero":
@@ -420,7 +446,8 @@ def run_convergence(cfg: ScenarioConfig, dt_levels=(), n_levels=()) -> list[dict
     cfg = cfg.resolved()
     if cfg.scenario != "mms":
         raise ValueError("convergence sweeps require the mms scenario")
-    dt_levels, n_levels = tuple(map(float, dt_levels)), tuple(map(int, n_levels))
+    dt_levels = tuple(map(float, dt_levels))
+    n_levels = tuple(_whole(n, "an n_interior level") for n in n_levels)
     if not dt_levels and not n_levels:
         raise ValueError("a convergence sweep needs at least one dt or n_interior level")
     for name, levels in (("dt", dt_levels), ("n_interior", n_levels)):
@@ -467,7 +494,7 @@ def run_verification(
     The size at position i seeds its checks with ``seed + 100 * i``; each
     report is the ``asdict`` of its ``PropertyReport``.
     """
-    sizes = [int(n) for n in grid_sizes]
+    sizes = [_whole(n, "a grid size") for n in grid_sizes]
     if not sizes:
         raise ValueError("verification needs at least one grid size")
     if len(set(sizes)) != len(sizes):

@@ -241,8 +241,10 @@ def solve_shifted(g: np.ndarray, lam: float) -> np.ndarray:
 
     The matrix is symmetric positive definite and strictly diagonally
     dominant for lam > 0, so elimination without pivoting is stable.  Its
-    relative residual grows with n (about 5e-13 at n = 256) and stays
-    inside the 1e-12 maximality check up to a few hundred nodes.  ``g``
+    residual relative to g grows with n (about 5e-13 at n = 256 and 2.5e-12
+    at n = 1023), while its backward error, the residual relative to
+    ||lam*I - Laplacian|| ||u|| + ||g||, stays near 1.6e-16: that is what
+    the maximality check bounds.  ``g``
     holds nodal values shaped (..., n), each row eliminated on its own in
     LAPACK's order and roundings, so u equals ``scipy.linalg.solve_banded``
     bit for bit: a loop over n, 0.5 ms at n = 256 for 64 rows (LAPACK: 0.17).

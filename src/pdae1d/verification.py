@@ -7,7 +7,7 @@ system as a reproducible pass/fail report:
   positive, and equals minus the sum of squared difference quotients
   (summation by parts is exact for the discrete operator);
 * maximality: the shift-by-one solve hits any right-hand side with a
-  machine-precision residual, and two elimination orders agree;
+  machine-precision backward error, and two elimination orders agree;
 * semigroup: contraction, the composition law, strong continuity in t,
   and first-order consistency of (S(t)-I)/t with the generator;
 * local Lipschitz bound of the reaction operator, at its default
@@ -166,36 +166,51 @@ def check_dissipativity(n_samples: int, grid: Grid1D, seed: int = 0) -> Property
 def check_maximality(n_samples: int, grid: Grid1D, seed: int = 0) -> PropertyReport:
     """(I - A) U = g is solvable for random g with tiny residual, uniquely.
 
-    worst_value is the larger of the relative max-norm residual and the
-    relative disagreement between forward and reversed elimination orders
-    (the matrix is persymmetric, so index reversal solves the same system).
+    Two sub-checks with their own tolerances, so worst_value is normalized
+    as in :func:`check_semigroup`: each is divided by its tolerance and the
+    report passes iff the larger stays at most 1.
+
+    * The backward error ||r||/((1 + 4/h^2)||u|| + ||g||) of the solve, in
+      the max norm, where 1 + 4/h^2 = ||I - A||: at most 1e-14.  The
+      residual relative to ||g|| alone, kept in ``observed`` as
+      ``max_relative_residual``, grows like 1/h^2 for a correct solve
+      (2.5e-12 at n = 1023), so it is reported, not bounded.
+    * The relative disagreement between forward and reversed elimination
+      orders (the matrix is persymmetric, so index reversal solves the same
+      system): at most 1e-12.  It grows with n too, 7.4e-13 at n = 1024 and
+      2.6e-12 at n = 4096 (100 samples, seed 2).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     n = grid.n_interior
+    operator_norm = 1.0 + 4.0 / grid.h**2
     worst = 0.0
+    worst_backward = 0.0
     worst_disagreement = 0.0
     for count in _blocks(n_samples, n):
         # one right-hand side per sample and component; each is eliminated on
         # its own, so one call solves both orders
         g = _random_states(rng, (count,), n)
         u, u_rev = spectral.solve_shifted(np.stack((g, g[..., ::-1])), 1.0)
-        residual = u - spectral.discrete_laplacian(u) - g
+        residual = np.max(np.abs(u - spectral.discrete_laplacian(u) - g), axis=-1)
         scale = np.max(np.abs(g), axis=-1)
-        worst = np.max(np.max(np.abs(residual), axis=-1) / scale, initial=worst)
-        denom = np.maximum(np.max(np.abs(u), axis=-1), np.finfo(float).tiny)
+        u_max = np.max(np.abs(u), axis=-1)
+        worst = np.max(residual / scale, initial=worst)
+        worst_backward = np.max(residual / (operator_norm * u_max + scale), initial=worst_backward)
+        denom = np.maximum(u_max, np.finfo(float).tiny)
         worst_disagreement = np.max(
             np.max(np.abs(u - u_rev[..., ::-1]), axis=-1) / denom, initial=worst_disagreement
         )
     return PropertyReport(
         name="maximality",
         samples=n_samples,
-        worst_value=float(np.maximum(worst, worst_disagreement)),
-        tolerance=1e-12,
+        worst_value=float(np.maximum(worst_backward / 1e-14, worst_disagreement / 1e-12)),
+        tolerance=1.0,
         seed=seed,
         observed={
             "max_relative_residual": float(worst),
+            "max_backward_error": float(worst_backward),
             "max_elimination_disagreement": float(worst_disagreement),
         },
     )

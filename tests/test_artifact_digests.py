@@ -24,7 +24,7 @@ def test_prints_the_exit_code_and_a_digest_of_every_output():
             names.append(name)
         assert names[:2] == ["stdout", "stderr"]
         commands[command[0]].append((command, block[1], names[2:]))
-    assert [len(commands[name]) for name in ("run", "converge", "verify", "mms-sources")] == [10, 1, 1, 2]
+    assert [len(commands[name]) for name in ("run", "converge", "verify", "mms-sources")] == [12, 2, 1, 2]
     for command, code, files in commands["run"]:
         scenario, out_dir = command[command.index("--scenario") + 1], command[-1]
         assert code == ("exit 2" if scenario == "growth_probe" else "exit 0")
@@ -32,6 +32,7 @@ def test_prints_the_exit_code_and_a_digest_of_every_output():
         if scenario != "mms":
             tables.remove("mms_error.csv")
         assert files == [f"{out_dir}/{table}" for table in tables]
-    assert commands["converge"][0][1:] == ("exit 0", ["converge/convergence.csv"])
+    for command, code, files in commands["converge"]:
+        assert (code, files) == ("exit 0", [f"{command[-1]}/convergence.csv"])
     assert commands["verify"][0][1:] == ("exit 0", ["verify/report.json"])
     assert [files for _, _, files in commands["mms-sources"]] == [["mms-sources/table.txt"], []]

@@ -11,6 +11,19 @@ def random_pair(n, seed):
     return StatePair(Field(grid, u), Field(grid, v))
 
 
+class TestGrid:
+    @pytest.mark.parametrize("n", [2.7, 16.0, "16", True, None])
+    def test_a_size_that_is_not_an_integer_is_rejected_by_value(self, n):
+        # int() would truncate 2.7 to 2 and parse "16"
+        with pytest.raises(ValueError, match=f"n_interior must be an integer, got {n!r}"):
+            Grid1D(n)
+
+    @pytest.mark.parametrize("n", [16, np.int64(16), np.int32(16), np.uint8(16)])
+    def test_integers_and_numpy_integers_give_the_same_grid(self, n):
+        grid = Grid1D(n)
+        assert grid == Grid1D(16) and type(grid.n_interior) is int
+
+
 class TestField:
     def test_is_a_frozen_grid_and_values_record(self):
         grid = Grid1D(4)

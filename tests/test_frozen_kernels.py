@@ -23,9 +23,11 @@ import math
 import numpy as np
 import pytest
 
-from pdae1d import CoefficientSet, Grid1D, PicardConvergenceError, SolveConfig, SourcePair
-from pdae1d import constraint, integrators, spectral, step_exp_euler, step_imex, zero_sources
+import pdae1d
+from pdae1d import CoefficientSet, Grid1D, MmsSpec, PicardConvergenceError, SolveConfig, SourcePair
+from pdae1d import build_mms_sources, constraint, integrators, spectral, step_exp_euler, step_imex, zero_sources
 from pdae1d.fields import pair_norm
+from pdae1d.scenarios import _mms_source_fns
 from pdae1d.nonlinearity import _reaction_terms, eval_reaction
 from pdae1d.spectral import laplacian_eigenvalues, phi1, to_coeffs, to_values
 
@@ -245,3 +247,194 @@ def test_a_leading_unit_axis_gives_the_plain_step(n, method):
         unit = integrators._diagonal_step(a1, b1, src, c, coeffs[None], values[None], t)
         assert identical(unit[0], plain[0][None]) and identical(unit[1], plain[1][None])
         assert unit[2] == plain[2] == 0
+
+
+# The per-step kernels against frozen copies of their previous forms: the
+# reaction with its mass and trapezoid helpers, the mms source pair,
+# pair_norm, and a Picard slab's sweeps.  Their current forms read their
+# constants once and make fewer temporaries, with the same floating-point
+# operations in the same order, so every bit must match, the sign of a zero
+# and NaN payloads included: the comparisons are on int64 views.
+KERNEL_SIZES = (7, 15, 63, 128, 255, 256)
+KERNEL_COEFFICIENTS = (
+    CoefficientSet(),
+    CoefficientSet(d_u=0.4, d_v=2.3, p_u=0.5, p_v=1.7),
+    CoefficientSet(d_u=1.9, d_v=0.05, p_u=-1.3, p_v=-2.5),
+)
+KERNEL_SPECS = (MmsSpec(), MmsSpec(a=1.3, b=-0.6), MmsSpec(a=-0.0, b=1e-300))
+
+
+def bits(x):
+    """The int64 view of a float array or float, for comparisons that see every bit."""
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def same_int64(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(bits(a), bits(b))
+
+
+def previous_mass(values, p_u, p_v):
+    full = np.zeros(values.shape[:-2] + (values.shape[-1] + 2,))
+    full[..., 1:-1] = p_u * values[..., 0, :] + p_v * values[..., 1, :]
+    return full
+
+
+def previous_running_integral(full, h):
+    out = np.empty(full.shape)
+    out[..., 0] = 0.0
+    np.add.accumulate((full[..., :-1] + full[..., 1:]) * (0.5 * h), axis=-1, out=out[..., 1:])
+    return out
+
+
+def previous_reaction_terms(values, c):
+    h = 1.0 / (values.shape[-1] + 1)
+    integral = previous_running_integral(previous_mass(values, c.p_u, c.p_v), h)[..., None, 1:-1]
+    out = np.array(values, dtype=float)
+    np.negative(out[..., 0, :], out=out[..., 0, :])
+    out *= integral
+    return out
+
+
+def previous_mms_source_fns(spec, c, x):
+    sin_1 = np.sin(np.pi * x)
+    sin_2 = np.sin(2.0 * np.pi * x)
+    mass = (
+        c.p_u * spec.a * (1.0 - np.cos(np.pi * x)) / np.pi
+        + c.p_v * spec.b * (1.0 - np.cos(2.0 * np.pi * x)) / (2.0 * np.pi)
+    )
+
+    def f(t):
+        decay = np.exp(-t)
+        u = spec.a * decay * sin_1
+        return (c.d_u * np.pi**2 - 1.0) * u + u * (decay * mass)
+
+    def g(t):
+        decay = np.exp(-t)
+        v = spec.b * decay * sin_2
+        return (4.0 * np.pi**2 * c.d_v - 1.0) * v - v * (decay * mass)
+
+    return f, g
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def previous_pair_norm(values, h):
+    if isinstance(values, np.ndarray) and values.ndim > 2:
+        u, v = values[..., 0, :], values[..., 1, :]
+        return np.sqrt(h * (pdae1d.fields.row_dot(u, u) + pdae1d.fields.row_dot(v, v)))
+    u, v = values
+    return float(np.sqrt(h * (np.dot(u, u) + np.dot(v, v))))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def previous_picard_slab(values, t, dt, config, src, c):
+    """(end values, sweeps, diff_norms), or ("no convergence", sweeps, diff_norms)."""
+    n = values.shape[-1]
+    m = config.picard_substeps
+    drift, kernel = integrators._picard_weights(Grid1D(n), dt / (m - 1), m, c)
+    forcing = np.empty(drift.shape)
+    for i, s in enumerate(integrators._substep_times(t, dt, m)):
+        forcing[i, 0] = src.f(s)
+        forcing[i, 1] = src.g(s)
+    start = drift * to_coeffs(values)
+    iterate = start
+    rhs = to_coeffs(previous_reaction_terms(to_values(start), c) + forcing)
+    diff_norms = []
+    for sweep in range(config.picard_max_iter):
+        if sweep:
+            rhs[1:] = to_coeffs(previous_reaction_terms(to_values(iterate[1:]), c) + forcing[1:])
+        new = start + np.einsum("iqkn,qkn->ikn", kernel, rhs)
+        diffs = 0.5 * np.sum((new - iterate) ** 2, axis=(1, 2))
+        change = float(np.sqrt(np.max(diffs)))
+        diff_norms.append(change)
+        iterate = new
+        if change < config.picard_tol:
+            return to_values(new[-1]), len(diff_norms), tuple(diff_norms)
+        if not math.isfinite(change):
+            end = to_values(new[-1])
+            if not previous_pair_norm(end, 1.0 / (n + 1)) < config.blowup_threshold:
+                return end, len(diff_norms), tuple(diff_norms)
+            break
+    return "no convergence", len(diff_norms), tuple(diff_norms)
+
+
+def kernel_states(n, rng):
+    """(2, n) pairs, and (3, 2, n) and (2, k, 2, n) stacks, holding -0.0, NaN and +-inf."""
+    pair = rng.standard_normal((2, n))
+    pair[0, 0], pair[1, -1] = -0.0, -0.0
+    yield "pair", pair
+    yield "negative zeros", np.full((2, n), -0.0)
+    special = rng.standard_normal((2, n))
+    special[0, n // 2], special[1, n // 3], special[1, -1] = np.nan, np.inf, -np.inf
+    yield "pair with nan and inf", special
+    stack = rng.standard_normal((3, 2, n)) * np.array([1e-3, 30.0, 1e150])[:, None, None]
+    stack[0, 1, :] = -0.0
+    stack[2, 0, -1] = -np.inf
+    yield "(3, 2, n)", stack
+    deep = rng.standard_normal((2, 4, 2, n))
+    deep[0, 1] = -0.0
+    deep[1, 2, 0, 0] = np.nan
+    deep[1, 3, 1, n // 2] = np.inf
+    yield "(2, k, 2, n)", deep
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_reaction_and_norm_equal_their_previous_forms(n):
+    rng = np.random.default_rng(1000 + n)
+    h = 1.0 / (n + 1)
+    for kind, values in kernel_states(n, rng):
+        for c in KERNEL_COEFFICIENTS:
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = _reaction_terms(values, c), previous_reaction_terms(values, c)
+                mass = previous_mass(values, c.p_u, c.p_v)
+                assert same_int64(constraint._mass(values, c.p_u, c.p_v), mass), (kind, c)
+                assert same_int64(constraint.running_integral(mass, h), previous_running_integral(mass, h)), kind
+            assert same_int64(got, want), (kind, c)
+        assert same_int64(pair_norm(values, h), previous_pair_norm(values, h)), kind
+        if values.ndim == 2:
+            with np.errstate(over="ignore", invalid="ignore"):
+                unguarded = pdae1d.fields._pair_norm(values, h)
+            assert type(unguarded) is float and same_int64(unguarded, previous_pair_norm(values, h)), kind
+
+
+SOURCE_TIMES = (0.0, -0.0, 1e-5, 0.3, 7.25, 800.0, np.inf, -np.inf, np.nan)
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_mms_sources_equal_their_previous_form(n):
+    grid = Grid1D(n)
+    for spec in KERNEL_SPECS:
+        for c in KERNEL_COEFFICIENTS:
+            src = build_mms_sources(spec, grid, c)
+            # the mms-sources table evaluates the pair at every node, both ends included
+            for x, (f, g) in ((grid.nodes, (src.f, src.g)), (grid.nodes_full, _mms_source_fns(spec, c, grid.nodes_full))):
+                want_f, want_g = previous_mms_source_fns(spec, c, x)
+                for t in SOURCE_TIMES:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        got, want = (f(t), g(t)), (want_f(t), want_g(t))
+                    assert same_int64(got[0], want[0]) and same_int64(got[1], want[1]), (spec, c, t)
+                    assert not (got[0].flags.writeable or got[1].flags.writeable)
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_picard_slabs_equal_their_previous_form(n):
+    rng = np.random.default_rng(2000 + n)
+    grid = Grid1D(n)
+    endings = set()
+    for c, spec in zip(KERNEL_COEFFICIENTS, KERNEL_SPECS):
+        src = build_mms_sources(spec, grid, c)
+        for kind, values in kernel_states(n, rng):
+            if values.ndim != 2:
+                continue
+            for dt, max_iter in ((0.005, 25), (0.05, 3)):
+                config = SolveConfig(dt=dt, t_end=dt, method="picard", picard_max_iter=max_iter)
+                got = picard(values, 0.1, dt, config, src, c)
+                want = previous_picard_slab(values, 0.1, dt, config, src, c)
+                assert got[1] == want[1] and same_int64(got[2], want[2]), (kind, c, dt)
+                if isinstance(want[0], str):
+                    assert got[0] == want[0], (kind, c, dt)
+                    endings.add("no convergence")
+                else:
+                    assert same_int64(got[0], want[0]), (kind, c, dt)
+                    endings.add("finite" if np.all(np.isfinite(want[0])) else "non-finite")
+    assert endings == {"finite", "non-finite", "no convergence"}

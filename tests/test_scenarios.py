@@ -23,6 +23,7 @@ from pdae1d import (
     mms_state,
     run_convergence,
     run_scenario,
+    run_verification,
 )
 from pdae1d import scenarios
 from pdae1d.cli import build_parser, main
@@ -171,6 +172,18 @@ class TestScenarioConfig:
     def test_mistyped_value_rejected_by_name(self, key, value):
         with pytest.raises(ValueError, match=f"config key '{key}'"):
             ScenarioConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("n", [2.7, 16.0, "16"])
+    def test_a_grid_size_that_is_not_an_integer_is_rejected_by_value(self, n):
+        # it used to run on int(n) nodes while its "# config:" echo said n
+        with pytest.raises(ValueError, match=f"n_interior must be an integer, got {n!r}"):
+            ScenarioConfig(n_interior=n)
+
+    def test_a_numpy_integer_grid_size_is_held_as_an_int(self):
+        cfg = ScenarioConfig(n_interior=np.int64(16))
+        assert type(cfg.n_interior) is int and scenarios._config_echo(cfg) == scenarios._config_echo(
+            ScenarioConfig(n_interior=16)
+        )
 
     def test_int_fits_float_field_and_none_fits_optional_field(self):
         cfg = ScenarioConfig.from_dict({"dt": 1, "t_end": 2, "ic_file": None, "mms_a": 0})
@@ -487,6 +500,20 @@ class TestRunConvergence:
         cfg = ScenarioConfig(scenario="mms", n_interior=15, output_dir=str(tmp_path / "conv"))
         with pytest.raises(ValueError, match=message):
             run_convergence(cfg, dt_levels=dt_levels, n_levels=n_levels)
+        assert not (tmp_path / "conv").exists()
+
+    @pytest.mark.parametrize("level", [7.9, 7.0, "7"])
+    def test_a_grid_level_that_is_not_an_integer_is_rejected_before_any_march(
+        self, level, tmp_path, monkeypatch
+    ):
+        # int() would march n = 7 for 7.9 and report it as the level
+        def no_march(*args):
+            raise AssertionError("a level was marched")
+
+        monkeypatch.setattr(scenarios, "_terminal_error", no_march)
+        cfg = ScenarioConfig(scenario="mms", output_dir=str(tmp_path / "conv"))
+        with pytest.raises(ValueError, match=f"n_interior level must be an integer, got {level!r}"):
+            run_convergence(cfg, n_levels=(15, level))
         assert not (tmp_path / "conv").exists()
 
     def test_a_dt_level_may_equal_the_n_sweeps_dt(self, tmp_path):
@@ -830,6 +857,33 @@ class TestCli:
         assert out.exists()
         stdout = capsys.readouterr().out
         assert "dissipativity: PASS" in stdout
+
+    @pytest.mark.parametrize("size", [16.5, 16.0, "16"])
+    def test_verification_rejects_a_size_that_is_not_an_integer(self, size, tmp_path):
+        # int() would check n = 16 for 16.5
+        out = tmp_path / "verify.json"
+        with pytest.raises(ValueError, match=f"grid size must be an integer, got {size!r}"):
+            run_verification([8, size], seed=0, n_samples=5, lipschitz_samples=5, output_path=str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--sizes", "1024", "--lipschitz-samples", "100"],
+         ["--sizes", "1023", "--samples", "50", "--lipschitz-samples", "50"]],
+        ids=["1024", "1023"],
+    )
+    def test_verify_passes_the_correct_solver_at_a_thousand_nodes(self, argv, tmp_path, capsys):
+        # the residual relative to ||g|| alone reads 4.8e-12 at n = 1024 and
+        # 2.5e-12 at n = 1023; the backward error stays near 1.6e-16
+        out = tmp_path / "verify.json"
+        assert main(["verify", *argv, "--output", str(out)]) == 0
+        (maximality,) = [r for r in json.loads(out.read_text())["reports"][argv[1]] if r["name"] == "maximality"]
+        observed = maximality["observed"]
+        assert maximality["passed"] and maximality["tolerance"] == 1.0
+        assert observed["max_backward_error"] <= 1e-15 < 1e-12 < observed["max_relative_residual"]
+        assert maximality["worst_value"] == max(
+            observed["max_backward_error"] / 1e-14, observed["max_elimination_disagreement"] / 1e-12
+        )
 
     @pytest.mark.parametrize(
         "sizes, message",

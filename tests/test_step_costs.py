@@ -13,10 +13,10 @@ def test_prints_one_row_per_size_with_every_cost():
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout.splitlines()
     rows = [line.split("|")[1:-1] for line in out if line.startswith("| ")]
-    assert [row[0].split()[0] for row in rows] == ["n", "63", "128", "255", "256"]
+    assert [row[0].split()[0] for row in rows] == ["n", "7", "15", "63", "128", "255", "256"]
     for row in rows[1:]:
-        assert len(row) == 6
-        assert [len(cell.split()) for cell in row[1:]] == [1, 1, 2, 1, 1]
+        assert len(row) == 7
+        assert [len(cell.split()) for cell in row[1:]] == [1, 1, 2, 1, 1, 1]
         assert float(row[3].split()[1].strip("()")) >= 1.0  # Picard sweeps per slab
         assert all(float(cell.split()[0]) > 0 for cell in row[1:])
 

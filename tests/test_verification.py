@@ -306,17 +306,21 @@ def oracle_dissipativity(n_samples, grid, seed):
 
 def oracle_maximality(n_samples, grid, seed):
     rng = np.random.default_rng(seed)
-    worst, worst_disagreement = 0.0, 0.0
+    worst, worst_backward, worst_disagreement = 0.0, 0.0, 0.0
     for _ in range(2 * n_samples):
         g = rng.uniform(-1.0, 1.0, grid.n_interior)
         u = spectral.solve_shifted(g, 1.0)
-        residual = u - spectral.discrete_laplacian(u) - g
-        worst = max(worst, np.max(np.abs(residual)) / np.max(np.abs(g)))
+        residual = np.max(np.abs(u - spectral.discrete_laplacian(u) - g))
+        worst = max(worst, residual / np.max(np.abs(g)))
+        # ||I - A|| in the max norm is 1 + 4/h^2
+        size = (1.0 + 4.0 / grid.h**2) * np.max(np.abs(u)) + np.max(np.abs(g))
+        worst_backward = max(worst_backward, residual / size)
         u_rev = spectral.solve_shifted(g[::-1].copy(), 1.0)[::-1]
         denom = max(np.max(np.abs(u)), np.finfo(float).tiny)
         worst_disagreement = max(worst_disagreement, np.max(np.abs(u - u_rev)) / denom)
-    return max(worst, worst_disagreement), {
+    return max(worst_backward / 1e-14, worst_disagreement / 1e-12), {
         "max_relative_residual": worst,
+        "max_backward_error": worst_backward,
         "max_elimination_disagreement": worst_disagreement,
     }
 
@@ -440,6 +444,20 @@ class TestPlantedDefects:
         true_solve = spectral.solve_shifted
         monkeypatch.setattr(spectral, "solve_shifted", lambda g, lam: true_solve(g, lam) * (1.0 + 1e-9))
         assert not check_maximality(50, Grid1D(16), seed=2).passed
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    def test_backward_error_passes_the_solver_and_fails_a_perturbed_one(self, n, monkeypatch):
+        # a solve scaled by 1 + 1e-9 has backward error about 1e-9 * 4/h^2 ||u|| / (4/h^2 ||u||
+        # + ||g||): 1.7e-10 at n = 16 down to 6.2e-13 at n = 1024, all above the 1e-14 bound
+        # and below the 1e-12 one that relative residuals would need
+        clean = check_maximality(100, Grid1D(n), seed=2)
+        assert clean.passed and clean.observed["max_backward_error"] <= 1e-15
+        true_solve = spectral.solve_shifted
+        monkeypatch.setattr(spectral, "solve_shifted", lambda g, lam: true_solve(g, lam) * (1.0 + 1e-9))
+        planted = check_maximality(100, Grid1D(n), seed=2)
+        assert not planted.passed and planted.observed["max_backward_error"] > 1e-14
+        # both orders are scaled alike, so only the backward error sees it
+        assert planted.observed["max_elimination_disagreement"] <= 1e-12
 
     @pytest.mark.parametrize("bad", [0.01, 0.1, 1.0])
     def test_expansion_at_any_duration_fails_contraction(self, bad, monkeypatch):

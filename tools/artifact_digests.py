@@ -4,8 +4,10 @@ Runs each command of COMMANDS in-process through ``pdae1d.cli.main``, in
 one fresh temporary working directory, with relative output paths, so the
 ``# config:`` echoes and the summaries agree across checkouts.  The
 commands cover ``run`` for decay, mms and growth_probe with each method at
-n = 64, one mms run at n = 255 (the FFT kernel), a small ``converge``, a
-small ``verify`` and ``mms-sources``.  For each command it prints the
+n = 64, one mms run at n = 255 (the FFT kernel), Picard and IMEX mms runs
+at n = 256 with other impacts, diffusion and amplitude than the defaults,
+two small ``converge`` sweeps (one of them ``converge``'s n levels at its
+own dt), a small ``verify`` and ``mms-sources``.  For each command it prints the
 command, its exit code, and ``sha256  name`` lines for its stdout, its
 stderr and every file it wrote, in path order.  BLAS is held to one
 thread, set before numpy is imported, and the package is imported from
@@ -40,8 +42,14 @@ COMMANDS = [
     for method in ("exp_euler", "imex", "picard")
 ] + [
     "run --scenario mms --n-interior 255 --t-end 0.1 --d-v 0.3 --p-u -0.7 --output-dir run-mms-n255",
+] + [
+    f"run --scenario mms --method {method} --n-interior 256 --t-end 0.05 --p-u 0.5 --p-v 1.7"
+    f" --d-u 0.4 --mms-a 1.3 --output-dir run-mms-n256-{method}"
+    for method in ("picard", "imex")
+] + [
     "converge --n-interior 31 --dt 1e-3 --t-end 0.1 --dt-levels 0.02,0.01,0.005"
     " --n-levels 7,15 --output-dir converge",
+    "converge --dt 1e-4 --t-end 0.01 --dt-levels , --n-levels 7,15,31 --output-dir converge-n",
     "verify --sizes 16,64,256 --samples 50 --lipschitz-samples 200 --output verify/report.json",
     "mms-sources --n-interior 16 --times 0,0.25,1 --output mms-sources/table.txt",
     "mms-sources --n-interior 7 --times 0.5",

@@ -1,18 +1,23 @@
-"""Per-layer cost of a march: one step of each method, and the reaction.
+"""Per-layer cost of a march: one step of each method, the sources and the reaction.
 
-For n = 63, 128, 255 and 256 (n+1 = 257 is prime, a slow FFT length) it
-prints one markdown table:
+For n = 7 and 15 (small levels of ``converge``'s n sweep), 63, 128, 255
+and 256 (n+1 = 257 is prime, a slow FFT length) it prints one markdown
+table:
 
 * the cost of one step of an mms march at dt = 0.005 in microseconds, for
   exp_euler, imex and picard, with Picard's mean sweeps per slab;
+* the cost of one evaluation of the mms source pair, f(t) and g(t);
 * the cost of one source-free reaction evaluation (``_reaction_terms``) on
   a (2, n) pair and on a (4, 2, n) stack, in microseconds.
 
-A step figure is the mean over the STEPS = 40 steps of one march from t = 0; a
-reaction figure is the mean over a batch of calls.  Each is the best of
-``--repeats`` such timings (15 by default), taken round-robin over all
-figures.  BLAS is held to one thread, set before numpy is imported, and
-the package is imported from this checkout's ``src/``.
+A step figure is one ``integrators._march`` call over STEPS = 40 steps
+from t = 0, under ``np.errstate`` as ``solve`` runs it, divided by STEPS:
+each step's classifying norm is in it, and so is the march's set-up (its
+weights), about 1% of it.  A source or reaction figure is the mean over a
+batch of calls.  Each figure is the best of ``--repeats`` such timings (15
+by default), taken round-robin over all figures.  BLAS is held to one
+thread, set before numpy is imported, and the package is imported from
+this checkout's ``src/``.
 
     python tools/step_costs.py [--repeats 15]
 
@@ -39,11 +44,16 @@ from pdae1d import CoefficientSet, Grid1D, MmsSpec, SolveConfig, build_mms_sourc
 from pdae1d import integrators, mms_state  # noqa: E402
 from pdae1d.nonlinearity import _reaction_terms  # noqa: E402
 
-SIZES = (63, 128, 255, 256)
+SIZES = (7, 15, 63, 128, 255, 256)
 METHODS = ("exp_euler", "imex", "picard")
 DT = 0.005  # the finest dt level of the temporal sweeps in perfbench's mms_sweep
 STEPS = 40
-REACTION_CALLS = 200
+CALLS = 200
+
+
+def march_inputs(n: int):
+    grid, spec, c = Grid1D(n), MmsSpec(), CoefficientSet()
+    return grid, mms_state(spec, grid, 0.0).values, build_mms_sources(spec, grid, c), c
 
 
 def march_timer(n: int, method: str):
@@ -51,35 +61,44 @@ def march_timer(n: int, method: str):
 
     The sweeps are None for exp_euler and imex.
     """
-    grid, spec, c = Grid1D(n), MmsSpec(), CoefficientSet()
-    values0 = mms_state(spec, grid, 0.0).values
-    src = build_mms_sources(spec, grid, c)
-    config = SolveConfig(dt=DT, t_end=STEPS * DT, method=method)
+    grid, values0, src, c = march_inputs(n)
+    # no snapshot but the last, as in a convergence level
+    config = SolveConfig(dt=DT, t_end=STEPS * DT, method=method, snapshot_every=STEPS)
 
     def timer():
-        step, carry, _ = integrators._stepper(method, values0, DT, config, src, c)
-        values, sweeps = values0, 0
-        start = time.perf_counter()
-        for k in range(STEPS):
-            carry, values, used = step(carry, values, k * DT)
-            sweeps += used
-        return (time.perf_counter() - start) / STEPS, sweeps / STEPS if method == "picard" else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            start = time.perf_counter()
+            status, steps, sweeps = integrators._march(values0, grid, config, src, c, [], [])
+            seconds = time.perf_counter() - start
+        assert status.kind == "completed" and steps == STEPS
+        return seconds / STEPS, sweeps / STEPS if method == "picard" else None
 
     return timer
+
+
+def calls_timer(call):
+    """A timer of ``call()``: returns (mean seconds per call, None)."""
+
+    def timer():
+        start = time.perf_counter()
+        for _ in range(CALLS):
+            call()
+        return (time.perf_counter() - start) / CALLS, None
+
+    return timer
+
+
+def sources_timer(n: int):
+    """A timer of one evaluation of the mms source pair, f and g at one t."""
+    src = march_inputs(n)[2]
+    return calls_timer(lambda: (src.f(0.3), src.g(0.3)))
 
 
 def reaction_timer(shape: tuple[int, ...]):
-    """A timer of ``_reaction_terms`` on a random stack: returns (mean seconds per call, None)."""
+    """A timer of ``_reaction_terms`` on a random stack."""
     values = np.random.default_rng(0).standard_normal(shape)
     c = CoefficientSet()
-
-    def timer():
-        start = time.perf_counter()
-        for _ in range(REACTION_CALLS):
-            _reaction_terms(values, c)
-        return (time.perf_counter() - start) / REACTION_CALLS, None
-
-    return timer
+    return calls_timer(lambda: _reaction_terms(values, c))
 
 
 def main(argv=None) -> int:
@@ -90,6 +109,7 @@ def main(argv=None) -> int:
     for n in SIZES:
         for method in METHODS:
             timers[n, method] = march_timer(n, method)
+        timers[n, "sources"] = sources_timer(n)
         for shape in ((2, n), (4, 2, n)):
             timers[n, shape] = reaction_timer(shape)
     # round-robin, so each figure's repeats sample the whole run, not one stretch of it
@@ -99,11 +119,12 @@ def main(argv=None) -> int:
             best[key] = min(best[key], timer(), key=lambda pair: pair[0])
     print(f"# python {platform.python_version()}, numpy {np.__version__}, {os.cpu_count()} CPUs, "
           f"one BLAS thread; best of {args.repeats}, {STEPS} steps at dt = {DT}")
-    print("| n | exp_euler | imex | picard (sweeps per slab) | reaction (2, n) | reaction (4, 2, n) |")
-    print("|---|---|---|---|---|---|")
+    print("| n | exp_euler | imex | picard (sweeps per slab) | mms sources f, g "
+          "| reaction (2, n) | reaction (4, 2, n) |")
+    print("|---|---|---|---|---|---|---|")
     for n in SIZES:
         cells = [f"{n} (257 prime)" if n == 256 else str(n)]
-        for key in [(n, method) for method in METHODS] + [(n, (2, n)), (n, (4, 2, n))]:
+        for key in [(n, method) for method in METHODS] + [(n, "sources"), (n, (2, n)), (n, (4, 2, n))]:
             seconds, sweeps = best[key]
             cells.append(f"{seconds * 1e6:.1f}" + ("" if sweeps is None else f" ({sweeps:.1f})"))
         print("| " + " | ".join(cells) + " |")

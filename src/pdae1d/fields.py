@@ -11,11 +11,12 @@ values can be shared freely between threads.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
+import sys
+import typing
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -27,19 +28,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_finite(config) -> None:
-    """Reject a numeric field of a config dataclass that is NaN, +-inf or beyond float range."""
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, (int, float)):
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int too large for a float
-                finite = False
-            if not finite:
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-
-
 def _whole(value, name: str) -> int:
     """``value`` as an int: an integer, numpy's included; ValueError naming anything else.
 
@@ -48,6 +36,42 @@ def _whole(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+@cache
+def _field_types(cls) -> dict:
+    """Each field of dataclass ``cls`` as (its annotated type, whether None fits), in order."""
+    types = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)  # (T, NoneType) for a "T | None" field
+        types[name] = (args[0], True) if args else (hint, False)
+    return types
+
+
+def _check_fields(config) -> None:
+    """Hold each field of a frozen config dataclass to its annotation; ValueError naming it.
+
+    A bool fits no field, None only a ``T | None`` one, and an int a float one.
+    """
+    for name, (kind, nullable) in _field_types(type(config)).items():
+        value = getattr(config, name)
+        # the common case first: exactly the annotated type, and finite if a float
+        if type(value) is kind and (kind is not float or math.isfinite(value)):
+            continue
+        if value is None and nullable:
+            continue
+        where = f"config key {name!r}: {name}"
+        if isinstance(value, np.floating) and float(value) == value:
+            value = float(value)  # a numpy float that a double holds, long double included
+        elif isinstance(value, np.generic):
+            value = value.item()  # any other numpy scalar as its Python value
+        if kind is int:
+            value = _whole(value, where)
+        elif type(value) is bool or not isinstance(value, (float, int) if kind is float else kind):
+            raise ValueError(f"{where} must be {kind.__name__}, got {value!r}")
+        elif kind is float and not abs(value) <= sys.float_info.max:  # NaN, inf or a huge int
+            raise ValueError(f"{where} must be a finite number, got {value!r}")
+        object.__setattr__(config, name, value)
 
 
 @dataclass(frozen=True)

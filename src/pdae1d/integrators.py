@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constraint import constraint_residual, reconstruct_w
-from .fields import Grid1D, StatePair, _check_finite, _pair_norm, pair_norm
+from .fields import Grid1D, StatePair, _check_fields, _pair_norm, pair_norm
 
 # eval_reaction and zero_sources are looked up here at call time, so the
 # wrappers perfbench/tracing.py puts on this module's bindings see every call
@@ -103,7 +103,7 @@ class SolveConfig:
     snapshot_every: int = 1
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_fields(self)
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
         if self.dt > self.t_end:

@@ -25,7 +25,7 @@ import numpy as np
 # here because perfbench/tracing.py wraps every module binding of it
 from .constraint import cumulative_integral  # noqa: F401
 from .constraint import _mass, running_integral
-from .fields import Grid1D, _check_finite, _freeze, pair_norm, row_dot
+from .fields import Grid1D, _check_fields, _freeze, pair_norm, row_dot
 
 __all__ = [
     "CoefficientSet",
@@ -52,7 +52,7 @@ class CoefficientSet:
     p_v: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_fields(self)
         if self.d_u <= 0 or self.d_v <= 0:
             raise ValueError("diffusion coefficients must be positive")
 

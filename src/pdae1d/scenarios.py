@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-import typing
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 # reconstruct_w stays bound here because perfbench/tracing.py wraps every
 # module binding of it
 from .constraint import reconstruct_w  # noqa: F401
-from .fields import Field, Grid1D, StatePair, _check_finite, _whole, pair_norm
+from .fields import Field, Grid1D, StatePair, _check_fields, _field_types, _whole, pair_norm
 from .integrators import METHODS, SolveConfig, Trajectory, solve
 from .nonlinearity import (
     CoefficientSet,
@@ -60,7 +59,7 @@ class ScenarioConfig:
     n_interior: int = 128
     dt: float = 1e-3
     t_end: float = 1.0
-    method: str = "exp_euler"
+    method: str = SolveConfig.method
     d_u: float = 1.0
     d_v: float = 1.0
     p_u: float = 1.0
@@ -70,17 +69,15 @@ class ScenarioConfig:
     blowup_threshold: float | None = None
     output_dir: str = "out"
     seed: int = 0
-    snapshot_every: int = 1
+    snapshot_every: int = SolveConfig.snapshot_every
     mms_a: float = 1.0
     mms_b: float = 1.0
-    picard_max_iter: int = 25
-    picard_tol: float = 1e-10
-    picard_substeps: int = 4
+    picard_max_iter: int = SolveConfig.picard_max_iter
+    picard_tol: float = SolveConfig.picard_tol
+    picard_substeps: int = SolveConfig.picard_substeps
 
     def __post_init__(self):
-        _check_finite(self)
-        # an int, never truncated, so the grid a run uses is the one its echo states
-        object.__setattr__(self, "n_interior", _whole(self.n_interior, "n_interior"))
+        _check_fields(self)
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
         if self.method not in METHODS:
@@ -108,33 +105,14 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        """Config from JSON-like values; unknown keys and mistyped values are rejected.
-
-        An int is accepted for a float field, and None only for a field
-        whose default is None.
-        """
+        """Config from JSON-like values; unknown keys are rejected, values checked as fields."""
         unknown = set(raw) - set(CONFIG_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in raw.items():
-            kind, nullable = CONFIG_TYPES[key]
-            if value is None and nullable:
-                continue
-            accepted = (int, float) if kind is float else kind
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
         return cls(**raw)
 
 
-def _field_type(hint) -> tuple[type, bool]:
-    args = typing.get_args(hint)  # (T, NoneType) for a "T | None" field
-    return (args[0], True) if args else (hint, False)
-
-
-# config field name -> (its type, whether None is allowed), in field order
-CONFIG_TYPES = {
-    name: _field_type(hint) for name, hint in typing.get_type_hints(ScenarioConfig).items()
-}
+CONFIG_TYPES = _field_types(ScenarioConfig)
 
 
 def read_config(path: str) -> dict:

@@ -24,9 +24,12 @@ def test_prints_the_exit_code_and_a_digest_of_every_output():
             names.append(name)
         assert names[:2] == ["stdout", "stderr"]
         commands[command[0]].append((command, block[1], names[2:]))
-    assert [len(commands[name]) for name in ("run", "converge", "verify", "mms-sources")] == [12, 2, 1, 2]
+    assert [len(commands[name]) for name in ("run", "converge", "verify", "mms-sources")] == [14, 2, 2, 2]
+    # the runs from a config file take their scenario from it
+    from_file = {"rerun-mms-picard": "mms", "run-int-floats": "decay"}
     for command, code, files in commands["run"]:
-        scenario, out_dir = command[command.index("--scenario") + 1], command[-1]
+        out_dir = command[-1]
+        scenario = from_file[out_dir] if "--config" in command else command[command.index("--scenario") + 1]
         assert code == ("exit 2" if scenario == "growth_probe" else "exit 0")
         tables = ["constraint.csv", "mms_error.csv", "summary.json", "trajectory.csv"]
         if scenario != "mms":
@@ -34,5 +37,6 @@ def test_prints_the_exit_code_and_a_digest_of_every_output():
         assert files == [f"{out_dir}/{table}" for table in tables]
     for command, code, files in commands["converge"]:
         assert (code, files) == ("exit 0", [f"{command[-1]}/convergence.csv"])
-    assert commands["verify"][0][1:] == ("exit 0", ["verify/report.json"])
+    for command, code, files in commands["verify"]:
+        assert (code, files) == ("exit 0", [command[-1]])
     assert [files for _, _, files in commands["mms-sources"]] == [["mms-sources/table.txt"], []]

@@ -639,6 +639,11 @@ class TestSolveConfig:
             {"dt": 0.1, "t_end": 1.0, "picard_tol": -math.inf},
             {"dt": 1, "t_end": 10**400},
             {"dt": 1e-10, "t_end": 1e308},
+            {"dt": 0.1, "t_end": 1.0, "snapshot_every": 2.5},
+            {"dt": 0.1, "t_end": 1.0, "snapshot_every": True},
+            {"dt": 0.1, "t_end": 1.0, "picard_substeps": 2.5},
+            {"dt": 0.1, "t_end": 1.0, "picard_max_iter": 2.5},
+            {"dt": "0.1", "t_end": 1.0},
         ],
     )
     def test_validation(self, kwargs):

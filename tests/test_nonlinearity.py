@@ -182,6 +182,12 @@ class TestCoefficientSet:
         with pytest.raises(ValueError, match=f"{name} must be a finite number"):
             CoefficientSet(**{name: value})
 
+    @pytest.mark.parametrize("name", ["d_u", "d_v", "p_u", "p_v"])
+    @pytest.mark.parametrize("value", ["1", True])
+    def test_rejects_a_string_or_bool_coefficient_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"config key '{name}': {name} must be float, got {value!r}"):
+            CoefficientSet(**{name: value})
+
 
 class TestTabulatedSources:
     def write_table(self, path, grid, times, fn_f, fn_g, full_nodes=True):

@@ -306,7 +306,7 @@ def oracle_dissipativity(n_samples, grid, seed):
 
 def oracle_maximality(n_samples, grid, seed):
     rng = np.random.default_rng(seed)
-    worst, worst_backward, worst_disagreement = 0.0, 0.0, 0.0
+    worst, worst_backward, worst_gap, worst_disagreement = 0.0, 0.0, 0.0, 0.0
     for _ in range(2 * n_samples):
         g = rng.uniform(-1.0, 1.0, grid.n_interior)
         u = spectral.solve_shifted(g, 1.0)
@@ -316,12 +316,16 @@ def oracle_maximality(n_samples, grid, seed):
         size = (1.0 + 4.0 / grid.h**2) * np.max(np.abs(u)) + np.max(np.abs(g))
         worst_backward = max(worst_backward, residual / size)
         u_rev = spectral.solve_shifted(g[::-1].copy(), 1.0)[::-1]
+        # the two orders' difference as a backward error: what (I - A) makes of it
+        gap = u - u_rev
+        worst_gap = max(worst_gap, np.max(np.abs(gap - spectral.discrete_laplacian(gap))) / size)
         denom = max(np.max(np.abs(u)), np.finfo(float).tiny)
-        worst_disagreement = max(worst_disagreement, np.max(np.abs(u - u_rev)) / denom)
-    return max(worst_backward / 1e-14, worst_disagreement / 1e-12), {
+        worst_disagreement = max(worst_disagreement, np.max(np.abs(gap)) / denom)
+    return max(worst_backward / 1e-14, worst_gap / 1e-14), {
         "max_relative_residual": worst,
         "max_backward_error": worst_backward,
         "max_elimination_disagreement": worst_disagreement,
+        "max_disagreement_backward_error": worst_gap,
     }
 
 
@@ -458,6 +462,26 @@ class TestPlantedDefects:
         assert not planted.passed and planted.observed["max_backward_error"] > 1e-14
         # both orders are scaled alike, so only the backward error sees it
         assert planted.observed["max_elimination_disagreement"] <= 1e-12
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024, 4096])
+    def test_disagreement_passes_the_solver_and_fails_a_perturbed_reversed_solve(self, n, monkeypatch):
+        # a reversed-order solve scaled by 1 + 1e-9 has a disagreement backward error of
+        # 1.7e-10 at n = 16 down to 7.6e-14 at n = 4096, all above the 1e-14 bound, while the
+        # correct solver's reads 1.5-2.7e-16 (its relative disagreement, unbounded now,
+        # reaches 2.6e-12 at n = 4096, past the 1e-12 that was once its bound)
+        clean = check_maximality(100, Grid1D(n), seed=2)
+        assert clean.passed and clean.observed["max_disagreement_backward_error"] <= 1e-15
+        true_solve = spectral.solve_shifted
+
+        def solve(g, lam):  # check_maximality stacks the two orders as (forward, reversed)
+            u = true_solve(g, lam)
+            return u * np.array([1.0, 1.0 + 1e-9]).reshape((2,) + (1,) * (u.ndim - 1))
+
+        monkeypatch.setattr(spectral, "solve_shifted", solve)
+        planted = check_maximality(100, Grid1D(n), seed=2)
+        assert not planted.passed and planted.observed["max_disagreement_backward_error"] > 1e-14
+        # the forward solve is the correct one, so only the disagreement sees the defect
+        assert planted.observed["max_backward_error"] == clean.observed["max_backward_error"]
 
     @pytest.mark.parametrize("bad", [0.01, 0.1, 1.0])
     def test_expansion_at_any_duration_fails_contraction(self, bad, monkeypatch):

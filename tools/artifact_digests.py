@@ -7,7 +7,9 @@ commands cover ``run`` for decay, mms and growth_probe with each method at
 n = 64, one mms run at n = 255 (the FFT kernel), Picard and IMEX mms runs
 at n = 256 with other impacts, diffusion and amplitude than the defaults,
 two small ``converge`` sweeps (one of them ``converge``'s n levels at its
-own dt), a small ``verify`` and ``mms-sources``.  For each command it prints the
+own dt), ``run --config`` on a run's ``summary.json`` and on a config file
+with int-valued float fields that the tool writes first, a small
+``verify``, one at n = 4096 and ``mms-sources``.  For each command it prints the
 command, its exit code, and ``sha256  name`` lines for its stdout, its
 stderr and every file it wrote, in path order.  BLAS is held to one
 thread, set before numpy is imported, and the package is imported from
@@ -50,10 +52,19 @@ COMMANDS = [
     "converge --n-interior 31 --dt 1e-3 --t-end 0.1 --dt-levels 0.02,0.01,0.005"
     " --n-levels 7,15 --output-dir converge",
     "converge --dt 1e-4 --t-end 0.01 --dt-levels , --n-levels 7,15,31 --output-dir converge-n",
+    "run --config run-mms-picard/summary.json --output-dir rerun-mms-picard",
+    "run --config int-floats.json --output-dir run-int-floats",
     "verify --sizes 16,64,256 --samples 50 --lipschitz-samples 200 --output verify/report.json",
+    "verify --sizes 4096 --samples 20 --lipschitz-samples 10 --output verify-4096/report.json",
     "mms-sources --n-interior 16 --times 0,0.25,1 --output mms-sources/table.txt",
     "mms-sources --n-interior 7 --times 0.5",
 ]
+
+# config files written before the first command: float fields given as JSON
+# integers, whose "# config:" echo must keep them as written
+CONFIG_FILES = {
+    "int-floats.json": '{"scenario": "decay", "n_interior": 15, "dt": 0.05, "t_end": 1, "d_v": 2}',
+}
 
 
 def digest(data: bytes) -> str:
@@ -65,6 +76,8 @@ def main() -> int:
         home = os.getcwd()
         os.chdir(workdir)
         try:
+            for name, text in CONFIG_FILES.items():
+                Path(name).write_text(text)
             for command in COMMANDS:
                 seen = {path for path in Path(".").rglob("*") if path.is_file()}
                 out, err = io.StringIO(), io.StringIO()

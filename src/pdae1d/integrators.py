@@ -14,25 +14,32 @@ diffusion is diagonal with z_k = d * lambda_k * dt per component, built by
   each slab, with trapezoid quadrature over a few substep samples.
 
 A state is a (2, n) array of the nodal values (u, v); the one-step
-functions take and return such arrays, and sources return each component
-as a float array of shape (n,).  Only ``solve`` takes a ``StatePair``, at
-the edge, and builds no ``Field``/``StatePair`` after it.
+functions take and return such arrays.  A source component maps an array
+of K times to a (K, n) array, and every source time a march needs is
+fixed in advance, so it evaluates them a block at a time.  Only ``solve``
+takes a ``StatePair``, at the edge, and builds no ``Field``/``StatePair``
+after it.
 
-One factory builds each method's ``step(carry, values, t) -> (carry,
-values, sweeps)``.  For exponential Euler and IMEX it is ``_diagonal_step``
-on the weights (a, b) that ``_weights`` builds from z, both for any leading
-shape; the carry is the (2, n) sine coefficients, so a step is one batched
-inverse and one batched forward sine transform; a Picard step is one
-``picard_slab``, and carries nothing.  Its first sweep transforms all
-substep samples at once, and each later sweep all but sample 0, the
-slab's start, which no sweep moves.  The public one-step functions are
-thin calls of the same kernels.  ``solve`` runs one loop for every
-method: a step, then one norm that classifies it.  A norm below the
-blow-up threshold continues.  Otherwise a finiteness scan, made only on
-that path, tells the two endings apart.  A non-finite state is a step
-failure at the step's start time; its reason names the
-first source component that is non-finite at a time the step used, or
-else reads "non-finite state".  A finite one is a blow-up candidate (a
+One factory builds each method's ``step(carry, values, s) -> (carry,
+values, sweeps)`` and the inputs s of a block of steps.  For exponential
+Euler and IMEX the step is ``_diagonal_step`` on the weights (a, b) that
+``_weights`` builds from z, both for any leading shape, and s is the
+(2, n) source values at the step's start: the march evaluates the start
+times of a block of up to ``_BLOCK_VALUES // (2n)`` steps with one f call
+and one g call.  The carry is the (2, n) sine coefficients, so a step is
+one batched inverse and one batched forward sine transform.  A Picard
+step is one ``picard_slab``, which evaluates its m substep times with one
+call of each component; it carries nothing, and its s is its start time.
+Its first sweep transforms all substep samples at once, and each later
+sweep all but sample 0, the slab's start, which no sweep moves.  The
+public one-step functions are thin calls of the same kernels.  ``solve``
+runs one loop for every method: a step, then one norm that classifies
+it.  A norm below the blow-up threshold continues.  Otherwise a
+finiteness scan, made only on that path, tells the two endings apart.  A
+non-finite state is a step failure at the step's start time; its reason
+names the first source component that is non-finite at a time the step
+used, found with one call of each component, or else reads "non-finite
+state".  A finite one is a blow-up candidate (a
 detection heuristic: the reported time is a candidate, not a proven
 maximal existence time).  ``solve`` keeps each snapshot as its (2, n)
 nodal values and, when the march ends, stacks them to (S, 2, n) and
@@ -58,6 +65,7 @@ from .nonlinearity import (
     CoefficientSet,
     SourcePair,
     _reaction_terms,
+    _source_values,
     eval_reaction,
     zero_sources,
 )
@@ -87,6 +95,10 @@ __all__ = [
 ]
 
 METHODS = ("exp_euler", "picard", "imex")
+
+# a march evaluates the sources of exp_euler/imex steps a block of steps at a
+# time, one f and one g call per block of at most this many values (64 KB)
+_BLOCK_VALUES = 8192
 
 
 @dataclass(frozen=True)
@@ -212,36 +224,44 @@ def _step_inputs(dt: float, values: np.ndarray, sources, coefficients):
     return grid, c, sources if sources is not None else zero_sources(grid)
 
 
-def _substep_times(t: float, dt: float, m: int) -> list[float]:
-    # the m uniformly spaced samples of the slab [t, t + dt]
-    delta = dt / (m - 1)
-    return [t + i * delta for i in range(m)]
+def _substep_times(t: float, dt: float, m: int) -> np.ndarray:
+    # the m uniformly spaced samples of the slab [t, t + dt], each t + i * delta
+    return t + np.arange(m) * (dt / (m - 1))
 
 
 def _stepper(
     method: str, values: np.ndarray, dt: float, config: SolveConfig | None,
     sources: SourcePair | None, coefficients: CoefficientSet | None,
 ):
-    """One method's step, its starting carry, and the source times of a step.
+    """One method's step, its starting carry, its step inputs and its source times.
 
-    Returns ``(step, carry, source_times)``: ``step(carry, values, t) ->
-    (carry, values, sweeps)`` advances nodal values (2, n) from t by dt,
-    the carry is the sine coefficients of ``values`` for exp_euler/imex
+    Returns ``(step, carry, inputs, source_times)``.  ``step(carry,
+    values, s) -> (carry, values, sweeps)`` advances nodal values (2, n) by
+    dt; the carry is the sine coefficients of ``values`` for exp_euler/imex
     (whose step is :func:`_diagonal_step` on the method's weights) and None
-    for picard, and ``source_times(t)`` lists the times at which a step
-    from t evaluates the sources.
+    for picard.  ``inputs(starts)`` gives the s of each step of a block
+    starting at the float array ``starts``: for exp_euler/imex the (2, n)
+    source values at its start, all from one f and one g call, and for
+    picard its start time, since a slab evaluates its own substep sources.
+    ``source_times(t)`` is the array of times at which a step from t
+    evaluates the sources.
     """
     grid, c, src = _step_inputs(dt, values, sources, coefficients)
     if method == "picard":
+        m = config.picard_substeps
 
         def step(carry, values, t):
             # through the module binding, so a tracer of picard_slab sees every slab
             result = picard_slab(values, t, dt, config, src, c)
             return carry, result.values, result.iterations
 
-        return step, None, lambda t: _substep_times(t, dt, config.picard_substeps)
-    a, b = _weights(method, _exponents(grid.n_interior, c.d_u, c.d_v, dt), dt)
-    return partial(_diagonal_step, a, b, src, c), to_coeffs(values), lambda t: (t,)
+        return step, None, np.ndarray.tolist, lambda t: _substep_times(t, dt, m)
+    n = grid.n_interior
+    a, b = _weights(method, _exponents(n, c.d_u, c.d_v, dt), dt)
+    return (
+        partial(_diagonal_step, a, b, c), to_coeffs(values),
+        lambda starts: _source_values(src, starts, n), lambda t: np.array([t]),
+    )
 
 
 def _weights(method: str, z: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
@@ -254,13 +274,15 @@ def _weights(method: str, z: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
     return 1.0 / (1.0 - z), dt / (1.0 - z)
 
 
-def _diagonal_step(a, b, src: SourcePair, c: CoefficientSet, coeffs, values, t):
-    """The diagonal update c <- a*c + b*DST(R(values) + S(t)); returns (c, values, 0).
+def _diagonal_step(a, b, c: CoefficientSet, coeffs, values, s):
+    """The diagonal update c <- a*c + b*DST(R(values) + s); returns (c, values, 0).
 
     ``coeffs`` and ``values`` are (..., 2, n), the sine coefficients and
-    nodal values of one state or a stack, and a, b broadcast against them.
+    nodal values of one state or a stack, ``s`` the source values at the
+    step's start, (2, n) or a matching stack, and a, b broadcast against
+    them.
     """
-    coeffs = a * coeffs + b * to_coeffs(eval_reaction(values, t, src, c))
+    coeffs = a * coeffs + b * to_coeffs(eval_reaction(values, s, c))
     return coeffs, to_values(coeffs), 0
 
 
@@ -297,8 +319,8 @@ def step_exp_euler(
     Exact on the diffusion part; the reaction is frozen at the left
     endpoint and weighted by phi1.
     """
-    step, coeffs, _ = _stepper("exp_euler", values, dt, None, sources, coefficients)
-    return step(coeffs, values, t)[1]
+    step, coeffs, inputs, _ = _stepper("exp_euler", values, dt, None, sources, coefficients)
+    return step(coeffs, values, inputs(np.array([t], dtype=float))[0])[1]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -315,8 +337,8 @@ def step_imex(
     exactly in the sine eigenbasis, where the inverse is the diagonal
     1/(1 - dt*d*lambda_k); unconditionally stable in the diffusion part.
     """
-    step, coeffs, _ = _stepper("imex", values, dt, None, sources, coefficients)
-    return step(coeffs, values, t)[1]
+    step, coeffs, inputs, _ = _stepper("imex", values, dt, None, sources, coefficients)
+    return step(coeffs, values, inputs(np.array([t], dtype=float))[0])[1]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -351,10 +373,7 @@ def picard_slab(
     grid, c, src = _step_inputs(dt, values, sources, coefficients)
     m = config.picard_substeps
     drift, kernel = _picard_weights(grid, dt / (m - 1), m, c)
-    forcing = np.empty(drift.shape)
-    for i, s in enumerate(_substep_times(t, dt, m)):
-        forcing[i, 0] = src.f(s)
-        forcing[i, 1] = src.g(s)
+    forcing = _source_values(src, _substep_times(t, dt, m), grid.n_interior)
     start = drift * to_coeffs(values)
     iterate = start
     rhs = to_coeffs(_reaction_terms(to_values(start), c) + forcing)
@@ -383,11 +402,12 @@ def picard_slab(
     raise PicardConvergenceError(t, len(diff_norms), tuple(diff_norms))
 
 
-def _non_finite_reason(sources: SourcePair, times) -> str:
-    """Name the first source component that is non-finite at one of ``times``."""
-    for t in times:
-        for name in ("f", "g"):
-            if not np.all(np.isfinite(getattr(sources, name)(t))):
+def _non_finite_reason(sources: SourcePair, times: np.ndarray, n: int) -> str:
+    """Name the first source component that is non-finite at one of ``times``, f before g."""
+    finite = np.isfinite(_source_values(sources, times, n)).all(axis=-1)
+    for t, row in zip(times.tolist(), finite):
+        for name, ok in zip(("f", "g"), row):
+            if not ok:
                 return f"non-finite source {name} at t={t}"
     return "non-finite state"
 
@@ -399,45 +419,41 @@ def _march(
     """Advance ``values`` (2, n) from t = 0, appending each snapshot's time and values.
 
     One loop for every method; returns the terminal status, the accepted
-    steps and the Picard sweeps.  Runs inside ``solve``'s ``np.errstate``,
-    so its norm is the unguarded one.
+    steps and the Picard sweeps.  The steps go in blocks of at most
+    ``_BLOCK_VALUES // (2n)``, whose start times ``np.arange(k0, k1) * dt``
+    are each step's k * dt, and each block's inputs are made in one call.
+    Runs inside ``solve``'s ``np.errstate``, so its norm is the unguarded
+    one.
     """
     dt, h, threshold, every = config.dt, grid.h, config.blowup_threshold, config.snapshot_every
     if _pair_norm(values, h) >= threshold:
         return RunStatus.blowup_detected(0.0), 0, 0
-    step, carry, source_times = _stepper(config.method, values, dt, config, src, c)
+    step, carry, inputs, source_times = _stepper(config.method, values, dt, config, src, c)
     sweeps = 0
     n_steps = round(config.t_end / dt)
+    block = max(1, _BLOCK_VALUES // (2 * grid.n_interior))
     t_now = 0.0
-    for k in range(1, n_steps + 1):
-        t_prev, t_now = t_now, k * dt
-        try:
-            carry, values, used = step(carry, values, t_prev)
-        except PicardConvergenceError as err:
-            return RunStatus.step_failure(t_prev, str(err)), k - 1, sweeps + err.iterations
-        sweeps += used
-        # a NaN norm is not below the threshold either, so only a state that
-        # is non-finite or a blow-up candidate pays for the finiteness scan
-        below = _pair_norm(values, h) < threshold
-        if not below and not np.all(np.isfinite(values)):
-            reason = _non_finite_reason(src, source_times(t_prev))
-            return RunStatus.step_failure(t_prev, reason), k - 1, sweeps
-        if not below or k % every == 0 or k == n_steps:
-            times.append(t_now)
-            snapshots.append(values)
-        if not below:
-            return RunStatus.blowup_detected(t_now), k, sweeps
+    for k0 in range(0, n_steps, block):
+        k1 = min(k0 + block, n_steps)
+        for k, s in zip(range(k0 + 1, k1 + 1), inputs(np.arange(k0, k1) * dt)):
+            t_prev, t_now = t_now, k * dt
+            try:
+                carry, values, used = step(carry, values, s)
+            except PicardConvergenceError as err:
+                return RunStatus.step_failure(t_prev, str(err)), k - 1, sweeps + err.iterations
+            sweeps += used
+            # a NaN norm is not below the threshold either, so only a state that
+            # is non-finite or a blow-up candidate pays for the finiteness scan
+            below = _pair_norm(values, h) < threshold
+            if not below and not np.all(np.isfinite(values)):
+                reason = _non_finite_reason(src, source_times(t_prev), grid.n_interior)
+                return RunStatus.step_failure(t_prev, reason), k - 1, sweeps
+            if not below or k % every == 0 or k == n_steps:
+                times.append(t_now)
+                snapshots.append(values)
+            if not below:
+                return RunStatus.blowup_detected(t_now), k, sweeps
     return RunStatus.completed(), n_steps, sweeps
-
-
-def _check_sources(sources: SourcePair, n: int) -> None:
-    for name in ("f", "g"):
-        value = getattr(sources, name)(0.0)
-        if not (isinstance(value, np.ndarray) and value.dtype == float and value.shape == (n,)):
-            shape = getattr(value, "shape", type(value).__name__)
-            raise ValueError(
-                f"sources.{name}(0.0) must be a float array of shape ({n},), got {shape}"
-            )
 
 
 # solve takes a StatePair: the benchmark builds its initial states with
@@ -460,12 +476,12 @@ def solve(
     However the march ends, the profiles and residuals of all snapshots
     come from one ``reconstruct_w`` and one ``constraint_residual`` call
     on the stack.
-    Sources whose components at t = 0 are not float arrays of shape (n,)
-    raise ValueError before the first step.
+    Sources whose components at the one time ``np.zeros(1)`` are not
+    float arrays of shape (1, n) raise ValueError before the first step.
     """
     values0 = state0.values
     grid, c, src = _step_inputs(config.dt, values0, sources, coefficients)
-    _check_sources(src, grid.n_interior)
+    _source_values(src, np.zeros(1), grid.n_interior)
     times, snapshots = [0.0], [values0]
     # the march classifies a state that overflows or turns non-finite
     # itself, and its diagnostics are then inf or NaN: numpy's warnings on

@@ -10,8 +10,11 @@ quotient at those coefficients, without sources (they cancel in the
 difference), so that bound can be checked empirically.
 
 States are Dirichlet nodal pairs (u, v) shaped (2, n), or stacks of them
-shaped (..., 2, n); sources return each component as a read-only float
-array of shape (n,).
+shaped (..., 2, n).  A source component maps a 1-D array of K times to a
+read-only float array of shape (K, n), one row per time, so a caller that
+knows its times in advance evaluates them all in one call:
+``_source_values`` stacks the two components to (K, 2, n), and
+``eval_reaction`` adds one such (2, n) row, or a stack of them, to R(U).
 """
 
 from __future__ import annotations
@@ -63,19 +66,44 @@ class CoefficientSet:
 class SourcePair:
     """Time-parameterized sources (f, g) on a fixed grid of n interior nodes.
 
-    Each callable maps t >= 0 to a read-only float array of shape (n,) and
-    must be re-entrant: no internal mutable state, safe to evaluate
-    concurrently.  ``solve`` checks the shape of both at t = 0.
+    Each callable maps a 1-D float array of K >= 1 times to a read-only
+    float array of shape (K, n) whose row i is the value at ``times[i]``,
+    and must be re-entrant: no internal mutable state, safe to evaluate
+    concurrently.  A row must not depend on the other times of the call.
+    ``solve`` checks both at the one time ``np.zeros(1)``.
     """
 
-    f: Callable[[float], np.ndarray]
-    g: Callable[[float], np.ndarray]
+    f: Callable[[np.ndarray], np.ndarray]
+    g: Callable[[np.ndarray], np.ndarray]
     kind: str = "custom"
 
 
+def _source_values(sources: SourcePair, times: np.ndarray, n: int) -> np.ndarray:
+    """The pair at each of ``times`` (a 1-D float array), shaped (K, 2, n).
+
+    One call of f and one of g; either raises ValueError unless it gives a
+    float array of shape (K, n).
+    """
+    shape = (len(times), n)
+    out = np.empty((len(times), 2, n))
+    for i, name in enumerate(("f", "g")):
+        value = getattr(sources, name)(times)
+        if not (isinstance(value, np.ndarray) and value.dtype == float and value.shape == shape):
+            got = getattr(value, "shape", type(value).__name__)
+            raise ValueError(
+                f"sources.{name} at {len(times)} time(s) must be a float array of shape {shape}, got {got}"
+            )
+        out[:, i] = value
+    return out
+
+
 def zero_sources(grid: Grid1D) -> SourcePair:
-    zero = _freeze(np.zeros(grid.n_interior))
-    return SourcePair(f=lambda t: zero, g=lambda t: zero, kind="zero")
+    zero = np.zeros(grid.n_interior)
+
+    def at(times):
+        return np.broadcast_to(zero, (len(times), zero.size))  # a read-only view
+
+    return SourcePair(f=at, g=at, kind="zero")
 
 
 def read_node_table(path: str, grid: Grid1D, columns: tuple[str, ...]):
@@ -145,20 +173,22 @@ def tabulated_sources(grid: Grid1D, path: str) -> SourcePair:
     check: a source at a Dirichlet node never enters the interior solve.
     """
     times, slabs = read_node_table(path, grid, ("t", "x", "f", "g"))
-    _freeze(slabs)
 
-    def interpolate(component, t):
-        if t <= times[0]:
-            return slabs[0, component]
-        if t >= times[-1]:
-            return slabs[-1, component]
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        theta = (t - times[i]) / (times[i + 1] - times[i])
-        return _freeze((1.0 - theta) * slabs[i, component] + theta * slabs[i + 1, component])
+    def interpolate(component, ts):
+        out = np.empty((len(ts), slabs.shape[-1]))
+        before, after = ts <= times[0], ts >= times[-1]
+        out[after] = slabs[-1, component]
+        out[before] = slabs[0, component]  # written last: a one-slab table gives slab 0
+        inside = ~(before | after)
+        s = ts[inside]
+        i = np.searchsorted(times, s, side="right") - 1
+        theta = ((s - times[i]) / (times[i + 1] - times[i]))[:, None]
+        out[inside] = (1.0 - theta) * slabs[i, component] + theta * slabs[i + 1, component]
+        return _freeze(out)
 
     return SourcePair(
-        f=lambda t: interpolate(0, t),
-        g=lambda t: interpolate(1, t),
+        f=lambda ts: interpolate(0, ts),
+        g=lambda ts: interpolate(1, ts),
         kind="custom-tabulated",
     )
 
@@ -182,22 +212,20 @@ def _reaction_terms(values: np.ndarray, c: CoefficientSet) -> np.ndarray:
 
 def eval_reaction(
     values: np.ndarray,
-    t: float = 0.0,
-    sources: SourcePair | None = None,
+    sources: np.ndarray | None = None,
     coefficients: CoefficientSet | None = None,
 ) -> np.ndarray:
-    """Non-diffusive right-hand side (-u*I + f(t), +v*I + g(t)).
+    """Non-diffusive right-hand side R(U) + S = (-u*I + f, +v*I + g).
 
     I is the trapezoid running integral of p_u*u + p_v*v evaluated at the
     interior nodes.  ``values`` are Dirichlet nodal pairs shaped (..., 2, n);
-    the result has the same shape.
+    ``sources`` are the source values (f, g) shaped (..., 2, n), broadcast
+    against them, or None for none; the result has the shape of ``values``.
     """
     c = coefficients if coefficients is not None else CoefficientSet()
     out = _reaction_terms(values, c)
     if sources is not None:
-        u, v = out[..., 0, :], out[..., 1, :]
-        u += sources.f(t)
-        v += sources.g(t)
+        out += sources
     return out
 
 
@@ -240,17 +268,12 @@ def source_time_lipschitz(sources: SourcePair, times) -> float:
     ts = np.asarray(list(times), dtype=float)
     if ts.size < 2:
         raise ValueError("need at least two sample times")
-    worst = 0.0
-    prev_f, prev_g = sources.f(ts[0]), sources.g(ts[0])
-    h = 1.0 / (prev_f.shape[-1] + 1)
-    for t_prev, t_next in zip(ts[:-1], ts[1:]):
-        if t_next <= t_prev:
-            raise ValueError("sample times must be increasing")
-        cur_f, cur_g = sources.f(t_next), sources.g(t_next)
-        df, dg = cur_f - prev_f, cur_g - prev_g
-        # a jump beyond float range is reported as inf, without a warning
-        with np.errstate(over="ignore"):
-            jump = np.hypot(np.sqrt(h * np.dot(df, df)), np.sqrt(h * np.dot(dg, dg)))
-        worst = max(worst, jump / (t_next - t_prev))
-        prev_f, prev_g = cur_f, cur_g
-    return worst
+    if np.any(ts[1:] <= ts[:-1]):
+        raise ValueError("sample times must be increasing")
+    df, dg = np.diff(sources.f(ts), axis=0), np.diff(sources.g(ts), axis=0)
+    h = 1.0 / (df.shape[-1] + 1)
+    # a jump beyond float range is reported as inf, without a warning
+    with np.errstate(over="ignore"):
+        jumps = np.hypot(np.sqrt(h * row_dot(df, df)), np.sqrt(h * row_dot(dg, dg)))
+    # fmax, as a running max(worst, rate) from 0, passes over a NaN rate
+    return float(np.fmax.reduce(jumps / np.diff(ts), initial=0.0))

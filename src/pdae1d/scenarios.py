@@ -154,10 +154,12 @@ def mms_state(spec: MmsSpec, grid: Grid1D, t: float) -> StatePair:
 
 
 def _mms_source_fns(spec: MmsSpec, c: CoefficientSet, x: np.ndarray):
-    """(f, g) as functions of t on the nodes x, each value a fresh read-only array.
+    """(f, g) on the nodes x as functions of a 1-D array of K times.
 
-    Everything but the decay e^(-t) is built here, once per pair: the
-    spatial profiles, the mass and the two diffusion gains.
+    Each value is a fresh read-only (K, len(x)) array whose row i has the
+    bits of the pair at ``times[i]`` alone.  Everything but the decay
+    e^(-t) is built here, once per pair: the spatial profiles, the mass and
+    the two diffusion gains.
     """
     a, b = spec.a, spec.b
     sin_1 = np.sin(np.pi * x)
@@ -172,9 +174,10 @@ def _mms_source_fns(spec: MmsSpec, c: CoefficientSet, x: np.ndarray):
     gain_v = 4.0 * np.pi**2 * c.d_v - 1.0
 
     # f = gain_u*u + u*(decay*mass) and g = gain_v*v - v*(decay*mass), each
-    # product and sum rounded as written, formed in place on fresh arrays
-    def f(t: float) -> np.ndarray:
-        decay = np.exp(-t)
+    # product and sum rounded as written, formed in place on fresh arrays;
+    # a decay column times a profile row is the product at each time
+    def f(times: np.ndarray) -> np.ndarray:
+        decay = np.exp(-times)[:, None]
         u = a * decay * sin_1
         coupling = decay * mass
         coupling *= u
@@ -183,8 +186,8 @@ def _mms_source_fns(spec: MmsSpec, c: CoefficientSet, x: np.ndarray):
         u.flags.writeable = False
         return u
 
-    def g(t: float) -> np.ndarray:
-        decay = np.exp(-t)
+    def g(times: np.ndarray) -> np.ndarray:
+        decay = np.exp(-times)[:, None]
         v = b * decay * sin_2
         coupling = decay * mass
         coupling *= v

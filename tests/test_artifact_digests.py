@@ -24,7 +24,7 @@ def test_prints_the_exit_code_and_a_digest_of_every_output():
             names.append(name)
         assert names[:2] == ["stdout", "stderr"]
         commands[command[0]].append((command, block[1], names[2:]))
-    assert [len(commands[name]) for name in ("run", "converge", "verify", "mms-sources")] == [14, 2, 2, 2]
+    assert [len(commands[name]) for name in ("run", "converge", "verify", "mms-sources")] == [17, 3, 2, 3]
     # the runs from a config file take their scenario from it
     from_file = {"rerun-mms-picard": "mms", "run-int-floats": "decay"}
     for command, code, files in commands["run"]:
@@ -39,4 +39,6 @@ def test_prints_the_exit_code_and_a_digest_of_every_output():
         assert (code, files) == ("exit 0", [f"{command[-1]}/convergence.csv"])
     for command, code, files in commands["verify"]:
         assert (code, files) == ("exit 0", [command[-1]])
-    assert [files for _, _, files in commands["mms-sources"]] == [["mms-sources/table.txt"], []]
+    assert [files for _, _, files in commands["mms-sources"]] == [
+        ["mms-sources/table.txt"], [], ["mms-sources-63/table.txt"]
+    ]

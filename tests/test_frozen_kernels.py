@@ -25,7 +25,8 @@ import pytest
 
 import pdae1d
 from pdae1d import CoefficientSet, Grid1D, MmsSpec, PicardConvergenceError, SolveConfig, SourcePair
-from pdae1d import build_mms_sources, constraint, integrators, spectral, step_exp_euler, step_imex, zero_sources
+from pdae1d import build_mms_sources, constraint, integrators, spectral, step_exp_euler, step_imex, tabulated_sources
+from pdae1d import zero_sources
 from pdae1d.fields import pair_norm
 from pdae1d.scenarios import _mms_source_fns
 from pdae1d.nonlinearity import _reaction_terms, eval_reaction
@@ -65,8 +66,7 @@ def frozen_picard_slab(values, t, dt, config, src, c):
     drift, kernel = integrators._picard_weights(Grid1D(values.shape[-1]), dt / (m - 1), m, c)
     forcing = np.empty(drift.shape)
     for i, s in enumerate(integrators._substep_times(t, dt, m)):
-        forcing[i, 0] = src.f(s)
-        forcing[i, 1] = src.g(s)
+        forcing[i] = at(src, s)
     start = drift * to_coeffs(values)
     iterate = start
     diff_norms = []
@@ -80,6 +80,12 @@ def frozen_picard_slab(values, t, dt, config, src, c):
         if change < config.picard_tol or not (math.isfinite(change) or np.all(np.isfinite(new))):
             return to_values(new[-1]), len(diff_norms), tuple(diff_norms)
     return "no convergence", config.picard_max_iter, tuple(diff_norms)
+
+
+def at(src, t):
+    """The (2, n) values of a source pair at the one time t, through one-element calls."""
+    times = np.array([t])
+    return np.stack((src.f(times)[0], src.g(times)[0]))
 
 
 def picard(values, t, dt, config, src, c):
@@ -132,7 +138,10 @@ def slab_cases(n):
     grid = Grid1D(n)
     x = grid.nodes
     wave = 0.4 * np.sin(np.pi * x) * np.cos(3.0 * x)
-    sources = SourcePair(f=lambda t: np.cos(t) * wave, g=lambda t: np.sin(2.0 * t) * np.sin(np.pi * x))
+    sources = SourcePair(
+        f=lambda times: np.cos(times)[:, None] * wave,
+        g=lambda times: np.sin(2.0 * times)[:, None] * np.sin(np.pi * x),
+    )
     for p_u, p_v in PAIRS[::3] + [(-1.3, -2.5)]:
         c = CoefficientSet(d_u=1.0, d_v=0.3, p_u=p_u, p_v=p_v)
         config = SolveConfig(dt=0.005, t_end=0.005, method="picard")
@@ -147,7 +156,8 @@ def slab_cases(n):
     long = SolveConfig(dt=0.5, t_end=1.0, method="picard")
     for height in (1e308, 1e160, 1e100):
         top = np.full(n, height)
-        step = SourcePair(f=lambda t, top=top: top * (t > 0), g=lambda t, top=top: top * (t > 0))
+        rise = lambda times, top=top: top * (times > 0)[:, None]  # noqa: E731
+        step = SourcePair(f=rise, g=rise)
         yield f"0 -> {height:g}", np.zeros((2, n)), 0.5, long, step, CoefficientSet()
 
 
@@ -204,7 +214,7 @@ def frozen_diagonal_step(method, values, t, dt, src, c):
         a, b = np.exp(z), dt * phi1(z)
     else:
         a, b = 1.0 / (1.0 - z), dt / (1.0 - z)
-    coeffs = a * to_coeffs(values) + b * to_coeffs(eval_reaction(values, t, src, c))
+    coeffs = a * to_coeffs(values) + b * to_coeffs(eval_reaction(values, at(src, t), c))
     return coeffs, to_values(coeffs)
 
 
@@ -222,7 +232,10 @@ def test_exponents_equal_the_frozen_formula(n):
 def step_sources(n):
     x = Grid1D(n).nodes
     wave = 0.4 * np.sin(np.pi * x) * np.cos(3.0 * x)
-    return SourcePair(f=lambda t: np.cos(t) * wave, g=lambda t: np.sin(2.0 * t) * np.sin(np.pi * x))
+    return SourcePair(
+        f=lambda times: np.cos(times)[:, None] * wave,
+        g=lambda times: np.sin(2.0 * times)[:, None] * np.sin(np.pi * x),
+    )
 
 
 @pytest.mark.parametrize("method", ("exp_euler", "imex"))
@@ -235,7 +248,7 @@ def test_a_leading_unit_axis_gives_the_plain_step(n, method):
         values, t = rng.standard_normal((2, n)), 0.3
         coeffs = to_coeffs(values)
         a, b = integrators._weights(method, spectral._exponents(n, d_u, d_v, dt), dt)
-        plain = integrators._diagonal_step(a, b, src, c, coeffs, values, t)
+        plain = integrators._diagonal_step(a, b, c, coeffs, values, at(src, t))
         want = frozen_diagonal_step(method, values, t, dt, src, c)
         assert identical(plain[0], want[0]) and identical(plain[1], want[1])
         stepper = step_exp_euler if method == "exp_euler" else step_imex
@@ -244,7 +257,7 @@ def test_a_leading_unit_axis_gives_the_plain_step(n, method):
         z = spectral._exponents(n, np.array([d_u]), np.array([d_v]), np.array([dt]))
         a1, b1 = integrators._weights(method, z, np.array([dt])[:, None, None])
         assert a1.shape == b1.shape == (1, 2, n)
-        unit = integrators._diagonal_step(a1, b1, src, c, coeffs[None], values[None], t)
+        unit = integrators._diagonal_step(a1, b1, c, coeffs[None], values[None], at(src, t))
         assert identical(unit[0], plain[0][None]) and identical(unit[1], plain[1][None])
         assert unit[2] == plain[2] == 0
 
@@ -334,8 +347,7 @@ def previous_picard_slab(values, t, dt, config, src, c):
     drift, kernel = integrators._picard_weights(Grid1D(n), dt / (m - 1), m, c)
     forcing = np.empty(drift.shape)
     for i, s in enumerate(integrators._substep_times(t, dt, m)):
-        forcing[i, 0] = src.f(s)
-        forcing[i, 1] = src.g(s)
+        forcing[i] = at(src, s)
     start = drift * to_coeffs(values)
     iterate = start
     rhs = to_coeffs(previous_reaction_terms(to_values(start), c) + forcing)
@@ -409,11 +421,12 @@ def test_mms_sources_equal_their_previous_form(n):
             # the mms-sources table evaluates the pair at every node, both ends included
             for x, (f, g) in ((grid.nodes, (src.f, src.g)), (grid.nodes_full, _mms_source_fns(spec, c, grid.nodes_full))):
                 want_f, want_g = previous_mms_source_fns(spec, c, x)
-                for t in SOURCE_TIMES:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        got, want = (f(t), g(t)), (want_f(t), want_g(t))
-                    assert same_int64(got[0], want[0]) and same_int64(got[1], want[1]), (spec, c, t)
-                    assert not (got[0].flags.writeable or got[1].flags.writeable)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = f(np.array(SOURCE_TIMES)), g(np.array(SOURCE_TIMES))
+                    for i, t in enumerate(SOURCE_TIMES):
+                        want = want_f(t), want_g(t)
+                        assert same_int64(got[0][i], want[0]) and same_int64(got[1][i], want[1]), (spec, c, t)
+                assert not (got[0].flags.writeable or got[1].flags.writeable)
 
 
 @pytest.mark.parametrize("n", KERNEL_SIZES)
@@ -438,3 +451,185 @@ def test_picard_slabs_equal_their_previous_form(n):
                     assert same_int64(got[0], want[0]), (kind, c, dt)
                     endings.add("finite" if np.all(np.isfinite(want[0])) else "non-finite")
     assert endings == {"finite", "non-finite", "no convergence"}
+
+
+# The source pairs map an array of K times to a (K, n) array, and a march
+# evaluates the start times of a block of exp_euler/imex steps, or a Picard
+# slab its substep times, in one call of each component.  The frozen copies
+# below are the per-time forms they replaced: the manufactured pair at one t,
+# the table interpolation at one t and the zero pair.  Each row of one array
+# call must have their bits, the sign of a zero included, on int64 views.
+ARRAY_SIZES = (7, 63, 255, 256)
+ARRAY_COEFFICIENTS = (
+    CoefficientSet(d_u=0.4, d_v=2.3, p_u=0.5, p_v=1.7),
+    CoefficientSet(d_u=1.9, d_v=0.05, p_u=-1.3, p_v=-2.5),
+)
+ARRAY_SPECS = (MmsSpec(a=1.3, b=-0.6), MmsSpec(a=-0.0, b=1e-300))
+
+
+def frozen_mms_source_fns(spec, c, x):
+    """The manufactured pair at one time t, as a fresh (len(x),) array."""
+    a, b = spec.a, spec.b
+    sin_1 = np.sin(np.pi * x)
+    sin_2 = np.sin(2.0 * np.pi * x)
+    mass = (
+        c.p_u * a * (1.0 - np.cos(np.pi * x)) / np.pi
+        + c.p_v * b * (1.0 - np.cos(2.0 * np.pi * x)) / (2.0 * np.pi)
+    )
+    gain_u = c.d_u * np.pi**2 - 1.0
+    gain_v = 4.0 * np.pi**2 * c.d_v - 1.0
+
+    def f(t):
+        decay = np.exp(-t)
+        u = a * decay * sin_1
+        coupling = decay * mass
+        coupling *= u
+        u *= gain_u
+        u += coupling
+        return u
+
+    def g(t):
+        decay = np.exp(-t)
+        v = b * decay * sin_2
+        coupling = decay * mass
+        coupling *= v
+        v *= gain_v
+        v -= coupling
+        return v
+
+    return f, g
+
+
+def frozen_interpolate(times, slabs, component, t):
+    """A table's source component at one time t: linear in t, clamped outside the slabs."""
+    if t <= times[0]:
+        return slabs[0, component]
+    if t >= times[-1]:
+        return slabs[-1, component]
+    i = int(np.searchsorted(times, t, side="right")) - 1
+    theta = (t - times[i]) / (times[i + 1] - times[i])
+    return (1.0 - theta) * slabs[i, component] + theta * slabs[i + 1, component]
+
+
+def frozen_zero_sources(grid):
+    zero = np.zeros(grid.n_interior)
+    return lambda t: zero, lambda t: zero
+
+
+def march_times(n):
+    """0.0, -0.0, the start times k * dt around the first block boundaries and Picard substep times."""
+    block = integrators._BLOCK_VALUES // (2 * n)
+    times = [0.0, -0.0]
+    for dt in (1e-5, 1e-3, 0.005):
+        starts = [k * dt for k in (1, block - 1, block, block + 1, 2 * block, 3 * block - 1)]
+        times += starts
+        for t in starts[:3]:
+            for m in (4, 6):
+                times += integrators._substep_times(t, dt, m).tolist()
+    return np.array(times)
+
+
+def assert_rows_equal(got, per_time, times):
+    assert got.shape == (len(times), got.shape[-1]) and not got.flags.writeable
+    for i, t in enumerate(times.tolist()):
+        assert same_int64(got[i], per_time(t)), (i, t)
+
+
+@pytest.mark.parametrize("n", ARRAY_SIZES)
+def test_mms_and_zero_array_forms_equal_the_per_time_forms(n):
+    grid = Grid1D(n)
+    times = march_times(n)
+    for spec in ARRAY_SPECS:
+        for c in ARRAY_COEFFICIENTS:
+            src = build_mms_sources(spec, grid, c)
+            want_f, want_g = frozen_mms_source_fns(spec, c, grid.nodes)
+            assert_rows_equal(src.f(times), want_f, times)
+            assert_rows_equal(src.g(times), want_g, times)
+            # a one-element call gives the same row as the block
+            for t in times[[0, 1, -1]]:
+                assert same_int64(src.f(np.array([t]))[0], want_f(t)), t
+    zero = zero_sources(grid)
+    want_f, want_g = frozen_zero_sources(grid)
+    assert_rows_equal(zero.f(times), want_f, times)
+    assert_rows_equal(zero.g(times), want_g, times)
+
+
+@pytest.mark.parametrize("n", ARRAY_SIZES)
+def test_tabulated_array_form_equals_the_per_time_interpolation(n, tmp_path):
+    grid = Grid1D(n)
+    rng = np.random.default_rng(3000 + n)
+    slab_times = (0.1, 0.35, 0.6, 1.0)
+    path = tmp_path / "sources.txt"
+    with open(path, "w") as fh:
+        for t in slab_times:
+            for x in grid.nodes_full.tolist():
+                fh.write(f"{t!r} {x!r} {rng.standard_normal()!r} {rng.standard_normal()!r}\n")
+    table_times, slabs = pdae1d.nonlinearity.read_node_table(str(path), grid, ("t", "x", "f", "g"))
+    src = tabulated_sources(grid, str(path))
+    before, on, between, after = [0.0, -0.0, 0.05], list(slab_times), [0.2, 0.5999, 0.7, 0.99], [1.0 + 1e-12, 3.0]
+    times = np.concatenate((before + on + between + after, march_times(n)))
+    for component, fn in enumerate((src.f, src.g)):
+        assert_rows_equal(fn(times), lambda t: frozen_interpolate(table_times, slabs, component, t), times)
+        for t in (0.0, 0.35, 0.2, 3.0):  # one time before, on, between and after the slabs
+            assert same_int64(fn(np.array([t]))[0], frozen_interpolate(table_times, slabs, component, t))
+
+
+def frozen_per_step_march(values, n_steps, dt, method, f, g, c):
+    """The nodal values after each step of a diagonal march that evaluates f and g at each step's start."""
+    z = frozen_exponents(values.shape[-1], c.d_u, c.d_v, dt)
+    if method == "exp_euler":
+        a, b = np.exp(z), dt * phi1(z)
+    else:
+        a, b = 1.0 / (1.0 - z), dt / (1.0 - z)
+    coeffs, out, t_now = to_coeffs(values), [], 0.0
+    for k in range(1, n_steps + 1):
+        t_prev, t_now = t_now, k * dt
+        rhs = previous_reaction_terms(values, c) + np.stack((f(t_prev), g(t_prev)))
+        coeffs = a * coeffs + b * to_coeffs(rhs)
+        values = to_values(coeffs)
+        out.append(values)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("method", ("exp_euler", "imex"))
+@pytest.mark.parametrize("n, n_steps", ((7, 1300), (256, 40)))  # blocks of 585 and 16 steps
+def test_marches_across_source_blocks_equal_a_per_step_march(n, n_steps, method):
+    grid, dt = Grid1D(n), 1e-3
+    assert n_steps > 2 * (integrators._BLOCK_VALUES // (2 * n))
+    spec, c = ARRAY_SPECS[0], ARRAY_COEFFICIENTS[0]
+    state0 = pdae1d.mms_state(spec, grid, 0.0)
+    config = SolveConfig(dt=dt, t_end=n_steps * dt, method=method)
+    cases = (
+        (build_mms_sources(spec, grid, c), frozen_mms_source_fns(spec, c, grid.nodes)),
+        (zero_sources(grid), frozen_zero_sources(grid)),
+    )
+    for src, (f, g) in cases:
+        traj = pdae1d.solve(state0, config, src, c)
+        assert traj.status.kind == "completed" and traj.times == [k * dt for k in range(n_steps + 1)]
+        want = frozen_per_step_march(state0.values, n_steps, dt, method, f, g, c)
+        assert same_int64(traj.values[1:], want), src.kind
+
+
+def frozen_source_time_lipschitz(f, g, times):
+    worst = 0.0
+    prev_f, prev_g = f(times[0]), g(times[0])
+    h = 1.0 / (prev_f.shape[-1] + 1)
+    for t_prev, t_next in zip(times[:-1], times[1:]):
+        cur_f, cur_g = f(t_next), g(t_next)
+        df, dg = cur_f - prev_f, cur_g - prev_g
+        jump = np.hypot(np.sqrt(h * np.dot(df, df)), np.sqrt(h * np.dot(dg, dg)))
+        worst = max(worst, jump / (t_next - t_prev))
+        prev_f, prev_g = cur_f, cur_g
+    return worst
+
+
+@pytest.mark.parametrize("n", ARRAY_SIZES)
+def test_source_time_lipschitz_equals_the_per_time_loop(n):
+    grid = Grid1D(n)
+    for spec in ARRAY_SPECS:
+        for c in ARRAY_COEFFICIENTS:
+            for t_end in (0.05, 1.0, 7.25):
+                probes = np.linspace(0.0, t_end, 9)  # as run_scenario probes its sources
+                got = pdae1d.source_time_lipschitz(build_mms_sources(spec, grid, c), probes)
+                want = frozen_source_time_lipschitz(*frozen_mms_source_fns(spec, c, grid.nodes), probes)
+                assert type(got) is float and same_int64(got, want), (spec, c, t_end)

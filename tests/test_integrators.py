@@ -29,10 +29,20 @@ from pdae1d import (
     step_imex,
     zero_sources,
 )
-from pdae1d import fields, integrators, spectral
+from pdae1d import cli, fields, integrators, nonlinearity, spectral
 from pdae1d.fields import pair_norm
 
 METHODS = ("exp_euler", "imex", "picard")
+
+
+def held(value):
+    """A source component that is ``value`` (n,) at every time: a read-only (K, n) view."""
+    return lambda times: np.broadcast_to(value, (len(times),) + value.shape)
+
+
+def switched(condition, on, off):
+    """A source component that is ``on`` (n,) at the times where ``condition(times)`` holds, else ``off``."""
+    return lambda times: np.where(condition(times)[:, None], on, off)
 
 
 def dense_laplacian(n):
@@ -53,8 +63,8 @@ def mol_rhs_factory(grid, sources=None, coefficients=None):
         du = c.d_u * (matrix @ u) - u * integral
         dv = c.d_v * (matrix @ v) + v * integral
         if sources is not None:
-            du = du + sources.f(t)
-            dv = dv + sources.g(t)
+            du = du + sources.f(np.array([t]))[0]
+            dv = dv + sources.g(np.array([t]))[0]
         return np.concatenate((du, dv))
 
     return rhs
@@ -210,7 +220,7 @@ class TestPicard:
         # overflows while the iterate stays finite
         grid = Grid1D(n)
         top = np.full(n, 1e100)
-        sources = SourcePair(f=lambda t: top * (t > 0), g=lambda t: top * (t > 0))
+        sources = SourcePair(f=switched(lambda t: t > 0, top, 0.0), g=switched(lambda t: t > 0, top, 0.0))
         zero = as_pair(grid, np.zeros((2, n)))
         for method, t_blowup in (("exp_euler", 1.0), ("imex", 1.0), ("picard", 0.5)):
             traj = solve(zero, SolveConfig(dt=0.5, t_end=1.0, method=method), sources)
@@ -229,7 +239,7 @@ class TestPicard:
         # the end values to a norm below the threshold.  They have not
         # converged, so the slab raises rather than pass them on
         top, zero = np.full(n, 1e200), np.zeros(n)
-        sources = SourcePair(f=lambda t: top if t == 10.0 else zero, g=lambda t: zero)
+        sources = SourcePair(f=switched(lambda t: t == 10.0, top, zero), g=held(zero))
         cfg = SolveConfig(dt=30.0, t_end=30.0, method="picard", blowup_threshold=1e300)
         with pytest.raises(PicardConvergenceError) as excinfo:
             picard_slab(np.zeros((2, n)), 0.0, 30.0, cfg, sources)
@@ -337,7 +347,7 @@ class TestSolve:
             cfg = SolveConfig(dt=0.05, t_end=1.0, method=method, blowup_threshold=1e-3)
         else:
             huge, zero = np.full(16, 1e308), np.zeros(16)
-            ramp = lambda t: huge if t > 0.12 else zero  # noqa: E731
+            ramp = switched(lambda t: t > 0.12, huge, zero)
             sources = SourcePair(f=ramp, g=ramp)
         traj = solve(state, cfg, sources)
         assert traj.status.kind == ending.replace("_at_start", "_detected")
@@ -354,7 +364,7 @@ class TestSolve:
         grid = Grid1D(16)
         huge = np.full(16, 1e308)
         cfg = SolveConfig(dt=0.5, t_end=1.0, method=method)
-        sources = SourcePair(f=lambda t: huge, g=lambda t: huge)
+        sources = SourcePair(f=held(huge), g=held(huge))
         traj = solve(as_pair(grid, np.zeros((2, 16))), cfg, sources)
         assert traj.status.kind == "step_failure"
         assert traj.status.t == 0.0
@@ -364,21 +374,39 @@ class TestSolve:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_source_on_another_grid_raises(self, method):
-        # a scalar or (1,) source would broadcast over the state without the check
-        values = (sine_mode(Grid1D(8), 1).values, 0.5, np.ones(1), np.ones(16, dtype=int))
+        # a scalar or (1, 1) source would broadcast over the state without the check
+        values = (sine_mode(Grid1D(8), 1).values[None], 0.5, np.ones((1, 1)), np.ones((1, 16), dtype=int))
         cfg = SolveConfig(dt=0.01, t_end=0.02, method=method)
-        zero = np.zeros(16)
+        zero = held(np.zeros(16))
         for value in values:
             calls = []
 
-            def bad(t, value=value):
-                calls.append(t)
+            def bad(times, value=value):
+                calls.append(times.tolist())
                 return value
 
-            for sources in (SourcePair(f=bad, g=lambda t: zero), SourcePair(f=lambda t: zero, g=bad)):
-                with pytest.raises(ValueError, match=r"must be a float array of shape \(16,\)"):
+            for sources in (SourcePair(f=bad, g=zero), SourcePair(f=zero, g=bad)):
+                with pytest.raises(ValueError, match=r"must be a float array of shape \(1, 16\)"):
                     solve(decay_state(Grid1D(16)), cfg, sources)
-            assert calls == [0.0, 0.0]  # once per pair, before the first step
+            assert calls == [[0.0], [0.0]]  # once per pair, at [0.0], before the first step
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_source_ignoring_the_number_of_times_raises(self, method):
+        # one (n,) value for any array of times: without the check it would
+        # broadcast over a block's rows
+        cfg = SolveConfig(dt=0.01, t_end=0.02, method=method)
+        flat, zero = (lambda times: np.zeros(16)), held(np.zeros(16))
+        for sources in (SourcePair(f=flat, g=zero), SourcePair(f=zero, g=flat)):
+            with pytest.raises(ValueError, match=r"must be a float array of shape \(1, 16\), got \(16,\)"):
+                solve(decay_state(Grid1D(16)), cfg, sources)
+
+    @pytest.mark.parametrize("method", ["exp_euler", "imex"])
+    def test_source_with_one_row_for_a_block_raises(self, method):
+        # right at one time, but one row for every block of times
+        cfg = SolveConfig(dt=0.01, t_end=0.02, method=method)
+        sources = SourcePair(f=lambda times: np.zeros((1, 16)), g=held(np.zeros(16)))
+        with pytest.raises(ValueError, match=r"sources.f at 2 time\(s\) must be .* \(2, 16\), got \(1, 16\)"):
+            solve(decay_state(Grid1D(16)), cfg, sources)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_builds_no_field_or_state_pair_per_step(self, method, monkeypatch):
@@ -422,7 +450,7 @@ class TestArrayCore:
         grid = Grid1D(n)
         u0, v0, f, g = np.random.default_rng(7).uniform(-1.0, 1.0, (4, n))
         c = CoefficientSet(d_u=0.7, d_v=1.9, p_u=0, p_v=0)
-        sources = SourcePair(f=lambda t: f, g=lambda t: g)
+        sources = SourcePair(f=held(f), g=held(g))
         step = step_exp_euler if method == "exp_euler" else step_imex
         out = step(np.stack((u0, v0)), 0.0, dt, sources, c)
         identity = np.eye(n)
@@ -494,7 +522,7 @@ class TestArrayCore:
     def test_picard_slab_returns_a_non_finite_end(self):
         huge = np.full(16, 1e308)
         cfg = SolveConfig(dt=0.5, t_end=1.0, method="picard")
-        sources = SourcePair(f=lambda t: huge, g=lambda t: huge)
+        sources = SourcePair(f=held(huge), g=held(huge))
         with warnings.catch_warnings():  # the caller classifies the end, numpy need not warn
             warnings.simplefilter("error")
             result = picard_slab(np.zeros((2, 16)), 0.0, 0.5, cfg, sources)
@@ -511,16 +539,20 @@ def planting(monkeypatch, value, t_bad):
     original = integrators._stepper
 
     def stepper(*args):
-        step, carry, source_times = original(*args)
+        step, carry, inputs, source_times = original(*args)
 
-        def planted(carry, values, t):
-            carry, values, sweeps = step(carry, values, t)
+        def planted(carry, values, s_and_t):
+            s, t = s_and_t
+            carry, values, sweeps = step(carry, values, s)
             if t >= t_bad:
                 values = values.copy()
                 values[1, 5] = value
             return carry, values, sweeps
 
-        return planted, carry, source_times
+        def planted_inputs(starts):
+            return zip(inputs(starts), starts.tolist())
+
+        return planted, carry, planted_inputs, source_times
 
     monkeypatch.setattr(integrators, "_stepper", stepper)
 
@@ -558,7 +590,7 @@ class TestClassification:
         # ends its sweeps at the first change whose square overflows
         grid = Grid1D(16)
         big, zero = np.full(16, 1e200), np.zeros(16)
-        sources = SourcePair(f=lambda t: big, g=lambda t: zero)
+        sources = SourcePair(f=held(big), g=held(zero))
         cfg = SolveConfig(dt=0.01, t_end=0.05, method=method)
         step = {"exp_euler": step_exp_euler, "imex": step_imex}.get(method)
         with warnings.catch_warnings():  # the caller classifies, numpy need not warn
@@ -585,8 +617,8 @@ class TestClassification:
         # start, Picard at the m substep samples of its slab
         grid = Grid1D(16)
         zero, nan = np.zeros(16), np.full(16, np.nan)
-        turning = lambda t: nan if t >= 0.1 else zero  # noqa: E731
-        steady = lambda t: zero  # noqa: E731
+        turning = switched(lambda t: t >= 0.1, nan, zero)
+        steady = held(zero)
         f = steady if component == "g" else turning
         g = steady if component == "f" else turning
         cfg = SolveConfig(dt=0.04, t_end=0.2, method=method)
@@ -615,6 +647,78 @@ class TestClassification:
             assert traj.status.kind == "completed" and traj.steps_taken == steps
             scans.append(len(calls))
         assert scans[0] == scans[1]
+
+
+def recording(pair, calls):
+    """``pair`` with each call's component name and times appended to ``calls``."""
+
+    def record(name, fn):
+        def component(times):
+            calls.append((name, times.tolist()))
+            return fn(times)
+
+        return component
+
+    return SourcePair(f=record("f", pair.f), g=record("g", pair.g), kind=pair.kind)
+
+
+class TestSourceBlocks:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n, n_steps", [(7, 1300), (256, 40)])  # blocks of 585 and 16 steps
+    def test_one_call_of_each_component_per_block_or_slab(self, method, n, n_steps):
+        grid, dt = Grid1D(n), 1e-3
+        spec = MmsSpec()
+        calls = []
+        src = recording(build_mms_sources(spec, grid), calls)
+        cfg = SolveConfig(dt=dt, t_end=n_steps * dt, method=method, snapshot_every=n_steps)
+        traj = solve(mms_state(spec, grid, 0.0), cfg, src)
+        assert traj.status.kind == "completed" and traj.steps_taken == n_steps
+        if method == "picard":
+            # each slab evaluates its m substep times
+            m = cfg.picard_substeps
+            wanted = [[k * dt + i * (dt / (m - 1)) for i in range(m)] for k in range(n_steps)]
+        else:
+            # the start times k * dt of each block of steps, in one call
+            block = 8192 // (2 * n)
+            wanted = [[k * dt for k in range(k0, min(k0 + block, n_steps))] for k0 in range(0, n_steps, block)]
+        # solve's check at the one time 0, then f and g once for each block or slab
+        assert calls == [("f", [0.0]), ("g", [0.0])] + [(name, ts) for ts in wanted for name in "fg"]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_non_finite_reason_calls_each_component_once(self, method):
+        # NaN in g from t = 0.1: the reason looks at the failed step's source
+        # times with one call of each component
+        grid = Grid1D(16)
+        zero, nan = np.zeros(16), np.full(16, np.nan)
+        calls = []
+        src = recording(SourcePair(f=held(zero), g=switched(lambda t: t >= 0.1, nan, zero)), calls)
+        cfg = SolveConfig(dt=0.04, t_end=0.2, method=method)
+        traj = solve(as_pair(grid, np.zeros((2, 16))), cfg, src)
+        assert traj.status.kind == "step_failure" and traj.status.reason.startswith("non-finite source g")
+        t_prev = traj.status.t
+        used = integrators._substep_times(t_prev, 0.04, 4).tolist() if method == "picard" else [t_prev]
+        assert calls[-2:] == [("f", used), ("g", used)]
+
+    def test_source_time_lipschitz_calls_each_component_once(self):
+        grid = Grid1D(9)
+        calls = []
+        probes = np.linspace(0.0, 0.5, 9)
+        rate = nonlinearity.source_time_lipschitz(recording(build_mms_sources(MmsSpec(), grid), calls), probes)
+        assert rate > 0 and calls == [("f", probes.tolist()), ("g", probes.tolist())]
+
+    def test_mms_sources_table_calls_each_component_once(self, monkeypatch, tmp_path):
+        calls = []
+        fns = cli._mms_source_fns
+
+        def recorded(*args):
+            f, g = fns(*args)
+            pair = recording(SourcePair(f=f, g=g), calls)
+            return pair.f, pair.g
+
+        monkeypatch.setattr(cli, "_mms_source_fns", recorded)
+        out = tmp_path / "table.txt"
+        assert cli.main(["mms-sources", "--n-interior", "7", "--times", "0,0.25,1", "--output", str(out)]) == 0
+        assert calls == [("f", [0.0, 0.25, 1.0]), ("g", [0.0, 0.25, 1.0])]
 
 
 class TestSolveConfig:

@@ -37,18 +37,29 @@ def mode(grid, k, amplitude=1.0):
     return sine_mode(grid, k, amplitude).values
 
 
+def held(value):
+    """A source component that is ``value`` (n,) at every time: a read-only (K, n) view."""
+    return lambda times: np.broadcast_to(value, (len(times),) + value.shape)
+
+
+def at(sources, t):
+    """The (2, n) values of a source pair at the one time t, through one-element calls."""
+    times = np.array([t])
+    return np.stack((sources.f(times)[0], sources.g(times)[0]))
+
+
 class TestEvalReaction:
     def test_zero_state_zero_sources(self):
         grid = Grid1D(10)
-        out = eval_reaction(np.zeros((2, 10)), 0.0, zero_sources(grid))
+        out = eval_reaction(np.zeros((2, 10)), at(zero_sources(grid), 0.0))
         assert np.all(out == 0.0)
 
     def test_zero_state_passes_sources_through(self):
         grid = Grid1D(12)
         f = mode(grid, 2, 1.7)
         g = mode(grid, 3, -0.4)
-        sources = SourcePair(f=lambda t: f, g=lambda t: g)
-        out = eval_reaction(np.zeros((2, 12)), 0.5, sources)
+        sources = SourcePair(f=held(f), g=held(g))
+        out = eval_reaction(np.zeros((2, 12)), at(sources, 0.5))
         np.testing.assert_array_equal(out[0], f)
         np.testing.assert_array_equal(out[1], g)
 
@@ -56,7 +67,7 @@ class TestEvalReaction:
         # u = v = sin(pi x): first component at x = 1/2 is -2/pi
         grid = Grid1D(127)
         state = np.stack((mode(grid, 1), mode(grid, 1)))
-        out = eval_reaction(state, 0.0, zero_sources(grid))
+        out = eval_reaction(state, at(zero_sources(grid), 0.0))
         mid = 63  # x = 64/128 = 0.5
         assert grid.nodes[mid] == 0.5
         oracle = -np.sin(np.pi * 0.5) * np.trapezoid(
@@ -72,9 +83,9 @@ class TestEvalReaction:
         state = random_state(grid, rng)
         f1, g1 = mode(grid, 1, 0.3), mode(grid, 2, -0.7)
         f2, g2 = mode(grid, 4, 1.1), mode(grid, 5, 0.2)
-        s1 = SourcePair(f=lambda t: f1, g=lambda t: g1)
-        s2 = SourcePair(f=lambda t: f2, g=lambda t: g2)
-        diff = eval_reaction(state, 0.0, s1) - eval_reaction(state, 0.0, s2)
+        s1 = SourcePair(f=held(f1), g=held(g1))
+        s2 = SourcePair(f=held(f2), g=held(g2))
+        diff = eval_reaction(state, at(s1, 0.0)) - eval_reaction(state, at(s2, 0.0))
         np.testing.assert_allclose(diff[0], f1 - f2, rtol=0, atol=1e-14)
         np.testing.assert_allclose(diff[1], g1 - g2, rtol=0, atol=1e-14)
 
@@ -85,7 +96,7 @@ class TestEvalReaction:
             state = np.stack(
                 (np.abs(rng.uniform(0.0, 1.0, 25)), np.abs(rng.uniform(0.0, 1.0, 25)))
             )
-            out = eval_reaction(state, 0.0, zero_sources(grid))
+            out = eval_reaction(state, at(zero_sources(grid), 0.0))
             assert np.all(out[0] <= 0.0)
             assert np.all(out[1] >= 0.0)
 
@@ -93,14 +104,22 @@ class TestEvalReaction:
         grid = Grid1D(20)
         rng = np.random.default_rng(23)
         c = CoefficientSet(p_u=0.7, p_v=-1.3)
-        sources = SourcePair(f=lambda t: mode(grid, 2, t), g=lambda t: mode(grid, 5, -t))
+        sources = SourcePair(
+            f=lambda times: np.stack([mode(grid, 2, t) for t in times]),
+            g=lambda times: np.stack([mode(grid, 5, -t) for t in times]),
+        )
         states = [random_state(grid, rng) for _ in range(3)]
         stack = np.array(states)
-        out = eval_reaction(stack, 0.4, sources, c)
+        out = eval_reaction(stack, at(sources, 0.4), c)
         assert out.shape == (3, 2, grid.n_interior)
         for s, row in zip(states, out):
-            ref = eval_reaction(s, 0.4, sources, c)
+            ref = eval_reaction(s, at(sources, 0.4), c)
             assert np.array_equal(row[0], ref[0]) and np.array_equal(row[1], ref[1])
+        # a stack of source values, one (2, n) row per state
+        times = (0.1, 0.4, 0.9)
+        out = eval_reaction(stack, np.stack([at(sources, t) for t in times]), c)
+        for s, t, row in zip(states, times, out):
+            assert np.array_equal(row, eval_reaction(s, at(sources, t), c))
 
     def test_running_integral_is_the_cumulative_integral(self):
         grid = Grid1D(20)
@@ -204,24 +223,24 @@ class TestTabulatedSources:
         self.write_table(path, grid, (0.0, 1.0), lambda t, x: t * x, lambda t, x: -t)
         sources = tabulated_sources(grid, str(path))
         assert sources.kind == "custom-tabulated"
-        midway = sources.f(0.5)
+        midway = at(sources, 0.5)[0]
         np.testing.assert_allclose(midway, 0.5 * grid.nodes, rtol=1e-12)
-        np.testing.assert_allclose(sources.g(0.25), -0.25, rtol=1e-12)
+        np.testing.assert_allclose(at(sources, 0.25)[1], -0.25, rtol=1e-12)
 
     def test_clamps_outside_range(self, tmp_path):
         grid = Grid1D(5)
         path = tmp_path / "sources.csv"
         self.write_table(path, grid, (0.0, 1.0), lambda t, x: t, lambda t, x: 0.0)
         sources = tabulated_sources(grid, str(path))
-        np.testing.assert_allclose(sources.f(2.0), 1.0)
-        np.testing.assert_allclose(sources.f(-1.0), 0.0)
+        np.testing.assert_allclose(at(sources, 2.0)[0], 1.0)
+        np.testing.assert_allclose(at(sources, -1.0)[0], 0.0)
 
     def test_interior_only_table_accepted(self, tmp_path):
         grid = Grid1D(6)
         path = tmp_path / "sources.csv"
         self.write_table(path, grid, (0.0,), lambda t, x: x, lambda t, x: x, full_nodes=False)
         sources = tabulated_sources(grid, str(path))
-        np.testing.assert_allclose(sources.f(0.0), grid.nodes, rtol=1e-12)
+        np.testing.assert_allclose(at(sources, 0.0)[0], grid.nodes, rtol=1e-12)
 
     def test_misaligned_nodes_rejected(self, tmp_path):
         grid = Grid1D(6)
@@ -261,7 +280,7 @@ class TestTabulatedSources:
 def test_source_time_lipschitz_linear_rate(tmp_path):
     grid = Grid1D(9)
     amplitude = mode(grid, 1)
-    sources = SourcePair(f=lambda t: t * amplitude, g=lambda t: np.zeros(9), kind="custom")
+    sources = SourcePair(f=lambda times: times[:, None] * amplitude, g=held(np.zeros(9)), kind="custom")
     rate = source_time_lipschitz(sources, np.linspace(0.0, 1.0, 5))
     np.testing.assert_allclose(rate, np.sqrt(grid.h * np.dot(amplitude, amplitude)), rtol=1e-12)
 
@@ -269,7 +288,8 @@ def test_source_time_lipschitz_linear_rate(tmp_path):
 def test_source_time_lipschitz_overflow_is_inf_without_a_warning():
     grid = Grid1D(9)
     huge = np.full(9, 1e308)
-    sources = SourcePair(f=lambda t: t * huge, g=lambda t: t * huge, kind="custom")
+    ramp = lambda times: times[:, None] * huge  # noqa: E731
+    sources = SourcePair(f=ramp, g=ramp, kind="custom")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert source_time_lipschitz(sources, (0.0, 1.0)) == math.inf
@@ -281,12 +301,13 @@ def test_source_presets_return_read_only_float_arrays(tmp_path):
     TestTabulatedSources().write_table(path, grid, (0.0, 1.0), lambda t, x: t * x, lambda t, x: t)
     tabulated = tabulated_sources(grid, str(path))
     mms = build_mms_sources(MmsSpec(), grid)
+    times = np.array([-1.0, 0.0, 0.5, 2.0])  # clamped, a slab, interpolated, clamped
     for sources in (zero_sources(grid), tabulated, mms):
-        for t in (-1.0, 0.0, 0.5, 2.0):  # clamped, a slab, interpolated, clamped
-            for value in (sources.f(t), sources.g(t)):
-                assert value.dtype == float and value.shape == (6,)
+        for k in (1, 4):
+            for value in (sources.f(times[:k]), sources.g(times[:k])):
+                assert value.dtype == float and value.shape == (k, 6)
                 with pytest.raises(ValueError, match="read-only"):
-                    value[0] = 1.0
+                    value[0, 0] = 1.0
 
 
 class TestStackedForms:

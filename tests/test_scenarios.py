@@ -33,11 +33,23 @@ from pdae1d.scenarios import CONFIG_TYPES, SCENARIOS, _format_block, _write_json
 
 
 def mms_source_rows(spec, grid, times, c=CoefficientSet()):
-    """Rows (t, x, f, g) over all n+2 nodes, the n+2 rows of each time in turn."""
+    """Rows (t, x, f, g) over all n+2 nodes, the n+2 rows of each time in turn.
+
+    Each time is evaluated in a call of its own.
+    """
     x = grid.nodes_full
     f_at, g_at = scenarios._mms_source_fns(spec, c, x)
-    blocks = [np.column_stack((np.full_like(x, t), x, f_at(t), g_at(t))) for t in times]
+    blocks = [
+        np.column_stack((np.full_like(x, t), x, f_at(np.array([t]))[0], g_at(np.array([t]))[0]))
+        for t in times
+    ]
     return np.concatenate(blocks)
+
+
+def at(sources, t):
+    """The (2, n) values of a source pair at the one time t, through one-element calls."""
+    times = np.array([t])
+    return np.stack((sources.f(times)[0], sources.g(times)[0]))
 
 
 def mms_truth(spec, c, t, x):
@@ -50,8 +62,8 @@ class TestMmsSources:
     def test_zero_amplitudes_give_zero_sources(self):
         grid = Grid1D(16)
         sources = build_mms_sources(MmsSpec(0.0, 0.0), grid)
-        assert np.all(sources.f(0.3) == 0.0)
-        assert np.all(sources.g(0.3) == 0.0)
+        assert np.all(sources.f(np.array([0.3, 1.0])) == 0.0)
+        assert np.all(sources.g(np.array([0.3, 1.0])) == 0.0)
 
     def test_sources_equal_the_table_interior(self):
         grid = Grid1D(21)
@@ -61,9 +73,9 @@ class TestMmsSources:
         times = (0.0, 0.013, 0.25, 1.7)
         rows = mms_source_rows(spec, grid, times, c)
         rows = rows.reshape(len(times), grid.n_interior + 2, 4)
-        for t, table in zip(times, rows):
-            assert np.array_equal(sources.f(t), table[1:-1, 2])
-            assert np.array_equal(sources.g(t), table[1:-1, 3])
+        # one call for all the times gives each time's row of the table
+        assert np.array_equal(sources.f(np.array(times)), rows[:, 1:-1, 2])
+        assert np.array_equal(sources.g(np.array(times)), rows[:, 1:-1, 3])
 
     def test_midpoint_closed_form(self):
         # a=1, b=0, unit coefficients, t=0, x=1/2: f = pi^2 - 1 + 1/pi
@@ -72,7 +84,7 @@ class TestMmsSources:
         mid = 15  # x = 16/32 = 0.5
         assert grid.nodes[mid] == 0.5
         expected = 9.1879142872731492903722585266211798594  # 50-digit mpmath value
-        np.testing.assert_allclose(sources.f(0.0)[mid], expected, rtol=1e-14)
+        np.testing.assert_allclose(at(sources, 0.0)[0, mid], expected, rtol=1e-14)
 
     def test_against_finite_difference_oracle(self):
         spec = MmsSpec(1.3, 0.7)
@@ -98,11 +110,11 @@ class TestMmsSources:
             du_dt = (u_of(t + eps, x) - u_of(t - eps, x)) / (2 * eps)
             d2u = (u_of(t, x + delta) - 2 * u_of(t, x) + u_of(t, x - delta)) / delta**2
             f_expected = du_dt - c.d_u * d2u + u_of(t, x) * integral
-            np.testing.assert_allclose(sources.f(t)[j], f_expected, rtol=1e-5, atol=1e-8)
+            np.testing.assert_allclose(at(sources, t)[0, j], f_expected, rtol=1e-5, atol=1e-8)
             dv_dt = (v_of(t + eps, x) - v_of(t - eps, x)) / (2 * eps)
             d2v = (v_of(t, x + delta) - 2 * v_of(t, x) + v_of(t, x - delta)) / delta**2
             g_expected = dv_dt - c.d_v * d2v - v_of(t, x) * integral
-            np.testing.assert_allclose(sources.g(t)[j], g_expected, rtol=1e-5, atol=1e-8)
+            np.testing.assert_allclose(at(sources, t)[1, j], g_expected, rtol=1e-5, atol=1e-8)
 
     def test_sources_vanish_at_ends(self):
         grid = Grid1D(12)

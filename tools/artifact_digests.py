@@ -6,10 +6,17 @@ one fresh temporary working directory, with relative output paths, so the
 commands cover ``run`` for decay, mms and growth_probe with each method at
 n = 64, one mms run at n = 255 (the FFT kernel), Picard and IMEX mms runs
 at n = 256 with other impacts, diffusion and amplitude than the defaults,
-two small ``converge`` sweeps (one of them ``converge``'s n levels at its
+three small ``converge`` sweeps (two of them ``converge``'s n levels at its
 own dt), ``run --config`` on a run's ``summary.json`` and on a config file
 with int-valued float fields that the tool writes first, a small
-``verify``, one at n = 4096 and ``mms-sources``.  For each command it prints the
+``verify``, one at n = 4096 and ``mms-sources``.  Marches of exp_euler and
+imex evaluate their sources a block of steps at a time (585 steps at
+n = 7, 64 at n = 64, 16 at n = 255 and 256), so the runs at the default
+dt, the n = 256 IMEX run with snapshots every 10 steps, the custom run on
+a source table the tool writes first (n = 7, 1000 steps, on, between and
+after its slabs) and the n = 63 level cross block boundaries; a Picard
+run over several slabs and ``mms-sources`` at several times, -0 among
+them, evaluate a vector of times per call.  For each command it prints the
 command, its exit code, and ``sha256  name`` lines for its stdout, its
 stderr and every file it wrote, in path order.  BLAS is held to one
 thread, set before numpy is imported, and the package is imported from
@@ -52,18 +59,33 @@ COMMANDS = [
     "converge --n-interior 31 --dt 1e-3 --t-end 0.1 --dt-levels 0.02,0.01,0.005"
     " --n-levels 7,15 --output-dir converge",
     "converge --dt 1e-4 --t-end 0.01 --dt-levels , --n-levels 7,15,31 --output-dir converge-n",
+    "converge --dt 1e-4 --t-end 0.02 --dt-levels , --n-levels 7,63 --output-dir converge-n-blocks",
+    "run --scenario mms --method imex --n-interior 256 --dt 0.001 --t-end 0.05 --snapshot-every 10"
+    " --output-dir run-mms-n256-imex-blocks",
+    "run --scenario mms --method picard --n-interior 15 --dt 0.01 --t-end 0.2 --d-v 0.3 --p-u -0.7"
+    " --mms-b -0.6 --picard-substeps 6 --output-dir run-mms-picard-slabs",
+    "run --scenario custom --ic-file custom-ic.txt --source-file custom-sources.txt --n-interior 7"
+    " --output-dir run-custom-n7",
     "run --config run-mms-picard/summary.json --output-dir rerun-mms-picard",
     "run --config int-floats.json --output-dir run-int-floats",
     "verify --sizes 16,64,256 --samples 50 --lipschitz-samples 200 --output verify/report.json",
     "verify --sizes 4096 --samples 20 --lipschitz-samples 10 --output verify-4096/report.json",
     "mms-sources --n-interior 16 --times 0,0.25,1 --output mms-sources/table.txt",
     "mms-sources --n-interior 7 --times 0.5",
+    "mms-sources --n-interior 63 --times 0,-0,1e-5,0.3,7.25 --d-u 0.4 --p-v 1.7 --mms-b -0.6"
+    " --output mms-sources-63/table.txt",
 ]
 
-# config files written before the first command: float fields given as JSON
-# integers, whose "# config:" echo must keep them as written
+NODES_7 = [j / 8 for j in range(9)]
+# files written before the first command: a config with float fields given as
+# JSON integers, whose "# config:" echo must keep them as written, and the
+# initial profile (interior nodes) and source slabs (all nodes) of the custom run
 CONFIG_FILES = {
     "int-floats.json": '{"scenario": "decay", "n_interior": 15, "dt": 0.05, "t_end": 1, "d_v": 2}',
+    "custom-ic.txt": "".join(f"{x!r} {x * (1 - x)!r} {0.5 * x!r}\n" for x in NODES_7[1:-1]),
+    "custom-sources.txt": "".join(
+        f"{t!r} {x!r} {t * x * (1 - x)!r} {(1 - t) * x!r}\n" for t in (0.0, 0.25, 0.6) for x in NODES_7
+    ),
 }
 
 

@@ -6,7 +6,11 @@ table:
 
 * the cost of one step of an mms march at dt = 0.005 in microseconds, for
   exp_euler, imex and picard, with Picard's mean sweeps per slab;
-* the cost of one evaluation of the mms source pair, f(t) and g(t);
+* the cost per step of the mms source pair, f and g: a march of exp_euler
+  or imex evaluates the start times of a block of
+  ``integrators._BLOCK_VALUES // (2n)`` steps in one call of each, so the
+  figure is one such block evaluation divided by its steps, and in
+  parentheses one Picard slab's evaluation of its m = 4 substep times;
 * the cost of one source-free reaction evaluation (``_reaction_terms``) on
   a (2, n) pair and on a (4, 2, n) stack, in microseconds.
 
@@ -88,10 +92,11 @@ def calls_timer(call):
     return timer
 
 
-def sources_timer(n: int):
-    """A timer of one evaluation of the mms source pair, f and g at one t."""
+def sources_timer(n: int, times: np.ndarray, per: int):
+    """A timer of one evaluation of the mms source pair, f and g at ``times``, divided by ``per``."""
     src = march_inputs(n)[2]
-    return calls_timer(lambda: (src.f(0.3), src.g(0.3)))
+    timer = calls_timer(lambda: (src.f(times), src.g(times)))
+    return lambda: (timer()[0] / per, None)
 
 
 def reaction_timer(shape: tuple[int, ...]):
@@ -109,7 +114,9 @@ def main(argv=None) -> int:
     for n in SIZES:
         for method in METHODS:
             timers[n, method] = march_timer(n, method)
-        timers[n, "sources"] = sources_timer(n)
+        block = max(1, integrators._BLOCK_VALUES // (2 * n))
+        timers[n, "sources"] = sources_timer(n, np.arange(block) * DT, block)
+        timers[n, "slab sources"] = sources_timer(n, integrators._substep_times(0.3, DT, 4), 1)
         for shape in ((2, n), (4, 2, n)):
             timers[n, shape] = reaction_timer(shape)
     # round-robin, so each figure's repeats sample the whole run, not one stretch of it
@@ -119,14 +126,18 @@ def main(argv=None) -> int:
             best[key] = min(best[key], timer(), key=lambda pair: pair[0])
     print(f"# python {platform.python_version()}, numpy {np.__version__}, {os.cpu_count()} CPUs, "
           f"one BLAS thread; best of {args.repeats}, {STEPS} steps at dt = {DT}")
-    print("| n | exp_euler | imex | picard (sweeps per slab) | mms sources f, g "
+    print("| n | exp_euler | imex | picard (sweeps per slab) | mms f, g per step (per slab) "
           "| reaction (2, n) | reaction (4, 2, n) |")
     print("|---|---|---|---|---|---|---|")
     for n in SIZES:
         cells = [f"{n} (257 prime)" if n == 256 else str(n)]
         for key in [(n, method) for method in METHODS] + [(n, "sources"), (n, (2, n)), (n, (4, 2, n))]:
             seconds, sweeps = best[key]
-            cells.append(f"{seconds * 1e6:.1f}" + ("" if sweeps is None else f" ({sweeps:.1f})"))
+            cells.append(f"{seconds * 1e6:.2f}" if key[1] == "sources" else f"{seconds * 1e6:.1f}")
+            if sweeps is not None:
+                cells[-1] += f" ({sweeps:.1f})"
+            if key[1] == "sources":
+                cells[-1] += f" ({best[n, 'slab sources'][0] * 1e6:.1f})"
         print("| " + " | ".join(cells) + " |")
     return 0
 

@@ -1,9 +1,17 @@
-"""Command line front end: run, converge, verify, mms-sources."""
+"""Command line front end: run, converge, verify, mms-sources.
+
+The argument parser is built once per process, on the first call of
+:func:`build_parser`, and reused by every :func:`main` call after it.  Its
+handlers look up ``run_scenario`` and the other entry points in this
+module when they run, not when the parser is built, so a caller that
+rebinds one of them here still reaches every run.
+"""
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 
@@ -118,7 +126,9 @@ def _cmd_mms_sources(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call; every later call returns the same one."""
     parser = argparse.ArgumentParser(
         prog="pdae1d",
         description=(

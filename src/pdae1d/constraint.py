@@ -44,16 +44,20 @@ class ConstraintReport:
     w_at_1: float
 
 
-def running_integral(full: np.ndarray, h: float) -> np.ndarray:
+def running_integral(full: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """Composite-trapezoid running integral along the last axis, exactly 0 at x = 0.
 
     ``full`` holds the integrand at all n+2 nodes, both ends included; the
     result has the same shape and holds int_0^{x_j} at every node.  Leading
     axes are a batch; each row is summed in the same order as a single one.
-    The trapezoids (f_{j-1} + f_j)*(h/2) are summed left to right into the result.
+    The trapezoids (f_{j-1} + f_j)*(h/2) are summed left to right into the
+    result: a new array, or ``out``, whose entries at x = 0 must be zero.
     """
-    out = np.zeros(full.shape)
-    np.add.accumulate((full[..., :-1] + full[..., 1:]) * (0.5 * h), axis=-1, out=out[..., 1:])
+    if out is None:
+        out = np.zeros(full.shape)
+    trapezoids = full[..., :-1] + full[..., 1:]
+    trapezoids *= 0.5 * h
+    np.add.accumulate(trapezoids, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -62,10 +66,13 @@ def running_integral(full: np.ndarray, h: float) -> np.ndarray:
 cumulative_integral = running_integral
 
 
-def _mass(values: np.ndarray, p_u: float, p_v: float) -> np.ndarray:
-    """p_u*u + p_v*v of nodal pairs (..., 2, n) at all n+2 nodes, zero at both ends."""
-    full = np.zeros(values.shape[:-2] + (values.shape[-1] + 2,))
-    full[..., 1:-1] = p_u * values[..., 0, :] + p_v * values[..., 1, :]
+def _mass(values: np.ndarray, p_u: float, p_v: float, out: np.ndarray | None = None) -> np.ndarray:
+    """p_u*u + p_v*v of nodal pairs (..., 2, n) at all n+2 nodes, zero at both ends.
+
+    Written into a new array, or into ``out``, whose end entries must be zero.
+    """
+    full = np.zeros(values.shape[:-2] + (values.shape[-1] + 2,)) if out is None else out
+    np.add(p_u * values[..., 0, :], p_v * values[..., 1, :], out=full[..., 1:-1])
     return full
 
 

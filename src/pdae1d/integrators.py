@@ -21,18 +21,23 @@ takes a ``StatePair``, at the edge, and builds no ``Field``/``StatePair``
 after it.
 
 One factory builds each method's ``step(carry, values, s) -> (carry,
-values, sweeps)`` and the inputs s of a block of steps.  For exponential
+values, sweeps)`` and the inputs s of a block of steps.  The march
+evaluates the source times of a block of up to ``_BLOCK_VALUES // (2nm)``
+steps with one f call and one g call, m being the source times of one
+step: its start for exponential Euler and IMEX, and the m =
+``picard_substeps`` substep times of a Picard slab.  For exponential
 Euler and IMEX the step is ``_diagonal_step`` on the weights (a, b) that
 ``_weights`` builds from z, both for any leading shape, and s is the
-(2, n) source values at the step's start: the march evaluates the start
-times of a block of up to ``_BLOCK_VALUES // (2n)`` steps with one f call
-and one g call.  The carry is the (2, n) sine coefficients, so a step is
-one batched inverse and one batched forward sine transform.  A Picard
-step is one ``picard_slab``, which evaluates its m substep times with one
-call of each component; it carries nothing, and its s is its start time.
-Its first sweep transforms all substep samples at once, and each later
-sweep all but sample 0, the slab's start, which no sweep moves.  The
-public one-step functions are thin calls of the same kernels.  ``solve``
+(2, n) source values at the step's start.  The carry is the (2, n) sine
+coefficients, so a step is one batched inverse and one batched forward
+sine transform.  A Picard step is one ``picard_slab``; it carries
+nothing, and its s is its start time and its (m, 2, n) source values,
+which the slab takes as given and never evaluates itself.  Its first
+sweep transforms and moves all substep samples at once, and each later
+sweep all but sample 0, the slab's start, which no sweep moves; each
+sweep forms the reaction plus the sources in place, in buffers made once
+per slab.  The public one-step functions are thin calls of the same
+kernels.  ``solve``
 runs one loop for every method: a step, then one norm that classifies
 it.  A norm below the blow-up threshold continues.  Otherwise a
 finiteness scan, made only on that path, tells the two endings apart.  A
@@ -96,8 +101,8 @@ __all__ = [
 
 METHODS = ("exp_euler", "picard", "imex")
 
-# a march evaluates the sources of exp_euler/imex steps a block of steps at a
-# time, one f and one g call per block of at most this many values (64 KB)
+# a march evaluates the sources of its steps a block of steps at a time, one f
+# and one g call per block of at most this many values (64 KB)
 _BLOCK_VALUES = 8192
 
 
@@ -215,18 +220,19 @@ class PicardConvergenceError(RuntimeError):
 _grid = lru_cache(maxsize=16)(Grid1D)
 
 
-def _step_inputs(dt: float, values: np.ndarray, sources, coefficients):
-    """The grid of ``values`` (2, n), and the coefficients and sources with their defaults."""
+def _step_inputs(dt: float, values: np.ndarray, coefficients):
+    """The grid of ``values`` (2, n) and the coefficients with their default."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    grid = _grid(values.shape[-1])
-    c = coefficients if coefficients is not None else CoefficientSet()
-    return grid, c, sources if sources is not None else zero_sources(grid)
+    return _grid(values.shape[-1]), coefficients if coefficients is not None else CoefficientSet()
 
 
-def _substep_times(t: float, dt: float, m: int) -> np.ndarray:
-    # the m uniformly spaced samples of the slab [t, t + dt], each t + i * delta
-    return t + np.arange(m) * (dt / (m - 1))
+def _substep_times(t, dt: float, m: int) -> np.ndarray:
+    """The m uniformly spaced samples t + i * (dt / (m - 1)) of the slab [t, t + dt].
+
+    Shaped (m,) for a float t, and (K, m) for a 1-D array of K slab starts.
+    """
+    return np.add.outer(t, np.arange(m) * (dt / (m - 1)))
 
 
 def _stepper(
@@ -240,23 +246,28 @@ def _stepper(
     dt; the carry is the sine coefficients of ``values`` for exp_euler/imex
     (whose step is :func:`_diagonal_step` on the method's weights) and None
     for picard.  ``inputs(starts)`` gives the s of each step of a block
-    starting at the float array ``starts``: for exp_euler/imex the (2, n)
-    source values at its start, all from one f and one g call, and for
-    picard its start time, since a slab evaluates its own substep sources.
-    ``source_times(t)`` is the array of times at which a step from t
-    evaluates the sources.
+    starting at the float array ``starts``, all from one f and one g call:
+    for exp_euler/imex the (2, n) source values at its start, and for
+    picard its start time and the (m, 2, n) source values at its m
+    substep times.  ``source_times(t)`` is the array of times at which a
+    step from t evaluates the sources.
     """
-    grid, c, src = _step_inputs(dt, values, sources, coefficients)
+    grid, c = _step_inputs(dt, values, coefficients)
+    src = sources if sources is not None else zero_sources(grid)
+    n = grid.n_interior
     if method == "picard":
         m = config.picard_substeps
 
-        def step(carry, values, t):
+        def step(carry, values, s):
             # through the module binding, so a tracer of picard_slab sees every slab
-            result = picard_slab(values, t, dt, config, src, c)
+            result = picard_slab(values, s[0], dt, config, s[1], c)
             return carry, result.values, result.iterations
 
-        return step, None, np.ndarray.tolist, lambda t: _substep_times(t, dt, m)
-    n = grid.n_interior
+        def inputs(starts):
+            rows = _source_values(src, _substep_times(starts, dt, m).ravel(), n)
+            return zip(starts.tolist(), rows.reshape(len(starts), m, 2, n))
+
+        return step, None, inputs, lambda t: _substep_times(t, dt, m)
     a, b = _weights(method, _exponents(n, c.d_u, c.d_v, dt), dt)
     return (
         partial(_diagonal_step, a, b, c), to_coeffs(values),
@@ -347,20 +358,26 @@ def picard_slab(
     t: float,
     dt: float,
     config: SolveConfig,
-    sources: SourcePair | None = None,
+    sources: np.ndarray | None = None,
     coefficients: CoefficientSet | None = None,
 ) -> PicardResult:
     """Fixed-point solve of the variation-of-constants integral on [t, t+dt].
 
-    ``values`` are the nodal values (2, n) at t.  The iterate is held at
-    ``picard_substeps`` uniformly spaced samples of the slab, all swept at
-    once: sample i is E^i c_0 + sum_q K[i, q] F_q, with F_q the
+    ``values`` are the nodal values (2, n) at t, and ``sources`` the source
+    values (f, g) at the slab's m = ``picard_substeps`` substep times
+    ``_substep_times(t, dt, m)``, a float array shaped (m, 2, n), or None
+    for none; anything else raises ValueError.  The iterate is held at the
+    m samples: sample i is E^i c_0 + sum_q K[i, q] F_q, with F_q the
     reaction-plus-source coefficients at sample q.  E^0 = 1 and K[0] = 0, so
-    sample 0 is c_0 in every sweep: the first sweep transforms all m
-    samples, each later one only the m - 1 that move.  A transformed row does
-    not depend on its batch, so each F_q has the bits of a transform of all
-    m, up to the sign of a zero: the swept sample 0, c_0 + 0*F, turns a -0.0
-    of c_0 into +0.0, and F_0 stays the one made from c_0.  Sweeping stops
+    sample 0 is c_0 + 0*F in every sweep: the first sweep transforms and
+    moves all m samples, each later one only the m - 1 that move, and
+    records sample 0's change as it reads, 0 while F is finite and NaN
+    once it is not.  A transformed row does not depend on its batch, so
+    each F_q has the bits of a transform of all m, up to the sign of a
+    zero: the swept sample 0 turns a -0.0 of c_0 into +0.0, and F_0 stays
+    the one made from c_0.  Each sweep forms the reaction plus the sources
+    in place, in the nodal values it has just transformed, with mass and
+    integral buffers made once per call.  Sweeping stops
     when the max-over-samples product-norm change drops below
     ``picard_tol``, and the end values are returned.  It also stops when
     that change is non-finite (NaN, or a squared change that overflowed):
@@ -370,26 +387,41 @@ def picard_slab(
     non-finite change or ``picard_max_iter`` sweeps spent, raises
     :class:`PicardConvergenceError`, so an unconverged slab never passes.
     """
-    grid, c, src = _step_inputs(dt, values, sources, coefficients)
-    m = config.picard_substeps
+    grid, c = _step_inputs(dt, values, coefficients)
+    m, n = config.picard_substeps, grid.n_interior
+    if sources is None:
+        sources = np.zeros((m, 2, n))
+    elif not (isinstance(sources, np.ndarray) and sources.dtype == float and sources.shape == (m, 2, n)):
+        got = getattr(sources, "shape", type(sources).__name__)
+        raise ValueError(f"slab sources must be a float array of shape {(m, 2, n)}, got {got}")
     drift, kernel = _picard_weights(grid, dt / (m - 1), m, c)
-    forcing = _source_values(src, _substep_times(t, dt, m), grid.n_interior)
+    # the mass and its integral of each sample; no sweep writes their zero ends
+    scratch = np.zeros((2, m, n + 2))
+
+    def forced(samples, forcing, buffers):
+        # DST(R(U) + S) of the samples' coefficients, R(U) + S formed in place
+        x = to_values(samples)
+        _reaction_terms(x, c, x, buffers)
+        x += forcing
+        return to_coeffs(x)
+
     start = drift * to_coeffs(values)
-    iterate = start
-    rhs = to_coeffs(_reaction_terms(to_values(start), c) + forcing)
-    moving_forcing, tol = forcing[1:], config.picard_tol
+    rhs = forced(start, sources, scratch)
+    iterate, swept, tol = start, slice(None), config.picard_tol
     diff_norms: list[float] = []
     for sweep in range(config.picard_max_iter):
         if sweep:  # sample 0 stays start[0], so its rhs[0] stays too
-            rhs[1:] = to_coeffs(_reaction_terms(to_values(iterate[1:]), c) + moving_forcing)
-        new = start + np.einsum("iqkn,qkn->ikn", kernel, rhs)
+            rhs[1:] = forced(iterate, sources[1:], scratch[:, 1:])
+        new = start[swept] + np.einsum("iqkn,qkn->ikn", kernel[swept], rhs)
         # Parseval on the unit interval: ||f||_2^2 = (1/2) sum c_k^2; the
         # reductions are np.sum's and np.max's, called without their wrappers
         moved = new - iterate
         diffs = 0.5 * np.add.reduce(np.square(moved, out=moved), axis=(1, 2))
         change = math.sqrt(np.maximum.reduce(diffs))
+        if not math.isfinite(change) and not np.isfinite(rhs).all():
+            change = math.nan  # sample 0 moves by 0*F, NaN where F is not finite
         diff_norms.append(change)
-        iterate = new
+        iterate, swept = new[1 - m:], slice(1, None)  # later sweeps move samples 1..m-1
         if change < tol:
             return PicardResult(to_values(new[-1]), len(diff_norms), tuple(diff_norms))
         if not math.isfinite(change):
@@ -431,7 +463,8 @@ def _march(
     step, carry, inputs, source_times = _stepper(config.method, values, dt, config, src, c)
     sweeps = 0
     n_steps = round(config.t_end / dt)
-    block = max(1, _BLOCK_VALUES // (2 * grid.n_interior))
+    times_per_step = config.picard_substeps if config.method == "picard" else 1
+    block = max(1, _BLOCK_VALUES // (2 * grid.n_interior * times_per_step))
     t_now = 0.0
     for k0 in range(0, n_steps, block):
         k1 = min(k0 + block, n_steps)
@@ -480,7 +513,8 @@ def solve(
     float arrays of shape (1, n) raise ValueError before the first step.
     """
     values0 = state0.values
-    grid, c, src = _step_inputs(config.dt, values0, sources, coefficients)
+    grid, c = _step_inputs(config.dt, values0, coefficients)
+    src = sources if sources is not None else zero_sources(grid)
     _source_values(src, np.zeros(1), grid.n_interior)
     times, snapshots = [0.0], [values0]
     # the march classifies a state that overflows or turns non-finite

@@ -193,16 +193,24 @@ def tabulated_sources(grid: Grid1D, path: str) -> SourcePair:
     )
 
 
-def _reaction_terms(values: np.ndarray, c: CoefficientSet) -> np.ndarray:
+def _reaction_terms(
+    values: np.ndarray, c: CoefficientSet, out: np.ndarray | None = None, scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Source-free reaction (-u*I, +v*I) of nodal pairs shaped (..., 2, n).
 
     I is the trapezoid running integral of p_u*u + p_v*v over the pair with
     its Dirichlet zero ends, evaluated at the interior nodes: the mass from
     ``constraint._mass`` and the integral from ``running_integral``, the
-    helpers ``reconstruct_w`` uses.  Leading axes are a batch.
+    helpers ``reconstruct_w`` uses.  Leading axes are a batch.  The result
+    is a new array, or ``out`` if given, which must be ``values`` itself;
+    ``scratch``, if given, is a zeroed pair of (..., n+2) arrays that take
+    the mass and the integral.  Each gives the same bits.
     """
-    integral = running_integral(_mass(values, c.p_u, c.p_v), 1.0 / (values.shape[-1] + 1))
-    out = np.array(values, dtype=float)
+    mass, integral = (None, None) if scratch is None else scratch
+    h = 1.0 / (values.shape[-1] + 1)
+    integral = running_integral(_mass(values, c.p_u, c.p_v, mass), h, integral)
+    if out is None:
+        out = np.array(values, dtype=float)
     # negate u before the product: negating u*I would flip the sign of a NaN in I
     u = out[..., 0, :]
     np.negative(u, out=u)

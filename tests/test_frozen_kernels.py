@@ -18,6 +18,7 @@ first non-finite change; the plain loop sweeps on while its iterate stays
 finite.  There the package's sweep changes must be a prefix of the loop's.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -88,9 +89,15 @@ def at(src, t):
     return np.stack((src.f(times)[0], src.g(times)[0]))
 
 
+def slab_sources(src, t, dt, config, n):
+    """The (m, 2, n) source values of a slab from t, as a march hands them to picard_slab."""
+    times = integrators._substep_times(t, dt, config.picard_substeps)
+    return pdae1d.nonlinearity._source_values(src, times, n)
+
+
 def picard(values, t, dt, config, src, c):
     try:
-        result = integrators.picard_slab(values, t, dt, config, src, c)
+        result = integrators.picard_slab(values, t, dt, config, slab_sources(src, t, dt, config, values.shape[-1]), c)
     except PicardConvergenceError as err:
         return "no convergence", err.iterations, err.diff_norms
     return result
@@ -339,15 +346,22 @@ def previous_pair_norm(values, h):
     return float(np.sqrt(h * (np.dot(u, u) + np.dot(v, v))))
 
 
+# A Picard slab takes the (m, 2, n) source values of its substep times from
+# the march, which evaluates them for a block of slabs with one call of each
+# component.  After its first sweep a slab moves and measures only the m - 1
+# samples that can move, and forms each sweep's reaction plus sources in
+# place.  The frozen copy below is the slab's previous form: its own f and g
+# call, and every sweep's kernel product and change over all m samples.  The
+# two must agree bit for bit, the sign of a zero included: end values,
+# sweeps, every change, and the time, sweeps and message of a
+# PicardConvergenceError.
 @np.errstate(over="ignore", invalid="ignore")
-def previous_picard_slab(values, t, dt, config, src, c):
-    """(end values, sweeps, diff_norms), or ("no convergence", sweeps, diff_norms)."""
+def all_samples_picard_slab(values, t, dt, config, src, c):
     n = values.shape[-1]
     m = config.picard_substeps
     drift, kernel = integrators._picard_weights(Grid1D(n), dt / (m - 1), m, c)
-    forcing = np.empty(drift.shape)
-    for i, s in enumerate(integrators._substep_times(t, dt, m)):
-        forcing[i] = at(src, s)
+    times = integrators._substep_times(t, dt, m)
+    forcing = np.stack((src.f(times), src.g(times)), axis=1)
     start = drift * to_coeffs(values)
     iterate = start
     rhs = to_coeffs(previous_reaction_terms(to_values(start), c) + forcing)
@@ -356,18 +370,34 @@ def previous_picard_slab(values, t, dt, config, src, c):
         if sweep:
             rhs[1:] = to_coeffs(previous_reaction_terms(to_values(iterate[1:]), c) + forcing[1:])
         new = start + np.einsum("iqkn,qkn->ikn", kernel, rhs)
-        diffs = 0.5 * np.sum((new - iterate) ** 2, axis=(1, 2))
-        change = float(np.sqrt(np.max(diffs)))
+        moved = new - iterate
+        diffs = 0.5 * np.add.reduce(np.square(moved, out=moved), axis=(1, 2))
+        change = math.sqrt(np.maximum.reduce(diffs))
         diff_norms.append(change)
         iterate = new
         if change < config.picard_tol:
-            return to_values(new[-1]), len(diff_norms), tuple(diff_norms)
+            return integrators.PicardResult(to_values(new[-1]), len(diff_norms), tuple(diff_norms))
         if not math.isfinite(change):
             end = to_values(new[-1])
             if not previous_pair_norm(end, 1.0 / (n + 1)) < config.blowup_threshold:
-                return end, len(diff_norms), tuple(diff_norms)
+                return integrators.PicardResult(end, len(diff_norms), tuple(diff_norms))
             break
-    return "no convergence", len(diff_norms), tuple(diff_norms)
+    raise PicardConvergenceError(t, len(diff_norms), tuple(diff_norms))
+
+
+def outcome(slab, *args):
+    """("returned", values, sweeps, changes) or ("raised", t, sweeps, changes, message)."""
+    try:
+        result = slab(*args)
+    except PicardConvergenceError as err:
+        return "raised", err.t, err.iterations, err.diff_norms, str(err)
+    return "returned", result.values, result.iterations, result.diff_norms
+
+
+def assert_same_outcome(got, want, name):
+    assert got[0] == want[0] and got[2] == want[2], name
+    assert same_int64(got[1], want[1]) and same_int64(got[3], want[3]), name
+    assert got[4:] == want[4:], name
 
 
 def kernel_states(n, rng):
@@ -441,21 +471,20 @@ def test_picard_slabs_equal_their_previous_form(n):
                 continue
             for dt, max_iter in ((0.005, 25), (0.05, 3)):
                 config = SolveConfig(dt=dt, t_end=dt, method="picard", picard_max_iter=max_iter)
-                got = picard(values, 0.1, dt, config, src, c)
-                want = previous_picard_slab(values, 0.1, dt, config, src, c)
-                assert got[1] == want[1] and same_int64(got[2], want[2]), (kind, c, dt)
-                if isinstance(want[0], str):
-                    assert got[0] == want[0], (kind, c, dt)
+                forcing = slab_sources(src, 0.1, dt, config, n)
+                got = outcome(integrators.picard_slab, values, 0.1, dt, config, forcing, c)
+                want = outcome(all_samples_picard_slab, values, 0.1, dt, config, src, c)
+                assert_same_outcome(got, want, (kind, c, dt))
+                if want[0] == "raised":
                     endings.add("no convergence")
                 else:
-                    assert same_int64(got[0], want[0]), (kind, c, dt)
-                    endings.add("finite" if np.all(np.isfinite(want[0])) else "non-finite")
+                    endings.add("finite" if np.all(np.isfinite(want[1])) else "non-finite")
     assert endings == {"finite", "non-finite", "no convergence"}
 
 
 # The source pairs map an array of K times to a (K, n) array, and a march
-# evaluates the start times of a block of exp_euler/imex steps, or a Picard
-# slab its substep times, in one call of each component.  The frozen copies
+# evaluates the start times of a block of exp_euler/imex steps, or the
+# substep times of a block of Picard slabs, in one call of each component.  The frozen copies
 # below are the per-time forms they replaced: the manufactured pair at one t,
 # the table interpolation at one t and the zero pair.  Each row of one array
 # call must have their bits, the sign of a zero included, on int64 views.
@@ -633,3 +662,121 @@ def test_source_time_lipschitz_equals_the_per_time_loop(n):
                 got = pdae1d.source_time_lipschitz(build_mms_sources(spec, grid, c), probes)
                 want = frozen_source_time_lipschitz(*frozen_mms_source_fns(spec, c, grid.nodes), probes)
                 assert type(got) is float and same_int64(got, want), (spec, c, t_end)
+
+
+def late_overflow_case(n):
+    """A slab whose reaction overflows in sweep 2 after a finite sweep 1.
+
+    Impacts of 1e100 make u*I overflow long before the squared change does.
+    The reaction's coefficients turn +-inf, at n = 1 without a NaN, so the
+    moving sample's change is inf while sample 0's, 0*F, is NaN.
+    """
+    top = np.full(n, 1e118)
+    rise = lambda times: top * (times > 0)[:, None]  # noqa: E731
+    config = SolveConfig(dt=0.01, t_end=0.01, method="picard", picard_substeps=2)
+    return np.zeros((2, n)), 0.01, config, SourcePair(f=rise, g=rise), CoefficientSet(p_u=1e100, p_v=1e100)
+
+
+def moving_slab_cases(n):
+    """The slab cases at m = 4, 2 and 6, starts holding inf and NaN, and a late overflow."""
+    rng = np.random.default_rng(200 + n)
+    for name, values, dt, config, src, c in slab_cases(n):
+        for m in (4, 2, 6):
+            yield f"{name} m={m}", values, dt, dataclasses.replace(config, picard_substeps=m), src, c
+    config = SolveConfig(dt=0.005, t_end=0.005, method="picard")
+    src = step_sources(n)
+    for bad in (np.inf, -np.inf, np.nan):
+        values = rng.standard_normal((2, n))
+        values[1, n // 2] = bad
+        yield f"start holding {bad}", values, 0.005, config, src, CoefficientSet(p_u=0.5)
+    yield ("late overflow", *late_overflow_case(n))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_picard_slabs_equal_the_all_samples_slab(n):
+    endings = set()
+    for name, values, dt, config, src, c in moving_slab_cases(n):
+        for t in (0.0, 0.3):
+            got = outcome(
+                integrators.picard_slab, values, t, dt, config, slab_sources(src, t, dt, config, n), c
+            )
+            want = outcome(all_samples_picard_slab, values, t, dt, config, src, c)
+            assert_same_outcome(got, want, (name, t))
+            changes = want[3]
+            if want[0] == "raised":
+                endings.add("raised")
+            elif not math.isfinite(changes[-1]):
+                finite_end = bool(np.all(np.isfinite(want[1])))
+                endings.add(("blow-up" if finite_end else "non-finite") + f" after {len(changes)}")
+            else:
+                endings.add("converged")
+            if name.startswith("start holding"):
+                assert want[2] == 1 and math.isnan(changes[0]), name
+    assert {"converged", "raised", "non-finite after 1", "blow-up after 1", "blow-up after 2"} <= endings
+    if n == 1:
+        assert "non-finite after 2" in endings  # the late overflow
+
+
+def test_a_late_overflow_records_the_nan_change_of_sample_0():
+    values, dt, config, src, c = late_overflow_case(1)
+    result = integrators.picard_slab(values, 0.0, dt, config, slab_sources(src, 0.0, dt, config, 1), c)
+    assert result.iterations == 2 and math.isfinite(result.diff_norms[0]) and math.isnan(result.diff_norms[1])
+    # the moving sample moved by inf, not NaN: only sample 0's change is NaN
+    assert same_int64(result.values, np.array([[-np.inf], [np.inf]]))
+
+
+@pytest.mark.parametrize("n", (7, 128))
+def test_picard_slab_takes_only_its_source_values(n):
+    m, grid = 4, Grid1D(n)
+    config = SolveConfig(dt=0.01, t_end=0.01, method="picard", picard_substeps=m)
+    src = step_sources(n)
+    values = np.random.default_rng(n).standard_normal((2, n))
+    good = slab_sources(src, 0.0, 0.01, config, n)
+    wrong = [
+        (src, "SourcePair"),
+        (zero_sources(grid), "SourcePair"),
+        (good[:, 0], rf"\({m}, {n}\)"),
+        (np.concatenate((good, good[:1])), rf"\({m + 1}, 2, {n}\)"),
+        (good.astype(np.float32), rf"\({m}, 2, {n}\)"),
+        (good.tolist(), "list"),
+    ]
+    for bad, shown in wrong:
+        with pytest.raises(ValueError, match=rf"float array of shape \({m}, 2, {n}\), got {shown}"):
+            integrators.picard_slab(values, 0.0, 0.01, config, bad)
+    # None is no sources, as zero sources
+    none = integrators.picard_slab(values, 0.0, 0.01, config)
+    zero = integrators.picard_slab(values, 0.0, 0.01, config, slab_sources(zero_sources(grid), 0.0, 0.01, config, n))
+    assert same_int64(none.values, zero.values) and none.diff_norms == zero.diff_norms
+
+
+def frozen_per_slab_march(values, n_steps, dt, config, src, c):
+    """Each slab's end values and the total sweeps of a march of all-samples slabs, one slab at a time."""
+    out, sweeps = [], 0
+    for k in range(n_steps):
+        result = all_samples_picard_slab(values, k * dt, dt, config, src, c)
+        values = result.values
+        sweeps += result.iterations
+        out.append(values)
+    return np.array(out), sweeps
+
+
+@pytest.mark.parametrize("n, n_steps", ((7, 300), (256, 10)))  # blocks of 146 and 4 slabs
+def test_picard_marches_across_source_blocks_equal_a_per_slab_march(n, n_steps, tmp_path):
+    grid, dt = Grid1D(n), 1e-3
+    m = 4
+    assert n_steps > 2 * (integrators._BLOCK_VALUES // (2 * n * m))
+    spec, c = ARRAY_SPECS[0], ARRAY_COEFFICIENTS[0]
+    state0 = pdae1d.mms_state(spec, grid, 0.0)
+    config = SolveConfig(dt=dt, t_end=n_steps * dt, method="picard", picard_substeps=m)
+    rng = np.random.default_rng(4000 + n)
+    path = tmp_path / "sources.txt"
+    with open(path, "w") as fh:
+        for t in (0.0, 0.4 * n_steps * dt, 0.7 * n_steps * dt, 2.0):
+            for x in grid.nodes_full.tolist():
+                fh.write(f"{t!r} {x!r} {rng.standard_normal()!r} {rng.standard_normal()!r}\n")
+    for src in (build_mms_sources(spec, grid, c), tabulated_sources(grid, str(path))):
+        traj = pdae1d.solve(state0, config, src, c)
+        assert traj.status.kind == "completed" and traj.times == [k * dt for k in range(n_steps + 1)]
+        want, sweeps = frozen_per_slab_march(state0.values, n_steps, dt, config, src, c)
+        assert same_int64(traj.values[1:], want), src.kind
+        assert traj.picard_iterations_total == sweeps, src.kind

@@ -45,6 +45,11 @@ def switched(condition, on, off):
     return lambda times: np.where(condition(times)[:, None], on, off)
 
 
+def slab_sources(pair, t, cfg, n):
+    """The (m, 2, n) source values of the Picard slab of length cfg.dt from t, as a march hands them over."""
+    return nonlinearity._source_values(pair, integrators._substep_times(t, cfg.dt, cfg.picard_substeps), n)
+
+
 def dense_laplacian(n):
     h = 1.0 / (n + 1)
     return (-2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) / h**2
@@ -226,7 +231,7 @@ class TestPicard:
             traj = solve(zero, SolveConfig(dt=0.5, t_end=1.0, method=method), sources)
             assert traj.status == RunStatus.blowup_detected(t_blowup), method
         cfg = SolveConfig(dt=0.5, t_end=1.0, method="picard")
-        result = picard_slab(np.zeros((2, n)), 0.0, 0.5, cfg, sources)
+        result = picard_slab(np.zeros((2, n)), 0.0, 0.5, cfg, slab_sources(sources, 0.0, cfg, n))
         assert result.iterations == traj.picard_iterations_total == 2
         assert math.isfinite(result.diff_norms[0]) and result.diff_norms[1] == math.inf
         assert np.all(np.isfinite(result.values))
@@ -242,7 +247,7 @@ class TestPicard:
         sources = SourcePair(f=switched(lambda t: t == 10.0, top, zero), g=held(zero))
         cfg = SolveConfig(dt=30.0, t_end=30.0, method="picard", blowup_threshold=1e300)
         with pytest.raises(PicardConvergenceError) as excinfo:
-            picard_slab(np.zeros((2, n)), 0.0, 30.0, cfg, sources)
+            picard_slab(np.zeros((2, n)), 0.0, 30.0, cfg, slab_sources(sources, 0.0, cfg, n))
         assert excinfo.value.iterations == 1 and excinfo.value.diff_norms == (math.inf,)
         traj = solve(as_pair(Grid1D(n), np.zeros((2, n))), cfg, sources)
         assert traj.status == RunStatus.step_failure(0.0, str(excinfo.value))
@@ -438,7 +443,7 @@ def public_step(method, values, t, cfg, sources):
         return step_exp_euler(values, t, cfg.dt, sources), 0
     if method == "imex":
         return step_imex(values, t, cfg.dt, sources), 0
-    result = picard_slab(values, t, cfg.dt, cfg, sources)
+    result = picard_slab(values, t, cfg.dt, cfg, slab_sources(sources, t, cfg, values.shape[-1]))
     return result.values, result.iterations
 
 
@@ -525,7 +530,7 @@ class TestArrayCore:
         sources = SourcePair(f=held(huge), g=held(huge))
         with warnings.catch_warnings():  # the caller classifies the end, numpy need not warn
             warnings.simplefilter("error")
-            result = picard_slab(np.zeros((2, 16)), 0.0, 0.5, cfg, sources)
+            result = picard_slab(np.zeros((2, 16)), 0.0, 0.5, cfg, slab_sources(sources, 0.0, cfg, 16))
         assert not np.all(np.isfinite(result.values))
         assert result.iterations < cfg.picard_max_iter
         traj = solve(as_pair(Grid1D(16), np.zeros((2, 16))), cfg, sources)
@@ -597,7 +602,7 @@ class TestClassification:
             warnings.simplefilter("error")
             traj = solve(as_pair(grid, np.zeros((2, 16))), cfg, sources)
             if method == "picard":
-                result = picard_slab(np.zeros((2, 16)), 0.0, cfg.dt, cfg, sources)
+                result = picard_slab(np.zeros((2, 16)), 0.0, cfg.dt, cfg, slab_sources(sources, 0.0, cfg, 16))
             else:
                 stepped = step(np.zeros((2, 16)), 0.0, cfg.dt, sources)
                 norm = pair_norm(stepped, grid.h)
@@ -674,14 +679,19 @@ class TestSourceBlocks:
         traj = solve(mms_state(spec, grid, 0.0), cfg, src)
         assert traj.status.kind == "completed" and traj.steps_taken == n_steps
         if method == "picard":
-            # each slab evaluates its m substep times
+            # the m substep times of each slab of a block of slabs, flattened
             m = cfg.picard_substeps
-            wanted = [[k * dt + i * (dt / (m - 1)) for i in range(m)] for k in range(n_steps)]
+            block = 8192 // (2 * n * m)  # 146 and 4 slabs
+            step_times = lambda k: [k * dt + i * (dt / (m - 1)) for i in range(m)]  # noqa: E731
         else:
-            # the start times k * dt of each block of steps, in one call
-            block = 8192 // (2 * n)
-            wanted = [[k * dt for k in range(k0, min(k0 + block, n_steps))] for k0 in range(0, n_steps, block)]
-        # solve's check at the one time 0, then f and g once for each block or slab
+            # the start time k * dt of each step of a block of steps
+            block = 8192 // (2 * n)  # 585 and 16 steps
+            step_times = lambda k: [k * dt]  # noqa: E731
+        wanted = [
+            [t for k in range(k0, min(k0 + block, n_steps)) for t in step_times(k)]
+            for k0 in range(0, n_steps, block)
+        ]
+        # solve's check at the one time 0, then f and g once for each block
         assert calls == [("f", [0.0]), ("g", [0.0])] + [(name, ts) for ts in wanted for name in "fg"]
 
     @pytest.mark.parametrize("method", METHODS)

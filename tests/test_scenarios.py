@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -704,6 +705,41 @@ class TestCli:
             assert action.default is None
         assert options["scenario"].choices == SCENARIOS
         assert options["method"].choices == METHODS
+
+    def test_one_parser_serves_every_call_of_a_process(self, tmp_path, monkeypatch, capsys):
+        assert build_parser() is build_parser()
+        calls = [
+            ["run", "--scenario", "mms", "--method", "imex", "--n-interior", "15", "--dt", "0.01",
+             "--t-end", "0.05", "--p-u", "0.5", "--output-dir", "first"],
+            ["run", "--scenario", "decay", "--n-interior", "seven", "--output-dir", "bad"],
+            ["run", "--scenario", "decay", "--dt", "0.01", "--t-end", "0.02", "--output-dir", "third"],
+        ]
+
+        def outcomes(fresh):
+            seen = []
+            for argv in calls:
+                if fresh:
+                    build_parser.cache_clear()
+                try:
+                    code = main(argv)
+                except SystemExit as exit:
+                    code = exit.code
+                seen.append((code, capsys.readouterr().err))
+            files = {p.as_posix(): p.read_bytes() for p in Path(".").rglob("*") if p.is_file()}
+            return seen, files
+
+        runs = {}
+        for fresh in (False, True):
+            (tmp_path / str(fresh)).mkdir()
+            monkeypatch.chdir(tmp_path / str(fresh))
+            runs[fresh] = outcomes(fresh)
+        (codes, files), fresh_runs = runs[False], runs[True]
+        assert [code for code, _ in codes] == [0, 2, 0]
+        assert codes[1][1].startswith("usage: pdae1d run") and "invalid int value: 'seven'" in codes[1][1]
+        # the third run keeps the defaults the first one overrode
+        assert json.loads(files["third/summary.json"])["config"]["method"] == "exp_euler"
+        assert sorted({name.split("/")[0] for name in files}) == ["first", "third"]
+        assert (codes, files) == fresh_runs
 
     def test_summary_carrier_reproduces_the_data_rows(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"

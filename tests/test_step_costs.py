@@ -18,7 +18,7 @@ def test_prints_one_row_per_size_with_every_cost():
         assert len(row) == 7
         assert [len(cell.split()) for cell in row[1:]] == [1, 1, 2, 2, 1, 1]
         assert float(row[3].split()[1].strip("()")) >= 1.0  # Picard sweeps per slab
-        # the sources per step of a block, below one Picard slab's four substep times
+        # the sources per step of a block, below a Picard slab's share of a block of its four substep times
         per_step, per_slab = (float(value.strip("()")) for value in row[4].split())
         assert 0 < per_step < per_slab
         assert all(float(cell.split()[0]) > 0 for cell in row[1:])

@@ -14,9 +14,12 @@ imex evaluate their sources a block of steps at a time (585 steps at
 n = 7, 64 at n = 64, 16 at n = 255 and 256), so the runs at the default
 dt, the n = 256 IMEX run with snapshots every 10 steps, the custom run on
 a source table the tool writes first (n = 7, 1000 steps, on, between and
-after its slabs) and the n = 63 level cross block boundaries; a Picard
-run over several slabs and ``mms-sources`` at several times, -0 among
-them, evaluate a vector of times per call.  For each command it prints the
+after its slabs) and the n = 63 level cross block boundaries.  A Picard
+march evaluates the substep times of a block of slabs at a time (146 slabs
+at n = 7, 8 at n = 128), so the Picard runs on that table and over 500
+slabs of mms at n = 7 cross block boundaries, and growth_probe's Picard
+run at the default n = 128 blows up inside a block; ``mms-sources`` at
+several times, -0 among them, evaluates a vector of times per call.  For each command it prints the
 command, its exit code, and ``sha256  name`` lines for its stdout, its
 stderr and every file it wrote, in path order.  BLAS is held to one
 thread, set before numpy is imported, and the package is imported from
@@ -66,6 +69,10 @@ COMMANDS = [
     " --mms-b -0.6 --picard-substeps 6 --output-dir run-mms-picard-slabs",
     "run --scenario custom --ic-file custom-ic.txt --source-file custom-sources.txt --n-interior 7"
     " --output-dir run-custom-n7",
+    "run --scenario growth_probe --method picard --output-dir run-growth_probe-picard-n128",
+    "run --scenario mms --method picard --n-interior 7 --dt 1e-4 --t-end 0.05 --output-dir run-mms-picard-blocks",
+    "run --scenario custom --method picard --ic-file custom-ic.txt --source-file custom-sources.txt"
+    " --n-interior 7 --output-dir run-custom-n7-picard",
     "run --config run-mms-picard/summary.json --output-dir rerun-mms-picard",
     "run --config int-floats.json --output-dir run-int-floats",
     "verify --sizes 16,64,256 --samples 50 --lipschitz-samples 200 --output verify/report.json",

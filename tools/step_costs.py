@@ -9,8 +9,10 @@ table:
 * the cost per step of the mms source pair, f and g: a march of exp_euler
   or imex evaluates the start times of a block of
   ``integrators._BLOCK_VALUES // (2n)`` steps in one call of each, so the
-  figure is one such block evaluation divided by its steps, and in
-  parentheses one Picard slab's evaluation of its m = 4 substep times;
+  figure is one such block evaluation divided by its steps; a Picard march
+  evaluates the m = 4 substep times of each slab of a block of
+  ``integrators._BLOCK_VALUES // (2nm)`` slabs in one call of each, and
+  the figure in parentheses is one such evaluation divided by its slabs;
 * the cost of one source-free reaction evaluation (``_reaction_terms``) on
   a (2, n) pair and on a (4, 2, n) stack, in microseconds.
 
@@ -116,7 +118,9 @@ def main(argv=None) -> int:
             timers[n, method] = march_timer(n, method)
         block = max(1, integrators._BLOCK_VALUES // (2 * n))
         timers[n, "sources"] = sources_timer(n, np.arange(block) * DT, block)
-        timers[n, "slab sources"] = sources_timer(n, integrators._substep_times(0.3, DT, 4), 1)
+        slabs = max(1, integrators._BLOCK_VALUES // (2 * n * 4))
+        slab_times = integrators._substep_times(np.arange(slabs) * DT, DT, 4).ravel()
+        timers[n, "slab sources"] = sources_timer(n, slab_times, slabs)
         for shape in ((2, n), (4, 2, n)):
             timers[n, shape] = reaction_timer(shape)
     # round-robin, so each figure's repeats sample the whole run, not one stretch of it

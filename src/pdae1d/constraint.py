@@ -10,7 +10,8 @@ By construction w(0) = 0 and w_x(0) = 0 exactly; the right-end value w(1)
 is generally nonzero (it vanishes only for states whose double integral
 happens to cancel) and is reported as a compatibility diagnostic, never
 enforced.  Profiles are arrays at all n+2 nodes, so both ends are in the
-profile itself.  Every function takes nodal pairs shaped (..., 2, n); a
+profile itself.  ``_mass``, the one builder of p_u*u + p_v*v, the reaction's
+included, adds u + v without the products at the unit weights.  Every function takes nodal pairs shaped (..., 2, n); a
 ``StatePair`` is converted to its (2, n) values once, at the top.
 """
 
@@ -70,9 +71,14 @@ def _mass(values: np.ndarray, p_u: float, p_v: float, out: np.ndarray | None = N
     """p_u*u + p_v*v of nodal pairs (..., 2, n) at all n+2 nodes, zero at both ends.
 
     Written into a new array, or into ``out``, whose end entries must be zero.
+    At the default weights p_u = p_v = 1 the products are skipped: 1.0 * x
+    is x bit for bit, NaN, -0.0 and subnormals included.
     """
     full = np.zeros(values.shape[:-2] + (values.shape[-1] + 2,)) if out is None else out
-    np.add(p_u * values[..., 0, :], p_v * values[..., 1, :], out=full[..., 1:-1])
+    u, v = values[..., 0, :], values[..., 1, :]
+    if not (p_u == 1.0 and p_v == 1.0):
+        u, v = p_u * u, p_v * v
+    np.add(u, v, out=full[..., 1:-1])
     return full
 
 

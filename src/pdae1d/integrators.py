@@ -3,7 +3,7 @@
 Three one-step methods share the split "stiff diffusion + mild reaction",
 all written in the exact sine eigenbasis of the discrete Laplacian, where
 diffusion is diagonal with z_k = d * lambda_k * dt per component, built by
-``spectral._exponents`` for every method:
+``spectral._exponents`` for every method, with exp(z) from ``spectral._exp``:
 
 * exponential Euler, exact on the diffusion part,
   c_{n+1} = exp(z) c_n + dt * phi1(z) DST(R(U_n, t_n));
@@ -67,6 +67,7 @@ from .fields import Grid1D, StatePair, _check_fields, _pair_norm, pair_norm
 # eval_reaction and zero_sources are looked up here at call time, so the
 # wrappers perfbench/tracing.py puts on this module's bindings see every call
 from .nonlinearity import (
+    _DEFAULT_COEFFICIENTS,
     CoefficientSet,
     SourcePair,
     _reaction_terms,
@@ -78,6 +79,7 @@ from .nonlinearity import (
 # phi1_apply, semigroup_apply and solve_shifted stay bound here because
 # perfbench/tracing.py wraps every module binding of them
 from .spectral import (  # noqa: F401
+    _exp,
     _exponents,
     phi1,
     phi1_apply,
@@ -224,7 +226,7 @@ def _step_inputs(dt: float, values: np.ndarray, coefficients):
     """The grid of ``values`` (2, n) and the coefficients with their default."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    return _grid(values.shape[-1]), coefficients if coefficients is not None else CoefficientSet()
+    return _grid(values.shape[-1]), coefficients if coefficients is not None else _DEFAULT_COEFFICIENTS
 
 
 def _substep_times(t, dt: float, m: int) -> np.ndarray:
@@ -281,7 +283,7 @@ def _weights(method: str, z: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
     exp_euler: a = exp(z), b = dt * phi1(z); imex: a = 1/(1 - z), b = dt/(1 - z).
     """
     if method == "exp_euler":
-        return np.exp(z), dt * phi1(z)
+        return _exp(z), dt * phi1(z)
     return 1.0 / (1.0 - z), dt / (1.0 - z)
 
 
@@ -305,7 +307,7 @@ def _picard_weights(grid: Grid1D, delta: float, m: int, c: CoefficientSet):
     weight times E^(i - q).  Cached, so a march builds them once.
     """
     z = _exponents(grid.n_interior, c.d_u, c.d_v, delta)
-    drift = np.exp(np.arange(m)[:, None, None] * z)
+    drift = _exp(np.arange(m)[:, None, None] * z)
     kernel = np.zeros((m,) + drift.shape)
     for i in range(1, m):
         kernel[i, : i + 1] = delta * drift[i::-1]  # E^(i - q) for q = 0..i
@@ -489,8 +491,8 @@ def _march(
     return RunStatus.completed(), n_steps, sweeps
 
 
-# solve takes a StatePair: the benchmark builds its initial states with
-# mms_state, and its self-test counts their Field constructions
+# solve takes a StatePair: the initial states of run_convergence's levels are
+# built as StatePairs, and the benchmark's self-test counts their Fields
 def solve(
     state0: StatePair,
     config: SolveConfig,

@@ -14,7 +14,10 @@ shaped (..., 2, n).  A source component maps a 1-D array of K times to a
 read-only float array of shape (K, n), one row per time, so a caller that
 knows its times in advance evaluates them all in one call:
 ``_source_values`` stacks the two components to (K, 2, n), and
-``eval_reaction`` adds one such (2, n) row, or a stack of them, to R(U).
+``eval_reaction`` adds one such (2, n) row, or a stack of them, to R(U),
+in a new array or in ``out=``, which may be the states themselves: that is
+how ``lipschitz_ratio`` forms R(a) and R(b) in the stack of a and b it has
+already made.
 """
 
 from __future__ import annotations
@@ -58,6 +61,10 @@ class CoefficientSet:
         _check_fields(self)
         if self.d_u <= 0 or self.d_v <= 0:
             raise ValueError("diffusion coefficients must be positive")
+
+
+# the coefficients of every call that gives none, built once
+_DEFAULT_COEFFICIENTS = CoefficientSet()
 
 
 # perfbench/tracing.py rebuilds a pair as SourcePair(f=, g=, kind=) around
@@ -141,7 +148,12 @@ def read_node_table(path: str, grid: Grid1D, columns: tuple[str, ...]):
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: table entries must be finite")
     keyed = columns[0] != "x"
-    times = np.unique(data[:, 0]) if keyed else None
+    times = None
+    if keyed:
+        # the sorted distinct t, as np.unique gives them; np.unique would
+        # import numpy.ma (about 15 ms and 1.6 MB in a fresh process, numpy 2.4)
+        times = np.sort(data[:, 0])
+        times = times[np.concatenate(([True], times[1:] != times[:-1]))]
     n = grid.n_interior
     slabs = []
     for t in times if keyed else (None,):
@@ -202,15 +214,18 @@ def _reaction_terms(
     its Dirichlet zero ends, evaluated at the interior nodes: the mass from
     ``constraint._mass`` and the integral from ``running_integral``, the
     helpers ``reconstruct_w`` uses.  Leading axes are a batch.  The result
-    is a new array, or ``out`` if given, which must be ``values`` itself;
-    ``scratch``, if given, is a zeroed pair of (..., n+2) arrays that take
-    the mass and the integral.  Each gives the same bits.
+    is a new array, or ``out`` if given: ``values`` itself or an array of its
+    shape that does not overlap it.  ``scratch``, if given, is a zeroed pair
+    of (..., n+2) arrays that take the mass and the integral.  Each gives
+    the same bits.
     """
     mass, integral = (None, None) if scratch is None else scratch
     h = 1.0 / (values.shape[-1] + 1)
     integral = running_integral(_mass(values, c.p_u, c.p_v, mass), h, integral)
     if out is None:
         out = np.array(values, dtype=float)
+    elif out is not values:
+        out[...] = values
     # negate u before the product: negating u*I would flip the sign of a NaN in I
     u = out[..., 0, :]
     np.negative(u, out=u)
@@ -222,16 +237,19 @@ def eval_reaction(
     values: np.ndarray,
     sources: np.ndarray | None = None,
     coefficients: CoefficientSet | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Non-diffusive right-hand side R(U) + S = (-u*I + f, +v*I + g).
 
     I is the trapezoid running integral of p_u*u + p_v*v evaluated at the
     interior nodes.  ``values`` are Dirichlet nodal pairs shaped (..., 2, n);
     ``sources`` are the source values (f, g) shaped (..., 2, n), broadcast
-    against them, or None for none; the result has the shape of ``values``.
+    against them, or None for none.  The result has the shape of
+    ``values``: a new array, or ``out`` if given, which may be ``values``
+    itself (or else must not overlap it); each gives the same bits.
     """
-    c = coefficients if coefficients is not None else CoefficientSet()
-    out = _reaction_terms(values, c)
+    c = coefficients if coefficients is not None else _DEFAULT_COEFFICIENTS
+    out = _reaction_terms(values, c, out)
     if sources is not None:
         out += sources
     return out
@@ -249,8 +267,10 @@ def lipschitz_ratio(a: np.ndarray, b: np.ndarray):
     denom = pair_norm(a - b, h)
     if np.any(denom == 0.0):
         raise ValueError("states coincide; the quotient is undefined")
-    # one call on the stacked pair: each row reacts as if evaluated alone
-    ra, rb = eval_reaction(np.stack((a, b)))
+    # one call on the stacked pair, which R overwrites: each row reacts as if
+    # evaluated alone
+    stack = np.stack((a, b))
+    ra, rb = eval_reaction(stack, out=stack)
     return pair_norm(ra - rb, h) / denom
 
 

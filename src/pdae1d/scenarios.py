@@ -28,6 +28,7 @@ from .constraint import reconstruct_w  # noqa: F401
 from .fields import Field, Grid1D, StatePair, _check_fields, _field_types, _whole, pair_norm
 from .integrators import METHODS, SolveConfig, Trajectory, solve
 from .nonlinearity import (
+    _DEFAULT_COEFFICIENTS,
     CoefficientSet,
     SourcePair,
     read_node_table,
@@ -208,7 +209,7 @@ def build_mms_sources(
     solver's remaining error against the manufactured pair is then purely
     its own discretization error.
     """
-    c = coefficients if coefficients is not None else CoefficientSet()
+    c = coefficients if coefficients is not None else _DEFAULT_COEFFICIENTS
     f, g = _mms_source_fns(spec, c, grid.nodes)
     return SourcePair(f=f, g=g, kind="mms")
 

@@ -24,7 +24,7 @@ def test_prints_the_exit_code_and_a_digest_of_every_output():
             names.append(name)
         assert names[:2] == ["stdout", "stderr"]
         commands[command[0]].append((command, block[1], names[2:]))
-    assert [len(commands[name]) for name in ("run", "converge", "verify", "mms-sources")] == [20, 3, 2, 3]
+    assert [len(commands[name]) for name in ("run", "converge", "verify", "mms-sources")] == [20, 3, 3, 3]
     # the runs from a config file take their scenario from it
     from_file = {"rerun-mms-picard": "mms", "run-int-floats": "decay"}
     for command, code, files in commands["run"]:

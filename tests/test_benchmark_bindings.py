@@ -10,7 +10,9 @@ runs ``perfbench/workloads.py``'s artifact check, which rebuilds the last
 snapshot as a ``StatePair`` and recomputes its profile and report, on the
 artifacts of short runs, and checks that ``trajectory.csv`` is written by
 one call of ``scenarios._write_table`` with the path first, where the
-benchmark's self-test plants a truncated table.
+benchmark's self-test plants a truncated table, and that a convergence
+level builds a ``Field``: the self-test requires a nonzero Field count on
+the benchmark's sweeps.
 """
 
 import importlib
@@ -20,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import pdae1d
-from pdae1d import Grid1D, MmsSpec, SolveConfig, cli, scenarios
+from pdae1d import Grid1D, MmsSpec, ScenarioConfig, SolveConfig, cli, scenarios
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -96,3 +98,14 @@ def test_trajectory_is_written_through_the_write_table_binding(tracing, method, 
     text = (tmp_path / "trajectory.csv").read_text()
     assert code == 0 and written["trajectory.csv"] == text
     assert text.splitlines()[1] == "# t x u v w" and len(text.splitlines()) == 2 + 21 * 9
+
+
+def test_a_convergence_level_builds_a_field(tracing, tmp_path):
+    # the benchmark's mms_sweep makes one-level run_convergence calls, and its
+    # self-test requires fields.Field.constructions > 0 on them: the count
+    # comes from the initial state, built as a StatePair of two Fields
+    cfg = ScenarioConfig(scenario="mms", n_interior=7, dt=0.01, t_end=0.02, output_dir=str(tmp_path))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        scenarios.run_convergence(cfg, dt_levels=(0.01,))
+    assert tracer.counts["fields.Field.constructions"] > 0

@@ -275,3 +275,17 @@ class TestStackedForms:
             ref = field_path_w(u, v, p_u, p_v)
             w = running_integral(constraint._slope(p_u * u + p_v * v, grid.h), grid.h)
             assert np.array_equal(w[1:-1], ref[1:-1]) and (w[0], w[-1]) == (ref[0], ref[-1])
+
+
+def test_unit_weight_mass_equals_the_multiplied_form_bit_for_bit():
+    # 1.0 * x is x for every double: the unit-weight path skips the products
+    specials = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                         2.2e-308, -1.5e-310, 1.0, -3.7, 1e308])
+    rng = np.random.default_rng(8)
+    values = rng.choice(specials, (6, 2, 9))
+    for p_u, p_v in [(1.0, 1.0), (1, 1)]:
+        expected = np.zeros((6, 11))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected[:, 1:-1] = 1.0 * values[:, 0] + 1.0 * values[:, 1]
+            got = constraint._mass(values, p_u, p_v)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))

@@ -121,6 +121,23 @@ class TestEvalReaction:
         for s, t, row in zip(states, times, out):
             assert np.array_equal(row, eval_reaction(s, at(sources, t), c))
 
+    @pytest.mark.parametrize("p", [(1.0, 1.0), (0.7, -1.3)])
+    def test_out_gives_the_allocating_call_bit_for_bit(self, p):
+        grid = Grid1D(20)
+        rng = np.random.default_rng(31)
+        c = CoefficientSet(p_u=p[0], p_v=p[1])
+        stack = rng.uniform(-1.0, 1.0, (4, 2, grid.n_interior))
+        stack[0, 1, 3] = -0.0
+        stack[1, 0, 5] = 5e-324
+        for sources in (None, rng.uniform(-1.0, 1.0, stack.shape), stack[0]):
+            expected = eval_reaction(stack, sources, c)
+            into = np.full(stack.shape, np.nan)
+            assert eval_reaction(stack, sources, c, out=into) is into
+            in_place = stack.copy()
+            assert eval_reaction(in_place, sources, c, out=in_place) is in_place
+            for got in (into, in_place):
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
     def test_running_integral_is_the_cumulative_integral(self):
         grid = Grid1D(20)
         rng = np.random.default_rng(29)

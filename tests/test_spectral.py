@@ -406,3 +406,50 @@ class TestStackedOperators:
         stack = np.zeros((2, 2, 8))
         with pytest.raises(ValueError):
             semigroup_apply(stack, np.array([0.1, -0.1]))
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestExp:
+    """spectral._exp skips exp where e^z is +0.0, and equals np.exp bit for bit."""
+
+    ULP = np.spacing(745.2)
+    SPECIALS = np.concatenate((
+        [-np.inf, np.inf, np.nan, -np.nan, 0.0, -0.0, 1.0, -1.0, 709.78, 710.0, -708.4, -745.1332191019412],
+        -745.2 + np.arange(-5, 6) * ULP,  # a few ulps either side of the threshold
+        np.linspace(-745.13, -708.4, 2001),  # the subnormal band of e^z
+        np.linspace(-800.0, 1.0, 2001),
+    ))
+
+    @np.errstate(over="ignore")  # e^710 overflows to inf
+    def test_scalars(self):
+        for z in self.SPECIALS:
+            got = spectral._exp(z)
+            assert got.shape == () and bits(got) == bits(np.exp(z)), z
+
+    @np.errstate(over="ignore")  # e^710 overflows to inf
+    def test_one_dimensional_and_strided(self):
+        z = self.SPECIALS
+        assert np.array_equal(bits(spectral._exp(z)), bits(np.exp(z)))
+        assert np.array_equal(bits(spectral._exp(z[::3])), bits(np.exp(z[::3])))
+        block = np.random.default_rng(1).permutation(z)[:2000].reshape(40, 50)
+        for view in (block.T, block[::-2, 1::3], np.asfortranarray(block)):
+            assert np.array_equal(bits(spectral._exp(view)), bits(np.exp(view)))
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_semigroup_blocks(self, n):
+        # the exponents of one (durations, samples) block of the semigroup check
+        t = np.random.default_rng(n).random((5, 12))
+        z = spectral._exponents(n, 1.0, 0.3, t)
+        assert z.shape == (5, 12, 2, n)
+        assert np.array_equal(bits(spectral._exp(z)), bits(np.exp(z)))
+        broadcast = np.broadcast_to(z[0], z.shape)  # stride 0 along the first axis
+        assert np.array_equal(bits(spectral._exp(broadcast)), bits(np.exp(broadcast)))
+
+    def test_exp_is_positive_zero_below_the_threshold(self):
+        # a dense scan: a numpy whose exp stops rounding to +0.0 here fails loudly
+        z = np.linspace(-800.0, -745.2, 2_000_001)
+        assert not np.any(bits(np.exp(z)))
+        assert not np.any(bits(np.exp(-745.2 - np.arange(1000) * self.ULP)))

@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pdae1d
 from pdae1d import Grid1D
 from pdae1d.nonlinearity import read_node_table
 
@@ -146,3 +149,34 @@ def test_profile_ends_must_be_zero_and_source_ends_are_dropped():
     slab = "".join(f"0.0 {x!r} 2.0 {-x!r}\n" for x in grid.nodes_full.tolist())
     _, values = read(slab, grid, SOURCES)
     assert np.array_equal(values, [[[2.0] * 3, -grid.nodes]])
+
+
+def test_slab_times_are_those_np_unique_gives():
+    # the rows of one slab may write its time t = 0 as 0.0 or as -0.0
+    grid = Grid1D(3)
+    for zeros in ((0.0, -0.0, 0.0), (-0.0, 0.0, -0.0), (-0.0,) * 3, (0.0, 0.0, -0.0)):
+        column = [t for slab in (zeros, (0.5,) * 3, (-1e-300,) * 3) for t in slab]
+        rows = zip(column, grid.nodes.tolist() * 3)
+        got, values = read("".join(f"{t!r} {x!r} 1.0 {t!r}\n" for t, x in rows), grid, SOURCES)
+        expected = np.unique(np.array(column))
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert values.shape == (3, 2, 3)
+
+
+def test_reading_a_table_does_not_import_numpy_ma(tmp_path):
+    grid = Grid1D(3)
+    path = tmp_path / "sources.txt"
+    path.write_text("".join(f"{t!r} {x!r} 1.0 {t!r}\n" for t in (0.0, 0.5) for x in grid.nodes.tolist()))
+    script = (
+        "import sys\n"
+        "from pdae1d import Grid1D\n"
+        "from pdae1d.nonlinearity import tabulated_sources\n"
+        "import numpy as np\n"
+        f"tabulated_sources(Grid1D(3), {str(path)!r}).f(np.array([0.25]))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    source = os.path.dirname(os.path.dirname(pdae1d.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "False"

@@ -9,7 +9,8 @@ at n = 256 with other impacts, diffusion and amplitude than the defaults,
 three small ``converge`` sweeps (two of them ``converge``'s n levels at its
 own dt), ``run --config`` on a run's ``summary.json`` and on a config file
 with int-valued float fields that the tool writes first, a small
-``verify``, one at n = 4096 and ``mms-sources``.  Marches of exp_euler and
+``verify``, one at n = 4096, one at 1000 samples, whose semigroup blocks
+are full at n = 16, 64 and 256, and ``mms-sources``.  Marches of exp_euler and
 imex evaluate their sources a block of steps at a time (585 steps at
 n = 7, 64 at n = 64, 16 at n = 255 and 256), so the runs at the default
 dt, the n = 256 IMEX run with snapshots every 10 steps, the custom run on
@@ -77,6 +78,7 @@ COMMANDS = [
     "run --config int-floats.json --output-dir run-int-floats",
     "verify --sizes 16,64,256 --samples 50 --lipschitz-samples 200 --output verify/report.json",
     "verify --sizes 4096 --samples 20 --lipschitz-samples 10 --output verify-4096/report.json",
+    "verify --sizes 16,64,256 --samples 1000 --lipschitz-samples 300 --output verify-full/report.json",
     "mms-sources --n-interior 16 --times 0,0.25,1 --output mms-sources/table.txt",
     "mms-sources --n-interior 7 --times 0.5",
     "mms-sources --n-interior 63 --times 0,-0,1e-5,0.3,7.25 --d-u 0.4 --p-v 1.7 --mms-b -0.6"

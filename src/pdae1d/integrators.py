@@ -14,42 +14,30 @@ diffusion is diagonal with z_k = d * lambda_k * dt per component, built by
   each slab, with trapezoid quadrature over a few substep samples.
 
 A state is a (2, n) array of the nodal values (u, v); the one-step
-functions take and return such arrays.  A source component maps an array
-of K times to a (K, n) array, and every source time a march needs is
-fixed in advance, so it evaluates them a block at a time.  Only ``solve``
-takes a ``StatePair``, at the edge, and builds no ``Field``/``StatePair``
-after it.
+functions take and return such arrays.  Only ``solve`` takes a
+``StatePair``, at the edge, and builds no ``Field``/``StatePair`` after it.
 
-One factory builds each method's ``step(carry, values, s) -> (carry,
-values, sweeps)`` and the inputs s of a block of steps.  The march
-evaluates the source times of a block of up to ``_BLOCK_VALUES // (2nm)``
-steps with one f call and one g call, m being the source times of one
-step: its start for exponential Euler and IMEX, and the m =
-``picard_substeps`` substep times of a Picard slab.  For exponential
-Euler and IMEX the step is ``_diagonal_step`` on the weights (a, b) that
-``_weights`` builds from z, both for any leading shape, and s is the
-(2, n) source values at the step's start.  The carry is the (2, n) sine
-coefficients, so a step is one batched inverse and one batched forward
-sine transform.  A Picard step is one ``picard_slab``; it carries
-nothing, and its s is its start time and its (m, 2, n) source values,
-which the slab takes as given and never evaluates itself.  Its first
-sweep transforms and moves all substep samples at once, and each later
-sweep all but sample 0, the slab's start, which no sweep moves; each
-sweep forms the reaction plus the sources in place, in buffers made once
-per slab.  The public one-step functions are thin calls of the same
-kernels.  ``solve``
-runs one loop for every method: a step, then one norm that classifies
-it.  A norm below the blow-up threshold continues.  Otherwise a
-finiteness scan, made only on that path, tells the two endings apart.  A
-non-finite state is a step failure at the step's start time; its reason
-names the first source component that is non-finite at a time the step
-used, found with one call of each component, or else reads "non-finite
-state".  A finite one is a blow-up candidate (a
-detection heuristic: the reported time is a candidate, not a proven
-maximal existence time).  ``solve`` keeps each snapshot as its (2, n)
-nodal values and, when the march ends, stacks them to (S, 2, n) and
-reconstructs the constrained profile and its residual for all snapshots
-with one call each.
+Every method has one step contract, ``step(carry, values, t, s) ->
+(carry, values, sweeps)``: t is the step's start and s the source values
+at the step's source times, which ``_step_times`` gives from the starts of
+a block of steps: the start itself for exponential Euler and IMEX, with s
+shaped (2, n), and the m = ``picard_substeps`` substep times of a Picard
+slab, with s shaped (m, 2, n).  An exp_euler or imex step is
+``_diagonal_step`` on the weights (a, b) that ``_weights`` builds from z
+and carries the (2, n) sine coefficients; a Picard step is one
+``picard_slab``, which carries nothing and never evaluates the sources.
+
+``solve`` runs one march for every method.  It evaluates the source times
+of a block of steps, as many as keep the block within ``_BLOCK_VALUES``
+values, with one f call and one g call, and hands each step its row.
+After a step, one norm classifies it: below the blow-up threshold the
+march continues; otherwise a finiteness scan tells a non-finite state, a
+step failure at the step's start whose reason names the first non-finite
+source value in the step's row, f before g, from a blow-up candidate (a
+detection heuristic, not a proven maximal existence time).  ``solve``
+stacks the snapshots to (S, 2, n) when the march ends and reconstructs
+the constrained profile and its residual for all of them with one call
+each.
 """
 
 from __future__ import annotations
@@ -237,44 +225,39 @@ def _substep_times(t, dt: float, m: int) -> np.ndarray:
     return np.add.outer(t, np.arange(m) * (dt / (m - 1)))
 
 
-def _stepper(
-    method: str, values: np.ndarray, dt: float, config: SolveConfig | None,
-    sources: SourcePair | None, coefficients: CoefficientSet | None,
-):
-    """One method's step, its starting carry, its step inputs and its source times.
+def _step_times(method: str, starts: np.ndarray, dt: float, m: int) -> np.ndarray:
+    """The source times of the steps of length dt from ``starts`` (K,).
 
-    Returns ``(step, carry, inputs, source_times)``.  ``step(carry,
-    values, s) -> (carry, values, sweeps)`` advances nodal values (2, n) by
-    dt; the carry is the sine coefficients of ``values`` for exp_euler/imex
-    (whose step is :func:`_diagonal_step` on the method's weights) and None
-    for picard.  ``inputs(starts)`` gives the s of each step of a block
-    starting at the float array ``starts``, all from one f and one g call:
-    for exp_euler/imex the (2, n) source values at its start, and for
-    picard its start time and the (m, 2, n) source values at its m
-    substep times.  ``source_times(t)`` is the array of times at which a
-    step from t evaluates the sources.
+    ``starts`` itself for exp_euler and imex, and the (K, m) substep times
+    of each slab for picard.
+    """
+    return _substep_times(starts, dt, m) if method == "picard" else starts
+
+
+def _block_steps(method: str, n: int, m: int) -> int:
+    """The steps of a march block: at most ``_BLOCK_VALUES`` source values, and at least one step."""
+    times_per_step = _step_times(method, np.zeros(1), 1.0, m).size
+    return max(1, _BLOCK_VALUES // (2 * n * times_per_step))
+
+
+def _stepper(method: str, values: np.ndarray, dt: float, config: SolveConfig | None, coefficients):
+    """One method's ``step(carry, values, t, s) -> (carry, values, sweeps)`` and its starting carry.
+
+    A step advances nodal values (2, n) by dt from t, with s the source
+    values at its ``_step_times``.  The carry is the sine coefficients of
+    ``values`` for exp_euler/imex and None for picard.
     """
     grid, c = _step_inputs(dt, values, coefficients)
-    src = sources if sources is not None else zero_sources(grid)
-    n = grid.n_interior
     if method == "picard":
-        m = config.picard_substeps
 
-        def step(carry, values, s):
+        def step(carry, values, t, s):
             # through the module binding, so a tracer of picard_slab sees every slab
-            result = picard_slab(values, s[0], dt, config, s[1], c)
+            result = picard_slab(values, t, dt, config, s, c)
             return carry, result.values, result.iterations
 
-        def inputs(starts):
-            rows = _source_values(src, _substep_times(starts, dt, m).ravel(), n)
-            return zip(starts.tolist(), rows.reshape(len(starts), m, 2, n))
-
-        return step, None, inputs, lambda t: _substep_times(t, dt, m)
-    a, b = _weights(method, _exponents(n, c.d_u, c.d_v, dt), dt)
-    return (
-        partial(_diagonal_step, a, b, c), to_coeffs(values),
-        lambda starts: _source_values(src, starts, n), lambda t: np.array([t]),
-    )
+        return step, None
+    a, b = _weights(method, _exponents(grid.n_interior, c.d_u, c.d_v, dt), dt)
+    return partial(_diagonal_step, a, b, c), to_coeffs(values)
 
 
 def _weights(method: str, z: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
@@ -287,12 +270,12 @@ def _weights(method: str, z: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
     return 1.0 / (1.0 - z), dt / (1.0 - z)
 
 
-def _diagonal_step(a, b, c: CoefficientSet, coeffs, values, s):
+def _diagonal_step(a, b, c: CoefficientSet, coeffs, values, t, s):
     """The diagonal update c <- a*c + b*DST(R(values) + s); returns (c, values, 0).
 
     ``coeffs`` and ``values`` are (..., 2, n), the sine coefficients and
     nodal values of one state or a stack, ``s`` the source values at the
-    step's start, (2, n) or a matching stack, and a, b broadcast against
+    step's start t, (2, n) or a matching stack, and a, b broadcast against
     them.
     """
     coeffs = a * coeffs + b * to_coeffs(eval_reaction(values, s, c))
@@ -316,6 +299,14 @@ def _picard_weights(grid: Grid1D, delta: float, m: int, c: CoefficientSet):
     return drift, kernel
 
 
+def _one_step(method, values, t, dt, sources, coefficients) -> np.ndarray:
+    """One exp_euler or imex step of nodal values (2, n) from t, its sources evaluated at t."""
+    step, coeffs = _stepper(method, values, dt, None, coefficients)
+    n = values.shape[-1]
+    src = sources if sources is not None else zero_sources(_grid(n))
+    return step(coeffs, values, t, _source_values(src, np.array([t], dtype=float), n)[0])[1]
+
+
 # step_exp_euler, step_imex and picard_slab are traced by perfbench/tracing.py.
 # Each returns a state that overflowed or turned non-finite as it is, for the
 # caller to classify, so numpy's warnings on the way there are only noise.
@@ -332,8 +323,7 @@ def step_exp_euler(
     Exact on the diffusion part; the reaction is frozen at the left
     endpoint and weighted by phi1.
     """
-    step, coeffs, inputs, _ = _stepper("exp_euler", values, dt, None, sources, coefficients)
-    return step(coeffs, values, inputs(np.array([t], dtype=float))[0])[1]
+    return _one_step("exp_euler", values, t, dt, sources, coefficients)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -350,8 +340,7 @@ def step_imex(
     exactly in the sine eigenbasis, where the inverse is the diagonal
     1/(1 - dt*d*lambda_k); unconditionally stable in the diffusion part.
     """
-    step, coeffs, inputs, _ = _stepper("imex", values, dt, None, sources, coefficients)
-    return step(coeffs, values, inputs(np.array([t], dtype=float))[0])[1]
+    return _one_step("imex", values, t, dt, sources, coefficients)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -436,10 +425,13 @@ def picard_slab(
     raise PicardConvergenceError(t, len(diff_norms), tuple(diff_norms))
 
 
-def _non_finite_reason(sources: SourcePair, times: np.ndarray, n: int) -> str:
-    """Name the first source component that is non-finite at one of ``times``, f before g."""
-    finite = np.isfinite(_source_values(sources, times, n)).all(axis=-1)
-    for t, row in zip(times.tolist(), finite):
+def _non_finite_reason(s: np.ndarray, times: np.ndarray) -> str:
+    """Name the first source component that is non-finite in a step's source values, f before g.
+
+    ``s`` are the values (..., 2, n) at the step's source ``times`` (...).
+    """
+    finite = np.isfinite(s).all(axis=-1).reshape(-1, 2)
+    for t, row in zip(np.ravel(times).tolist(), finite):
         for name, ok in zip(("f", "g"), row):
             if not ok:
                 return f"non-finite source {name} at t={t}"
@@ -453,36 +445,36 @@ def _march(
     """Advance ``values`` (2, n) from t = 0, appending each snapshot's time and values.
 
     One loop for every method; returns the terminal status, the accepted
-    steps and the Picard sweeps.  The steps go in blocks of at most
-    ``_BLOCK_VALUES // (2n)``, whose start times ``np.arange(k0, k1) * dt``
-    are each step's k * dt, and each block's inputs are made in one call.
-    Runs inside ``solve``'s ``np.errstate``, so its norm is the unguarded
-    one.
+    steps and the Picard sweeps.  The steps go in blocks of
+    ``_block_steps``, whose start times ``np.arange(k0, k1) * dt`` are each
+    step's k * dt; a block's source values at their ``_step_times`` come
+    from one f and one g call.  Runs inside ``solve``'s ``np.errstate``, so
+    its norm is the unguarded one.
     """
     dt, h, threshold, every = config.dt, grid.h, config.blowup_threshold, config.snapshot_every
     if _pair_norm(values, h) >= threshold:
         return RunStatus.blowup_detected(0.0), 0, 0
-    step, carry, inputs, source_times = _stepper(config.method, values, dt, config, src, c)
+    method, n, m = config.method, grid.n_interior, config.picard_substeps
+    step, carry = _stepper(method, values, dt, config, c)
     sweeps = 0
     n_steps = round(config.t_end / dt)
-    times_per_step = config.picard_substeps if config.method == "picard" else 1
-    block = max(1, _BLOCK_VALUES // (2 * grid.n_interior * times_per_step))
+    block = _block_steps(method, n, m)
     t_now = 0.0
     for k0 in range(0, n_steps, block):
-        k1 = min(k0 + block, n_steps)
-        for k, s in zip(range(k0 + 1, k1 + 1), inputs(np.arange(k0, k1) * dt)):
+        step_times = _step_times(method, np.arange(k0, min(k0 + block, n_steps)) * dt, dt, m)
+        rows = _source_values(src, step_times.ravel(), n).reshape(step_times.shape + (2, n))
+        for k, s, s_times in zip(range(k0 + 1, n_steps + 1), rows, step_times):
             t_prev, t_now = t_now, k * dt
             try:
-                carry, values, used = step(carry, values, s)
+                carry, values, swept = step(carry, values, t_prev, s)
             except PicardConvergenceError as err:
                 return RunStatus.step_failure(t_prev, str(err)), k - 1, sweeps + err.iterations
-            sweeps += used
+            sweeps += swept
             # a NaN norm is not below the threshold either, so only a state that
             # is non-finite or a blow-up candidate pays for the finiteness scan
             below = _pair_norm(values, h) < threshold
             if not below and not np.all(np.isfinite(values)):
-                reason = _non_finite_reason(src, source_times(t_prev), grid.n_interior)
-                return RunStatus.step_failure(t_prev, reason), k - 1, sweeps
+                return RunStatus.step_failure(t_prev, _non_finite_reason(s, s_times)), k - 1, sweeps
             if not below or k % every == 0 or k == n_steps:
                 times.append(t_now)
                 snapshots.append(values)

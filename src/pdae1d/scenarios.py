@@ -401,10 +401,9 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     return summary["exit_code"]
 
 
-def _terminal_error(cfg: ScenarioConfig, n_interior: int, dt: float) -> float:
-    grid = Grid1D(n_interior)
+def _terminal_error(cfg: ScenarioConfig, grid: Grid1D, config: SolveConfig) -> float:
     state0, sources, coefficients = _march_inputs(cfg, grid)
-    traj = solve(state0, cfg.solve_config(dt=dt, snapshot_every=10**9), sources, coefficients)
+    traj = solve(state0, config, sources, coefficients)
     if traj.status.kind != "completed":
         raise RuntimeError(f"manufactured run did not complete: {traj.status}")
     exact = _mms_values(MmsSpec(cfg.mms_a, cfg.mms_b), grid.nodes, traj.times[-1])
@@ -421,8 +420,9 @@ def run_convergence(cfg: ScenarioConfig, dt_levels=(), n_levels=()) -> list[dict
     log2 error ratio against the previous row of the same sweep, NaN on
     the first row.  Every level marches with the resolved blow-up
     threshold; a level that stops early raises RuntimeError, and a sweep
-    with no level at all or a level repeated within its sweep raises
-    ValueError before any march.  Writes convergence.csv under the output
+    with no level at all, a level repeated within its sweep, or a level
+    whose grid or marching parameters are invalid raises ValueError
+    before any march.  Writes convergence.csv under the output
     directory.
     """
     cfg = cfg.resolved()
@@ -436,20 +436,21 @@ def run_convergence(cfg: ScenarioConfig, dt_levels=(), n_levels=()) -> list[dict
         repeated = [level for i, level in enumerate(levels) if level in levels[:i]]
         if repeated:
             raise ValueError(f"{name} level {repeated[0]} repeats: a sweep's levels must differ")
-    rows: list[dict] = []
 
-    def sweep(settings):
+    def built(settings):
+        # each level's grid and marching parameters, so that a bad level fails before any march
+        return [(n, dt, Grid1D(n), cfg.solve_config(dt=dt, snapshot_every=10**9)) for n, dt in settings]
+
+    rows: list[dict] = []
+    for sweep in (built((cfg.n_interior, dt) for dt in dt_levels), built((n, cfg.dt) for n in n_levels)):
         previous = None
-        for n_interior, dt in settings:
-            error = _terminal_error(cfg, n_interior, dt)
+        for n_interior, dt, grid, config in sweep:
+            error = _terminal_error(cfg, grid, config)
             order = float("nan") if previous is None else float(np.log2(previous / error))
             rows.append(
                 {"dt": dt, "n_interior": n_interior, "error_H": error, "observed_order": order}
             )
             previous = error
-
-    sweep((cfg.n_interior, dt) for dt in dt_levels)
-    sweep((n, cfg.dt) for n in n_levels)
 
     table = [(r["dt"], r["n_interior"], r["error_H"], r["observed_order"]) for r in rows]
     os.makedirs(cfg.output_dir, exist_ok=True)

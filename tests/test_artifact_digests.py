@@ -24,13 +24,16 @@ def test_prints_the_exit_code_and_a_digest_of_every_output():
             names.append(name)
         assert names[:2] == ["stdout", "stderr"]
         commands[command[0]].append((command, block[1], names[2:]))
-    assert [len(commands[name]) for name in ("run", "converge", "verify", "mms-sources")] == [20, 3, 3, 3]
+    assert [len(commands[name]) for name in ("run", "converge", "verify", "mms-sources")] == [21, 3, 3, 3]
     # the runs from a config file take their scenario from it
     from_file = {"rerun-mms-picard": "mms", "run-int-floats": "decay"}
     for command, code, files in commands["run"]:
         out_dir = command[-1]
         scenario = from_file[out_dir] if "--config" in command else command[command.index("--scenario") + 1]
-        assert code == ("exit 2" if scenario == "growth_probe" else "exit 0")
+        if out_dir == "run-picard-no-convergence":  # a step failure
+            assert code == "exit 1"
+        else:
+            assert code == ("exit 2" if scenario == "growth_probe" else "exit 0")
         tables = ["constraint.csv", "mms_error.csv", "summary.json", "trajectory.csv"]
         if scenario != "mms":
             tables.remove("mms_error.csv")

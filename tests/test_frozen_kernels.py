@@ -255,7 +255,7 @@ def test_a_leading_unit_axis_gives_the_plain_step(n, method):
         values, t = rng.standard_normal((2, n)), 0.3
         coeffs = to_coeffs(values)
         a, b = integrators._weights(method, spectral._exponents(n, d_u, d_v, dt), dt)
-        plain = integrators._diagonal_step(a, b, c, coeffs, values, at(src, t))
+        plain = integrators._diagonal_step(a, b, c, coeffs, values, t, at(src, t))
         want = frozen_diagonal_step(method, values, t, dt, src, c)
         assert identical(plain[0], want[0]) and identical(plain[1], want[1])
         stepper = step_exp_euler if method == "exp_euler" else step_imex
@@ -264,7 +264,7 @@ def test_a_leading_unit_axis_gives_the_plain_step(n, method):
         z = spectral._exponents(n, np.array([d_u]), np.array([d_v]), np.array([dt]))
         a1, b1 = integrators._weights(method, z, np.array([dt])[:, None, None])
         assert a1.shape == b1.shape == (1, 2, n)
-        unit = integrators._diagonal_step(a1, b1, c, coeffs[None], values[None], at(src, t))
+        unit = integrators._diagonal_step(a1, b1, c, coeffs[None], values[None], t, at(src, t))
         assert identical(unit[0], plain[0][None]) and identical(unit[1], plain[1][None])
         assert unit[2] == plain[2] == 0
 
@@ -547,7 +547,7 @@ def frozen_zero_sources(grid):
 
 def march_times(n):
     """0.0, -0.0, the start times k * dt around the first block boundaries and Picard substep times."""
-    block = integrators._BLOCK_VALUES // (2 * n)
+    block = integrators._block_steps("exp_euler", n, 4)
     times = [0.0, -0.0]
     for dt in (1e-5, 1e-3, 0.005):
         starts = [k * dt for k in (1, block - 1, block, block + 1, 2 * block, 3 * block - 1)]
@@ -624,7 +624,7 @@ def frozen_per_step_march(values, n_steps, dt, method, f, g, c):
 @pytest.mark.parametrize("n, n_steps", ((7, 1300), (256, 40)))  # blocks of 585 and 16 steps
 def test_marches_across_source_blocks_equal_a_per_step_march(n, n_steps, method):
     grid, dt = Grid1D(n), 1e-3
-    assert n_steps > 2 * (integrators._BLOCK_VALUES // (2 * n))
+    assert n_steps > 2 * integrators._block_steps(method, n, 4)
     spec, c = ARRAY_SPECS[0], ARRAY_COEFFICIENTS[0]
     state0 = pdae1d.mms_state(spec, grid, 0.0)
     config = SolveConfig(dt=dt, t_end=n_steps * dt, method=method)
@@ -764,7 +764,7 @@ def frozen_per_slab_march(values, n_steps, dt, config, src, c):
 def test_picard_marches_across_source_blocks_equal_a_per_slab_march(n, n_steps, tmp_path):
     grid, dt = Grid1D(n), 1e-3
     m = 4
-    assert n_steps > 2 * (integrators._BLOCK_VALUES // (2 * n * m))
+    assert n_steps > 2 * integrators._block_steps("picard", n, m)
     spec, c = ARRAY_SPECS[0], ARRAY_COEFFICIENTS[0]
     state0 = pdae1d.mms_state(spec, grid, 0.0)
     config = SolveConfig(dt=dt, t_end=n_steps * dt, method="picard", picard_substeps=m)

@@ -47,7 +47,7 @@ def switched(condition, on, off):
 
 def slab_sources(pair, t, cfg, n):
     """The (m, 2, n) source values of the Picard slab of length cfg.dt from t, as a march hands them over."""
-    return nonlinearity._source_values(pair, integrators._substep_times(t, cfg.dt, cfg.picard_substeps), n)
+    return nonlinearity._source_values(pair, integrators._step_times("picard", t, cfg.dt, cfg.picard_substeps), n)
 
 
 def dense_laplacian(n):
@@ -544,20 +544,16 @@ def planting(monkeypatch, value, t_bad):
     original = integrators._stepper
 
     def stepper(*args):
-        step, carry, inputs, source_times = original(*args)
+        step, carry = original(*args)
 
-        def planted(carry, values, s_and_t):
-            s, t = s_and_t
-            carry, values, sweeps = step(carry, values, s)
+        def planted(carry, values, t, s):
+            carry, values, sweeps = step(carry, values, t, s)
             if t >= t_bad:
                 values = values.copy()
                 values[1, 5] = value
             return carry, values, sweeps
 
-        def planted_inputs(starts):
-            return zip(inputs(starts), starts.tolist())
-
-        return planted, carry, planted_inputs, source_times
+        return planted, carry
 
     monkeypatch.setattr(integrators, "_stepper", stepper)
 
@@ -669,7 +665,7 @@ def recording(pair, calls):
 
 class TestSourceBlocks:
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("n, n_steps", [(7, 1300), (256, 40)])  # blocks of 585 and 16 steps
+    @pytest.mark.parametrize("n, n_steps", [(7, 1300), (256, 40)])
     def test_one_call_of_each_component_per_block_or_slab(self, method, n, n_steps):
         grid, dt = Grid1D(n), 1e-3
         spec = MmsSpec()
@@ -678,14 +674,15 @@ class TestSourceBlocks:
         cfg = SolveConfig(dt=dt, t_end=n_steps * dt, method=method, snapshot_every=n_steps)
         traj = solve(mms_state(spec, grid, 0.0), cfg, src)
         assert traj.status.kind == "completed" and traj.steps_taken == n_steps
+        m = cfg.picard_substeps
+        block = integrators._block_steps(method, n, m)
         if method == "picard":
             # the m substep times of each slab of a block of slabs, flattened
-            m = cfg.picard_substeps
-            block = 8192 // (2 * n * m)  # 146 and 4 slabs
+            assert block == 8192 // (2 * n * m) == {7: 146, 256: 4}[n]
             step_times = lambda k: [k * dt + i * (dt / (m - 1)) for i in range(m)]  # noqa: E731
         else:
             # the start time k * dt of each step of a block of steps
-            block = 8192 // (2 * n)  # 585 and 16 steps
+            assert block == 8192 // (2 * n) == {7: 585, 256: 16}[n]
             step_times = lambda k: [k * dt]  # noqa: E731
         wanted = [
             [t for k in range(k0, min(k0 + block, n_steps)) for t in step_times(k)]
@@ -695,9 +692,9 @@ class TestSourceBlocks:
         assert calls == [("f", [0.0]), ("g", [0.0])] + [(name, ts) for ts in wanted for name in "fg"]
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_a_non_finite_reason_calls_each_component_once(self, method):
-        # NaN in g from t = 0.1: the reason looks at the failed step's source
-        # times with one call of each component
+    def test_a_non_finite_reason_makes_no_source_call_after_the_failing_blocks(self, method):
+        # NaN in g from t = 0.1: the reason reads the failed step's row of the
+        # block the march holds, so the block's f and g calls are the last
         grid = Grid1D(16)
         zero, nan = np.zeros(16), np.full(16, np.nan)
         calls = []
@@ -705,9 +702,35 @@ class TestSourceBlocks:
         cfg = SolveConfig(dt=0.04, t_end=0.2, method=method)
         traj = solve(as_pair(grid, np.zeros((2, 16))), cfg, src)
         assert traj.status.kind == "step_failure" and traj.status.reason.startswith("non-finite source g")
-        t_prev = traj.status.t
-        used = integrators._substep_times(t_prev, 0.04, 4).tolist() if method == "picard" else [t_prev]
-        assert calls[-2:] == [("f", used), ("g", used)]
+
+        def step_times(t):
+            return [t + i * (0.04 / 3) for i in range(4)] if method == "picard" else [t]
+
+        # one block holds all five steps, the failed one among them
+        block = [t for k in range(5) for t in step_times(k * 0.04)]
+        assert calls == [("f", [0.0]), ("g", [0.0]), ("f", block), ("g", block)]
+        assert float(traj.status.reason.split("t=")[1]) in step_times(traj.status.t)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("component", ["f", "g"])
+    def test_a_source_non_finite_in_a_later_block_names_the_failing_step(self, method, component):
+        # at n = 256 a block holds 16 steps or 4 slabs; NaN from t = 0.0425 on
+        # first reaches the step from 0.043 (step 11 of the third block) or
+        # the slab from 0.042 (slab 2 of the eleventh block) at its sample 2
+        n, dt = 256, 1e-3
+        grid = Grid1D(n)
+        zero, nan = np.zeros(n), np.full(n, np.nan)
+        turning, steady = switched(lambda t: t >= 0.0425, nan, zero), held(zero)
+        pair = SourcePair(f=turning, g=steady) if component == "f" else SourcePair(f=steady, g=turning)
+        cfg = SolveConfig(dt=dt, t_end=0.1, method=method)
+        assert integrators._block_steps(method, n, cfg.picard_substeps) == (4 if method == "picard" else 16)
+        traj = solve(as_pair(grid, np.zeros((2, n))), cfg, pair)
+        if method == "picard":
+            t_prev, first_bad = 42 * dt, 42 * dt + 2 * (dt / 3)
+        else:
+            t_prev = first_bad = 43 * dt
+        assert traj.status == RunStatus.step_failure(t_prev, f"non-finite source {component} at t={first_bad}")
+        assert traj.steps_taken == round(t_prev / dt) and traj.times[-1] == t_prev
 
     def test_source_time_lipschitz_calls_each_component_once(self):
         grid = Grid1D(9)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -560,6 +561,41 @@ class TestRunConvergence:
         with pytest.raises(ValueError, match=f"n_interior level must be an integer, got {level!r}"):
             run_convergence(cfg, n_levels=(15, level))
         assert not (tmp_path / "conv").exists()
+
+    # the sweeps of mms at n = 63 to t = 0.2 whose last level is invalid: its
+    # grid, or a dt that does not divide t_end
+    INVALID_LAST_LEVEL = [
+        ({"n_levels": (7, 15, 31, 0)}, "n_interior must be a positive integer"),
+        ({"dt_levels": (0.02, 0.01, 0.005, 0.03)}, "t_end=0.2 is not a whole number of steps of dt=0.03"),
+    ]
+
+    @pytest.mark.parametrize("levels, message", INVALID_LAST_LEVEL, ids=["n sweep", "dt sweep"])
+    def test_an_invalid_level_is_rejected_before_any_march(self, levels, message, tmp_path, monkeypatch):
+        def no_march(*args):
+            raise AssertionError("a level was marched")
+
+        monkeypatch.setattr(scenarios, "solve", no_march)
+        cfg = ScenarioConfig(scenario="mms", n_interior=63, dt=1e-4, t_end=0.2, output_dir=str(tmp_path / "conv"))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_convergence(cfg, **levels)
+        assert not (tmp_path / "conv").exists()
+
+    @pytest.mark.parametrize("levels, message", INVALID_LAST_LEVEL, ids=["n sweep", "dt sweep"])
+    def test_converge_reports_an_invalid_level_before_any_march(
+        self, levels, message, tmp_path, monkeypatch, capsys
+    ):
+        def no_march(*args):
+            raise AssertionError("a level was marched")
+
+        monkeypatch.setattr(scenarios, "solve", no_march)
+        (name, values), = levels.items()
+        other = "--n-levels" if name == "dt_levels" else "--dt-levels"
+        argv = ["converge", "--n-interior", "63", "--dt", "1e-4", "--t-end", "0.2", other, ",",
+                "--" + name.replace("_", "-"), ",".join(map(str, values)), "--output-dir", str(tmp_path / "conv")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert not (tmp_path / "conv" / "convergence.csv").exists()
 
     def test_a_dt_level_may_equal_the_n_sweeps_dt(self, tmp_path):
         cfg = ScenarioConfig(

@@ -18,8 +18,10 @@ a source table the tool writes first (n = 7, 1000 steps, on, between and
 after its slabs) and the n = 63 level cross block boundaries.  A Picard
 march evaluates the substep times of a block of slabs at a time (146 slabs
 at n = 7, 8 at n = 128), so the Picard runs on that table and over 500
-slabs of mms at n = 7 cross block boundaries, and growth_probe's Picard
-run at the default n = 128 blows up inside a block; ``mms-sources`` at
+slabs of mms at n = 7 cross block boundaries, growth_probe's Picard
+run at the default n = 128 blows up inside a block, and its run at n = 63
+(16 slabs a block) with at most 7 sweeps a slab ends as a step failure,
+no convergence at t = 0.06, in its fourth block; ``mms-sources`` at
 several times, -0 among them, evaluates a vector of times per call.  For each command it prints the
 command, its exit code, and ``sha256  name`` lines for its stdout, its
 stderr and every file it wrote, in path order.  BLAS is held to one
@@ -71,6 +73,8 @@ COMMANDS = [
     "run --scenario custom --ic-file custom-ic.txt --source-file custom-sources.txt --n-interior 7"
     " --output-dir run-custom-n7",
     "run --scenario growth_probe --method picard --output-dir run-growth_probe-picard-n128",
+    "run --scenario growth_probe --method picard --n-interior 63 --dt 0.001 --t-end 0.2 --picard-max-iter 7"
+    " --output-dir run-picard-no-convergence",
     "run --scenario mms --method picard --n-interior 7 --dt 1e-4 --t-end 0.05 --output-dir run-mms-picard-blocks",
     "run --scenario custom --method picard --ic-file custom-ic.txt --source-file custom-sources.txt"
     " --n-interior 7 --output-dir run-custom-n7-picard",

@@ -6,13 +6,13 @@ table:
 
 * the cost of one step of an mms march at dt = 0.005 in microseconds, for
   exp_euler, imex and picard, with Picard's mean sweeps per slab;
-* the cost per step of the mms source pair, f and g: a march of exp_euler
-  or imex evaluates the start times of a block of
-  ``integrators._BLOCK_VALUES // (2n)`` steps in one call of each, so the
-  figure is one such block evaluation divided by its steps; a Picard march
-  evaluates the m = 4 substep times of each slab of a block of
-  ``integrators._BLOCK_VALUES // (2nm)`` slabs in one call of each, and
-  the figure in parentheses is one such evaluation divided by its slabs;
+* the cost per step of the mms source pair, f and g: a march evaluates
+  the ``integrators._step_times`` of a block of
+  ``integrators._block_steps`` steps in one call of each, the start times
+  of exp_euler and imex steps or the m = 4 substep times of Picard slabs,
+  so the figure is one block evaluation of exp_euler's divided by its
+  steps, and the figure in parentheses one of Picard's divided by its
+  slabs;
 * the cost of one source-free reaction evaluation (``_reaction_terms``) on
   a (2, n) pair and on a (4, 2, n) stack, in microseconds.
 
@@ -116,11 +116,10 @@ def main(argv=None) -> int:
     for n in SIZES:
         for method in METHODS:
             timers[n, method] = march_timer(n, method)
-        block = max(1, integrators._BLOCK_VALUES // (2 * n))
-        timers[n, "sources"] = sources_timer(n, np.arange(block) * DT, block)
-        slabs = max(1, integrators._BLOCK_VALUES // (2 * n * 4))
-        slab_times = integrators._substep_times(np.arange(slabs) * DT, DT, 4).ravel()
-        timers[n, "slab sources"] = sources_timer(n, slab_times, slabs)
+        for key, method in (("sources", "exp_euler"), ("slab sources", "picard")):
+            block = integrators._block_steps(method, n, 4)
+            times = integrators._step_times(method, np.arange(block) * DT, DT, 4).ravel()
+            timers[n, key] = sources_timer(n, times, block)
         for shape in ((2, n), (4, 2, n)):
             timers[n, shape] = reaction_timer(shape)
     # round-robin, so each figure's repeats sample the whole run, not one stretch of it

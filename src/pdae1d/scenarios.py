@@ -5,6 +5,11 @@ method) plus the files it leaves behind: a trajectory table, a constraint
 diagnostic table, and a summary JSON that echoes the fully resolved
 configuration so the run can be reproduced from the summary alone.
 
+``run`` and ``converge`` each declare their tables once, as
+``{name: (header, blocks)}``; :func:`_write_tables` writes every entry as
+``name.csv``, and a run's summary lists the same entries, so a new
+artifact is one more entry.
+
 Artifacts are plain whitespace-separated tables with a '#' header line,
 directly plottable with gnuplot, and every float is printed with 17
 significant digits so repeated runs are byte-identical.  For the same
@@ -142,15 +147,19 @@ class MmsSpec:
     b: float = 1.0
 
 
-def _mms_values(spec: MmsSpec, x: np.ndarray, t: float) -> np.ndarray:
-    """The manufactured pair at time t on the nodes x, shaped (2, len(x))."""
-    decay = np.exp(-t)
-    return np.stack((spec.a * decay * np.sin(np.pi * x), spec.b * decay * np.sin(2.0 * np.pi * x)))
+def _mms_values(spec: MmsSpec, x: np.ndarray, times) -> np.ndarray:
+    """The manufactured pair at each of K times on the nodes x, shaped (K, 2, len(x)).
+
+    Row i has the bits of the pair at ``times[i]`` alone: a decay column
+    times a profile row is the product at each time.
+    """
+    decay = np.exp(-np.asarray(times, dtype=float))[:, None]
+    return np.stack((spec.a * decay * np.sin(np.pi * x), spec.b * decay * np.sin(2.0 * np.pi * x)), axis=1)
 
 
 # a StatePair because the benchmark builds solve's initial states with it
 def mms_state(spec: MmsSpec, grid: Grid1D, t: float) -> StatePair:
-    u, v = _mms_values(spec, grid.nodes, t)
+    u, v = _mms_values(spec, grid.nodes, [t])[0]
     return StatePair(Field(grid, u), Field(grid, v))
 
 
@@ -214,38 +223,25 @@ def build_mms_sources(
     return SourcePair(f=f, g=g, kind="mms")
 
 
-def _read_profile(path: str, grid: Grid1D) -> StatePair:
-    _, values = read_node_table(path, grid, ("x", "u", "v"))
-    return StatePair(Field(grid, values[0, 0]), Field(grid, values[0, 1]))
-
-
-def _initial_state(cfg: ScenarioConfig, grid: Grid1D) -> StatePair:
-    if cfg.ic_file is not None:
-        return _read_profile(cfg.ic_file, grid)
-    x = grid.nodes
-    if cfg.scenario == "decay":
-        return StatePair(
-            Field(grid, 0.1 * np.sin(np.pi * x)), Field(grid, 0.1 * np.sin(2.0 * np.pi * x))
-        )
-    if cfg.scenario == "mms":
-        return mms_state(MmsSpec(cfg.mms_a, cfg.mms_b), grid, 0.0)
-    if cfg.scenario == "growth_probe":
-        return StatePair(Field.zeros(grid), Field(grid, 50.0 * np.sin(np.pi * x)))
-    raise ValueError("custom scenario requires ic_file")
-
-
-def _scenario_sources(cfg: ScenarioConfig, grid: Grid1D, c: CoefficientSet) -> SourcePair:
-    if cfg.scenario == "mms":
-        return build_mms_sources(MmsSpec(cfg.mms_a, cfg.mms_b), grid, c)
-    if cfg.source_file is not None:
-        return tabulated_sources(grid, cfg.source_file)
-    return zero_sources(grid)
-
-
 def _march_inputs(cfg: ScenarioConfig, grid: Grid1D):
-    """The initial state, sources and coefficients of a scenario's march on ``grid``."""
+    """The initial state, sources and coefficients of a scenario's march on ``grid``.
+
+    A profile file is read before a source table, so a bad profile is the
+    error reported when both files are bad.
+    """
     coefficients = CoefficientSet(cfg.d_u, cfg.d_v, cfg.p_u, cfg.p_v)
-    return _initial_state(cfg, grid), _scenario_sources(cfg, grid, coefficients), coefficients
+    if cfg.scenario == "mms":  # its config holds neither file
+        spec = MmsSpec(cfg.mms_a, cfg.mms_b)
+        return mms_state(spec, grid, 0.0), build_mms_sources(spec, grid, coefficients), coefficients
+    x = grid.nodes
+    if cfg.ic_file is not None:  # a custom scenario always has one
+        u, v = read_node_table(cfg.ic_file, grid, ("x", "u", "v"))[1][0]
+    elif cfg.scenario == "decay":
+        u, v = 0.1 * np.sin(np.pi * x), 0.1 * np.sin(2.0 * np.pi * x)
+    else:  # growth_probe
+        u, v = np.zeros(grid.n_interior), 50.0 * np.sin(np.pi * x)
+    sources = zero_sources(grid) if cfg.source_file is None else tabulated_sources(grid, cfg.source_file)
+    return StatePair(Field(grid, u), Field(grid, v)), sources, coefficients
 
 
 def _config_dict(cfg: ScenarioConfig) -> dict:
@@ -296,6 +292,18 @@ def _write_table(path: str, header: str, blocks, config_echo: str) -> None:
             fh.write(block if isinstance(block, str) else _format_block(block))
 
 
+def _write_tables(cfg: ScenarioConfig, tables: dict) -> None:
+    """Each entry ``{name: (header, blocks)}`` as ``name.csv`` under the output directory.
+
+    The directory is made first; each file goes through one
+    :func:`_write_table` call, path first, with the config echo.
+    """
+    echo = _config_echo(cfg)
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    for name, (header, blocks) in tables.items():
+        _write_table(os.path.join(cfg.output_dir, f"{name}.csv"), header, blocks, config_echo=echo)
+
+
 def _strict(value):
     """``value`` with every non-finite float replaced by None."""
     if isinstance(value, dict):
@@ -327,6 +335,12 @@ def _trajectory_slabs(grid: Grid1D, traj: Trajectory):
     return _format_slabs(traj.times, grid.nodes_full, 3, uvw())
 
 
+def _mms_errors(cfg: ScenarioConfig, grid: Grid1D, traj: Trajectory) -> np.ndarray:
+    """The pair-norm error of each snapshot of an mms march against the manufactured pair."""
+    exact = _mms_values(MmsSpec(cfg.mms_a, cfg.mms_b), grid.nodes, traj.times)
+    return pair_norm(traj.values - exact, grid.h)
+
+
 def _exit_code(traj: Trajectory) -> int:
     return {"completed": 0, "step_failure": 1, "blowup_detected": 2}[traj.status.kind]
 
@@ -346,6 +360,13 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         return 1
     traj = solve(state0, solve_cfg, sources, coefficients)
     norms = pair_norm(traj.values, grid.h)  # an overflowing norm is inf, written as null
+    constraint_rows = np.column_stack((traj.times, traj.residual_l2, traj.w_at_1))
+    tables = {
+        "trajectory": ("t x u v w", _trajectory_slabs(grid, traj)),
+        "constraint": ("t residual_l2 w_at_1", [constraint_rows]),
+    }
+    if cfg.scenario == "mms":
+        tables["mms_error"] = ("t error_H", [np.column_stack((traj.times, _mms_errors(cfg, grid, traj)))])
 
     summary = {
         "status": {"kind": traj.status.kind, "t": traj.status.t, "reason": traj.status.reason},
@@ -360,40 +381,13 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         },
         "seed": cfg.seed,
         "config": _config_dict(cfg),
-        "artifacts": {"trajectory": "trajectory.csv", "constraint": "constraint.csv"},
+        "artifacts": {name: f"{name}.csv" for name in tables},
+        "source_time_lipschitz": None
+        if sources.kind == "zero"
+        else source_time_lipschitz(sources, np.linspace(0.0, cfg.t_end, 9)),
     }
-    if sources.kind != "zero":
-        probes = np.linspace(0.0, cfg.t_end, 9)
-        summary["source_time_lipschitz"] = source_time_lipschitz(sources, probes)
-    else:
-        summary["source_time_lipschitz"] = None
-
     try:
-        echo = _config_echo(cfg)
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        _write_table(
-            os.path.join(cfg.output_dir, "trajectory.csv"),
-            "t x u v w",
-            _trajectory_slabs(grid, traj),
-            config_echo=echo,
-        )
-        _write_table(
-            os.path.join(cfg.output_dir, "constraint.csv"),
-            "t residual_l2 w_at_1",
-            [np.column_stack((traj.times, traj.residual_l2, traj.w_at_1))],
-            config_echo=echo,
-        )
-        if cfg.scenario == "mms":
-            spec = MmsSpec(cfg.mms_a, cfg.mms_b)
-            exact = np.stack([_mms_values(spec, grid.nodes, t) for t in traj.times])
-            errors = pair_norm(traj.values - exact, grid.h)
-            _write_table(
-                os.path.join(cfg.output_dir, "mms_error.csv"),
-                "t error_H",
-                [np.column_stack((traj.times, errors))],
-                config_echo=echo,
-            )
-            summary["artifacts"]["mms_error"] = "mms_error.csv"
+        _write_tables(cfg, tables)
         _write_json(os.path.join(cfg.output_dir, "summary.json"), summary)
     except OSError as err:
         print(f"error writing artifacts under {cfg.output_dir}: {err}", file=sys.stderr)
@@ -406,8 +400,7 @@ def _terminal_error(cfg: ScenarioConfig, grid: Grid1D, config: SolveConfig) -> f
     traj = solve(state0, config, sources, coefficients)
     if traj.status.kind != "completed":
         raise RuntimeError(f"manufactured run did not complete: {traj.status}")
-    exact = _mms_values(MmsSpec(cfg.mms_a, cfg.mms_b), grid.nodes, traj.times[-1])
-    return pair_norm(traj.values[-1] - exact, grid.h)
+    return float(_mms_errors(cfg, grid, traj)[-1])
 
 
 def run_convergence(cfg: ScenarioConfig, dt_levels=(), n_levels=()) -> list[dict]:
@@ -452,14 +445,8 @@ def run_convergence(cfg: ScenarioConfig, dt_levels=(), n_levels=()) -> list[dict
             )
             previous = error
 
-    table = [(r["dt"], r["n_interior"], r["error_H"], r["observed_order"]) for r in rows]
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    _write_table(
-        os.path.join(cfg.output_dir, "convergence.csv"),
-        "dt n_interior error_H observed_order",
-        [np.reshape(table, (-1, 4))],
-        config_echo=_config_echo(cfg),
-    )
+    table = np.reshape([(r["dt"], r["n_interior"], r["error_H"], r["observed_order"]) for r in rows], (-1, 4))
+    _write_tables(cfg, {"convergence": ("dt n_interior error_H observed_order", [table])})
     return rows
 
 

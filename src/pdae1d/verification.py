@@ -115,7 +115,10 @@ def _random_states(
     stream depart from the pair-by-pair one, and such a draw does not occur
     in practice.
     """
-    states = rng.uniform(-1.0, 1.0, shape + (2, n))
+    # 2r - 1 in place, the bits of rng.uniform(-1.0, 1.0) without its temporaries
+    states = rng.random(shape + (2, n))
+    states *= 2.0
+    states -= 1.0
     if target_norm is None:
         return states
     h = 1.0 / (n + 1)

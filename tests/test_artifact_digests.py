@@ -24,11 +24,16 @@ def test_prints_the_exit_code_and_a_digest_of_every_output():
             names.append(name)
         assert names[:2] == ["stdout", "stderr"]
         commands[command[0]].append((command, block[1], names[2:]))
-    assert [len(commands[name]) for name in ("run", "converge", "verify", "mms-sources")] == [21, 3, 3, 3]
+    assert [len(commands[name]) for name in ("run", "converge", "verify", "mms-sources")] == [25, 4, 3, 3]
     # the runs from a config file take their scenario from it
     from_file = {"rerun-mms-picard": "mms", "run-int-floats": "decay"}
+    # an output directory that is an existing file: the write fails and leaves nothing
+    failed_write = "custom-ic.txt"
     for command, code, files in commands["run"]:
         out_dir = command[-1]
+        if out_dir == failed_write:
+            assert (code, files) == ("exit 1", [])
+            continue
         scenario = from_file[out_dir] if "--config" in command else command[command.index("--scenario") + 1]
         if out_dir == "run-picard-no-convergence":  # a step failure
             assert code == "exit 1"
@@ -39,7 +44,10 @@ def test_prints_the_exit_code_and_a_digest_of_every_output():
             tables.remove("mms_error.csv")
         assert files == [f"{out_dir}/{table}" for table in tables]
     for command, code, files in commands["converge"]:
-        assert (code, files) == ("exit 0", [f"{command[-1]}/convergence.csv"])
+        if command[-1] == failed_write:
+            assert (code, files) == ("exit 1", [])
+        else:
+            assert (code, files) == ("exit 0", [f"{command[-1]}/convergence.csv"])
     for command, code, files in commands["verify"]:
         assert (code, files) == ("exit 0", [command[-1]])
     assert [files for _, _, files in commands["mms-sources"]] == [

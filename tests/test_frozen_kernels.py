@@ -29,7 +29,7 @@ from pdae1d import CoefficientSet, Grid1D, MmsSpec, PicardConvergenceError, Solv
 from pdae1d import build_mms_sources, constraint, integrators, spectral, step_exp_euler, step_imex, tabulated_sources
 from pdae1d import zero_sources
 from pdae1d.fields import pair_norm
-from pdae1d.scenarios import _mms_source_fns
+from pdae1d.scenarios import _mms_source_fns, _mms_values
 from pdae1d.nonlinearity import _reaction_terms, eval_reaction
 from pdae1d.spectral import laplacian_eigenvalues, phi1, to_coeffs, to_values
 
@@ -581,6 +581,24 @@ def test_mms_and_zero_array_forms_equal_the_per_time_forms(n):
     want_f, want_g = frozen_zero_sources(grid)
     assert_rows_equal(zero.f(times), want_f, times)
     assert_rows_equal(zero.g(times), want_g, times)
+
+
+def frozen_mms_values(spec, x, t):
+    """The manufactured pair at one time t on the nodes x, shaped (2, len(x))."""
+    decay = np.exp(-t)
+    return np.stack((spec.a * decay * np.sin(np.pi * x), spec.b * decay * np.sin(2.0 * np.pi * x)))
+
+
+# e^-740 is subnormal and e^-800 is 0
+@pytest.mark.parametrize("n", (7, 128, 255))
+@pytest.mark.parametrize("spec", (MmsSpec(), MmsSpec(a=1.3, b=-0.6)), ids=("unit", "scaled"))
+def test_manufactured_pair_at_a_vector_of_times_equals_the_per_time_form(n, spec):
+    times = [0.0, -0.0, 1e-5, 0.3, 7.25, 740.0, 800.0]
+    x = Grid1D(n).nodes
+    got = _mms_values(spec, x, times)
+    assert got.shape == (len(times), 2, n)
+    for i, t in enumerate(times):
+        assert same_int64(got[i], frozen_mms_values(spec, x, t)), t
 
 
 @pytest.mark.parametrize("n", ARRAY_SIZES)

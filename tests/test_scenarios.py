@@ -512,6 +512,36 @@ class TestRunScenario:
         summary = json.loads((tmp_path / "custom" / "summary.json").read_text())
         assert summary["source_time_lipschitz"] == 0.0
 
+    # the digest tool's custom inputs on n = 7, and its Picard step failure
+    DECLARED_RUNS = {
+        "decay": (["--scenario", "decay", "--n-interior", "7", "--t-end", "0.05"], 0),
+        "mms": (["--scenario", "mms", "--method", "imex", "--n-interior", "7", "--t-end", "0.05"], 0),
+        "custom": (["--scenario", "custom", "--ic-file", "ic.txt", "--source-file", "sources.txt",
+                    "--n-interior", "7"], 0),
+        "growth_probe": (["--scenario", "growth_probe", "--n-interior", "15"], 2),
+        "picard step failure": (["--scenario", "growth_probe", "--method", "picard", "--n-interior", "63",
+                                 "--dt", "0.001", "--t-end", "0.2", "--picard-max-iter", "7"], 1),
+    }
+
+    @pytest.mark.parametrize("case", DECLARED_RUNS)
+    def test_summary_lists_exactly_the_tables_written(self, case, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        nodes = [j / 8 for j in range(9)]
+        Path("ic.txt").write_text("".join(f"{x!r} {x * (1 - x)!r} {0.5 * x!r}\n" for x in nodes[1:-1]))
+        Path("sources.txt").write_text(
+            "".join(f"{t!r} {x!r} {t * x * (1 - x)!r} {(1 - t) * x!r}\n" for t in (0.0, 0.25, 0.6) for x in nodes)
+        )
+        argv, code = self.DECLARED_RUNS[case]
+        assert main(["run", *argv, "--output-dir", "out"]) == code
+        summary = json.loads(Path("out", "summary.json").read_text())
+        tables = sorted(summary["artifacts"].values())
+        assert sorted(os.listdir("out")) == sorted(tables + ["summary.json"])
+        assert ("mms_error.csv" in tables) == (case == "mms")
+        echo = json.dumps(summary["config"], sort_keys=True, separators=(",", ":"))
+        for name in tables:
+            assert name.endswith(".csv")
+            assert Path("out", name).read_text().startswith(f"# config: {echo}\n# ")
+
     def test_mms_scenario_emits_error_table(self, tmp_path):
         cfg = ScenarioConfig(
             scenario="mms", n_interior=31, dt=5e-3, t_end=0.1, output_dir=str(tmp_path / "mms")

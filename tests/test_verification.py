@@ -511,22 +511,37 @@ def test_zero_norm_draw_is_redrawn():
     from pdae1d.verification import _random_states
 
     class ZeroPairFirst:
-        # hands out one all-zero pair in the first draw
+        # hands out one all-zero pair in the first draw: 2 * 0.5 - 1 = 0
         def __init__(self):
             self.rng = np.random.default_rng(0)
             self.draws = 0
 
+        def random(self, size):
+            self.draws += 1
+            out = self.rng.random(size)
+            out[1, 0] = 0.5
+            return out
+
         def uniform(self, low, high, size):
             self.draws += 1
-            out = self.rng.uniform(low, high, size)
-            if self.draws == 1:
-                out[1, 0] = 0.0
-            return out
+            return self.rng.uniform(low, high, size)
 
     rng = ZeroPairFirst()
     states = _random_states(rng, (3, 2), 4, target_norm=2.0)
     assert rng.draws == 2
     np.testing.assert_allclose(pair_norm(states, 1.0 / 5), 2.0, rtol=1e-15)
+
+
+@pytest.mark.parametrize("shape, n", [((16, 2), 256), ((64, 2), 64), ((1000,), 16), ((), 3), ((5, 3), 7)])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_random_states_have_the_bits_and_stream_of_uniform(shape, n, seed):
+    from pdae1d.verification import _random_states
+
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _random_states(rng, shape, n)
+    want = reference.uniform(-1.0, 1.0, shape + (2, n))
+    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert rng.random() == reference.random()  # the same draws were consumed
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,10 @@ commands cover ``run`` for decay, mms and growth_probe with each method at
 n = 64, one mms run at n = 255 (the FFT kernel), Picard and IMEX mms runs
 at n = 256 with other impacts, diffusion and amplitude than the defaults,
 three small ``converge`` sweeps (two of them ``converge``'s n levels at its
-own dt), ``run --config`` on a run's ``summary.json`` and on a config file
+own dt), ``run`` and ``converge`` into an output directory that is an
+existing file (exit 1, nothing written), a custom run without sources, a
+decay run and a growth_probe run (exit 2) on a profile or source table
+the tool writes, ``run --config`` on a run's ``summary.json`` and on a config file
 with int-valued float fields that the tool writes first, a small
 ``verify``, one at n = 4096, one at 1000 samples, whose semigroup blocks
 are full at n = 16, 64 and 256, and ``mms-sources``.  Marches of exp_euler and
@@ -66,6 +69,7 @@ COMMANDS = [
     " --n-levels 7,15 --output-dir converge",
     "converge --dt 1e-4 --t-end 0.01 --dt-levels , --n-levels 7,15,31 --output-dir converge-n",
     "converge --dt 1e-4 --t-end 0.02 --dt-levels , --n-levels 7,63 --output-dir converge-n-blocks",
+    "converge --n-interior 7 --dt 1e-3 --t-end 0.01 --dt-levels 0.005 --n-levels , --output-dir custom-ic.txt",
     "run --scenario mms --method imex --n-interior 256 --dt 0.001 --t-end 0.05 --snapshot-every 10"
     " --output-dir run-mms-n256-imex-blocks",
     "run --scenario mms --method picard --n-interior 15 --dt 0.01 --t-end 0.2 --d-v 0.3 --p-u -0.7"
@@ -78,6 +82,11 @@ COMMANDS = [
     "run --scenario mms --method picard --n-interior 7 --dt 1e-4 --t-end 0.05 --output-dir run-mms-picard-blocks",
     "run --scenario custom --method picard --ic-file custom-ic.txt --source-file custom-sources.txt"
     " --n-interior 7 --output-dir run-custom-n7-picard",
+    "run --scenario custom --ic-file custom-ic.txt --n-interior 7 --t-end 0.05 --output-dir run-custom-zero-sources",
+    "run --scenario decay --ic-file custom-ic.txt --n-interior 7 --t-end 0.05 --output-dir run-decay-ic",
+    "run --scenario growth_probe --source-file custom-sources.txt --n-interior 7"
+    " --output-dir run-growth_probe-sources",
+    "run --scenario decay --n-interior 7 --t-end 0.01 --output-dir custom-ic.txt",
     "run --config run-mms-picard/summary.json --output-dir rerun-mms-picard",
     "run --config int-floats.json --output-dir run-int-floats",
     "verify --sizes 16,64,256 --samples 50 --lipschitz-samples 200 --output verify/report.json",

@@ -71,13 +71,25 @@ def _sine_matrix(n: int) -> np.ndarray | None:
 
     j*k is reduced mod 2(n+1), one period of the sine, before it is
     scaled, so every angle is below 2*pi and its entry is within about
-    1e-15 of the exact value.  At most 420^2 doubles (1.4 MB) per n; built
-    in place, so building it takes no more memory than keeping it.
+    1e-15 of the exact value.
+
+    The (n, n) view returned sits in a buffer laid out for the GEMV that
+    applies it: its first entry on a 64-byte cache-line boundary and each
+    row padded to ceil(n/8)*8 doubles, so every row starts on a line too
+    (numpy hands BLAS the padded row stride as its leading dimension).
+    OpenBLAS's GEMV ran up to 1.9x slower on a matrix the heap had left off
+    a line boundary; the entries and the product's bits do not depend on
+    the layout.  At most 420 x 424 doubles (1.4 MB) per n; built in place,
+    so building it takes no more memory than keeping it.
     """
     if not (n <= 128 or (n <= 420 and _largest_prime_factor(n + 1) > n / 3)):
         return None
+    width = -(-n // 8) * 8
+    buf = np.empty(n * width + 7)
+    start = -buf.ctypes.data % 64 // 8
+    matrix = buf[start : start + n * width].reshape(n, width)[:, :n]
     j = np.arange(1.0, n + 1)
-    matrix = np.outer(j, j)  # whole numbers below 2^53: fmod is exact
+    np.multiply.outer(j, j, out=matrix)  # whole numbers below 2^53: fmod is exact
     np.fmod(matrix, 2 * (n + 1), out=matrix)
     matrix *= np.pi
     matrix /= n + 1
@@ -97,32 +109,39 @@ def _dst(x: np.ndarray) -> np.ndarray:
     kernel than the same row transformed alone, and so differ from it in
     the last bits.  Measured per call in microseconds, pocketfft / dense,
     on 2 shared vCPUs with one BLAS thread (Python 3.11, numpy 2.4, scipy
-    1.17, OpenBLAS 0.3.31), the chosen kernel marked *:
+    1.17, OpenBLAS 0.3.31), the chosen kernel marked *; the dense column
+    is on the cache-line-aligned matrix of :func:`_sine_matrix`:
 
     ====  =========  =============  =============
     n     prime p    (2, n)         (4, 2, n)
     ====  =========  =============  =============
-    63    2          7.3 / 2.4*     9.0 / 5.1*
-    96    97         12.7 / 4.0*    29.9 / 11.1*
-    97    7          8.4 / 4.2*     12.7 / 12.4*
-    127   2          8.0 / 6.0*     10.7 / 18.7*
-    128   43         9.4 / 4.0*     18.6 / 11.2*
-    160   23         9.4* / 8.3     17.4* / 26.8
-    255   2          8.9* / 18.0    15.2* / 69.8
-    256   257        40.3 / 11.0*   145 / 34.2*
-    257   43         12.5* / 18.3   29.8* / 72.0
-    300   43         13.8* / 18.7   34.1* / 70.5
-    400   401        43.4 / 45.6*   152 / 161*
-    420   421        50.8 / 38.7*   177 / 145*
-    440   7          14.1* / 56.8   33.6* / 230
-    460   461        72.4* / 64.8   168* / 254
-    511   2          13.4* / 99.9   27.8* / 383
+    63    2          7.9 / 2.2*     8.4 / 4.1*
+    96    97         11.8 / 2.7*    25.9 / 7.0*
+    97    7          7.6 / 2.9*     10.9 / 7.5*
+    127   2          7.3 / 3.8*     10.5 / 11.0*
+    128   43         8.6 / 3.7*     17.6 / 9.5*
+    160   23         8.7* / 4.8     15.4* / 14.2
+    255   2          9.2* / 11.9    15.7* / 40.9
+    256   257        39.6 / 11.7*   138 / 33.4*
+    257   43         12.4* / 10.4   28.5* / 41.9
+    300   43         14.2* / 14.4   34.6* / 50.5
+    400   401        43.6 / 28.2*   150 / 82.5*
+    420   421        49.1 / 28.5*   173 / 98.4*
+    440   7          14.3* / 35.9   33.4* / 117
+    460   461        44.7* / 36.9   148* / 118
+    511   2          12.8* / 95.3   26.6* / 355
     ====  =========  =============  =============
 
-    (p is the largest prime factor of n+1; best of 9 repeats.)  Over a
-    scan of every n from 1 to 699 at both shapes, the rule's summed time
-    was 0.7% above that of the faster kernel at each n, and pocketfft's
-    alone 8.9% above it.
+    (p is the largest prime factor of n+1; best of 20 rounds taken in
+    turn over every cell.)  The rule was fitted before the matrix was
+    aligned, when the dense kernel read 1.2-2x slower: over a scan of
+    every n from 1 to 699 at both shapes, the rule's summed time was then
+    0.7% above that of the faster kernel at each n, and pocketfft's alone
+    8.9% above it.  The aligned kernel now also wins at some n the rule
+    gives the FFT (160 and 257 at (2, n)).  The rule is not re-fit: a
+    re-fit moves the bits at every n it reassigns, and no n the package
+    runs by default would move, since n = 255 stays on the FFT at both
+    shapes.
 
     The pocketfft column is scipy's ``dst(type=1)``; numpy's ``rfft`` of the
     odd extension [0, -x, 0, x reversed] gives its bits at 2-4 us more per

@@ -43,6 +43,23 @@ def random_state(grid, rng):
     return rng.uniform(-1.0, 1.0, (2, grid.n_interior))
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def contiguous_sine_matrix(n):
+    # frozen copy of the DST-I matrix as built before its rows were padded
+    # and aligned: one contiguous np.outer array wherever the heap put it
+    j = np.arange(1.0, n + 1)
+    matrix = np.outer(j, j)
+    np.fmod(matrix, 2 * (n + 1), out=matrix)
+    matrix *= np.pi
+    matrix /= n + 1
+    np.sin(matrix, out=matrix)
+    matrix *= 2.0
+    return matrix
+
+
 class TestDst:
     def test_zero_field_zero_coeffs(self):
         grid = Grid1D(9)
@@ -113,6 +130,42 @@ class TestDst:
         stack = np.random.default_rng(n).standard_normal((8, 2, n))
         dense, fast = spectral._dst(stack), fft_dst(stack, type=1)
         assert np.max(np.abs(dense - fast)) <= 1e-13 * np.max(np.abs(fast))
+
+    def test_sine_matrix_keeps_the_bits_of_the_contiguous_build(self):
+        dense = 0
+        for n in range(1, 421):
+            matrix = spectral._sine_matrix(n)
+            if matrix is not None:
+                dense += 1
+                assert matrix.shape == (n, n) and np.array_equal(bits(matrix), bits(contiguous_sine_matrix(n))), n
+        assert dense == 227
+
+    def test_sine_matrix_rows_start_on_cache_lines(self):
+        # a read-only view whose first entry and every row start on a 64-byte boundary
+        for n in range(1, 421):
+            matrix = spectral._sine_matrix(n)
+            if matrix is not None:
+                assert not matrix.flags.writeable, n
+                assert matrix.ctypes.data % 64 == 0 and matrix.strides == (-(-n // 8) * 64, 8), n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 63, 64, 96, 97, 127, 128, 256, 400, 420])
+    def test_dense_kernel_does_not_depend_on_where_its_matrix_lies(self, n):
+        # _dst on the padded, aligned matrix equals the product with the contiguous
+        # build placed at each 8-byte offset mod 64, the addresses the heap gave it
+        rng = np.random.default_rng(n)
+        scale = 10.0 ** rng.uniform(-300.0, 300.0, (3, 2, n))
+        stack = rng.standard_normal((3, 2, n)) * scale
+        strided = (rng.standard_normal((3, 2, 2 * n)) * np.repeat(scale, 2, axis=-1))[..., ::2]
+        matrix = contiguous_sine_matrix(n)
+        buf = np.empty(n * n + 16)
+        line = -buf.ctypes.data % 64 // 8
+        for offset in range(8):
+            placed = buf[line + offset : line + offset + n * n].reshape(n, n)
+            placed[...] = matrix
+            assert placed.ctypes.data % 64 == 8 * offset
+            for x in (stack[0], stack, strided, np.asfortranarray(stack)):
+                product = np.matmul(np.ascontiguousarray(x)[..., None, :], placed)[..., 0, :]
+                assert np.array_equal(bits(spectral._dst(x)), bits(product)), (offset, x.shape)
 
     def test_fft_kernel_equals_scipy_dst(self):
         # exact oracle: at every n the FFT kernel serves, scipy's DST-I bit for bit
@@ -406,10 +459,6 @@ class TestStackedOperators:
         stack = np.zeros((2, 2, 8))
         with pytest.raises(ValueError):
             semigroup_apply(stack, np.array([0.1, -0.1]))
-
-
-def bits(x):
-    return np.asarray(x, dtype=float).view(np.int64)
 
 
 class TestExp:

@@ -10,7 +10,7 @@ directory.
 
     python tools/bench_pairs.py --parent ../parent --change . --label picard_slabs \\
         --workload scenario_artifacts --claim scenario_artifacts:wall_ref_s \\
-        --pairs 10 --first-seed 3001 --seconds 30 [--traced]
+        --pairs 10 --first-seed 3001 --seconds 30 [--traced] [--setup-runs 12]
 
 ``--workload`` may be repeated; each workload takes the next ``--pairs``
 seeds.  For each workload and side the record holds every run's end-to-end
@@ -20,8 +20,13 @@ gap (parent median - change median, for a lower-is-better metric) and the
 parent's interquartile range.  ``--claim`` names the metric a gain is claimed
 on; its verdict follows the rule "better in at least 9 of 10 pairs, and a
 median gap above the parent's IQR".  ``--traced`` adds one ``--trace 1`` run
-per side and workload, on the first seed, with its per-layer metrics.  The
-record goes to BENCH_<label>.json in the current directory.
+per side and workload, on the first seed, with its per-layer metrics.
+``--setup-runs K`` adds, per workload, K alternating pairs of ``perfbench/run.py
+--setup-only`` processes, the set-ups behind ``setup_s``, on the workload's
+seeds in turn: each run's set-up seconds, per side the median and quartiles,
+and the comparison of the K pairs.  A run's ``setup_s`` is the median of only
+seven set-ups, so a few pairs of runs resolve it poorly.  The record goes to
+BENCH_<label>.json in the current directory.
 """
 
 from __future__ import annotations
@@ -68,10 +73,9 @@ def compare(parent: list[float], change: list[float]) -> dict:
     }
 
 
-def run_harness(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in ``checkout``; its final JSON line."""
-    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", str(trace)]
+def run_harness(checkout: Path, workload: str, seed: int, *options: str) -> dict:
+    """One perfbench run in ``checkout`` with ``options`` after its workload and seed; its final JSON line."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), *options]
     proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -85,30 +89,48 @@ def traced_summary(result: dict) -> dict:
     return {key: result[key] for key in ("correct", "failed", "attempted")} | {"metrics": metrics}
 
 
+def first_sides(pairs: int) -> list[str]:
+    """The side that runs first in each pair: the parent in even-numbered pairs, the change in odd ones."""
+    return [SIDES[index % 2] for index in range(pairs)]
+
+
+def alternating_runs(checkouts: dict, workload: str, seeds: list[int], options: tuple[str, ...]):
+    """One harness run per side on each seed, in ``first_sides`` order; yields (seed, side, result)."""
+    for seed, first in zip(seeds, first_sides(len(seeds))):
+        for side in SIDES if first == SIDES[0] else SIDES[::-1]:
+            yield seed, side, run_harness(checkouts[side], workload, seed, *options)
+
+
 def run_pairs(checkouts: dict, workload: str, seeds: list[int], seconds: float, log) -> dict:
     """Alternating pairs on ``seeds``; the per-side runs and counts of one workload."""
     sides = {side: {"runs": {m: [] for m in METRICS}, "failed": [], "attempted": [], "correct": []}
              for side in SIDES}
-    first = []
-    for index, seed in enumerate(seeds):
-        order = SIDES if index % 2 == 0 else SIDES[::-1]
-        first.append(order[0])
-        for side in order:
-            result = run_harness(checkouts[side], workload, seed, seconds, 0)
-            record = sides[side]
-            for metric in METRICS:
-                record["runs"][metric].append(result["metrics"][metric]["value"])
-            for key in ("failed", "attempted", "correct"):
-                record[key].append(result[key])
-            log(f"{workload} seed {seed} {side}: wall_ref_s {result['metrics']['wall_ref_s']['value']:.5f}"
-                f" failed {result['failed']}/{result['attempted']}")
-    out = {"seeds": seeds, "first": first}
+    for seed, side, result in alternating_runs(checkouts, workload, seeds, ("--seconds", str(seconds), "--trace", "0")):
+        record = sides[side]
+        for metric in METRICS:
+            record["runs"][metric].append(result["metrics"][metric]["value"])
+        for key in ("failed", "attempted", "correct"):
+            record[key].append(result[key])
+        log(f"{workload} seed {seed} {side}: wall_ref_s {result['metrics']['wall_ref_s']['value']:.5f}"
+            f" failed {result['failed']}/{result['attempted']}")
+    out = {"seeds": seeds, "first": first_sides(len(seeds))}
     for side in SIDES:
         record = sides[side]
         out[side] = {m: {"runs": record["runs"][m], **spread(record["runs"][m])} for m in METRICS}
         out[side].update(failed=record["failed"], attempted=record["attempted"], correct=record["correct"])
     out["comparison"] = {m: compare(sides["parent"]["runs"][m], sides["change"]["runs"][m]) for m in METRICS}
     return out
+
+
+def run_setups(checkouts: dict, workload: str, seeds: list[int], log) -> dict:
+    """Alternating pairs of ``--setup-only`` runs on ``seeds``; each side's set-up seconds and their comparison."""
+    runs = {side: [] for side in SIDES}
+    for seed, side, result in alternating_runs(checkouts, workload, seeds, ("--setup-only",)):
+        runs[side].append(result["setup_s"])
+        log(f"{workload} seed {seed} {side}: setup_s {result['setup_s']:.5f}")
+    return {"seeds": seeds, "first": first_sides(len(seeds)),
+            **{side: {"runs": runs[side], **spread(runs[side])} for side in SIDES},
+            "comparison": compare(runs["parent"], runs["change"])}
 
 
 def parse_args(argv=None):
@@ -122,9 +144,13 @@ def parse_args(argv=None):
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--traced", action="store_true", help="one --trace 1 run per side and workload")
+    parser.add_argument("--setup-runs", type=int, default=0, metavar="K",
+                        help="K alternating pairs of --setup-only runs per workload (0: none)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    if args.setup_runs != 0 and args.setup_runs < 2:
+        parser.error("--setup-runs must be 0 or at least 2")
     if args.claim is not None:
         workload, _, metric = args.claim.partition(":")
         if workload not in args.workload or metric not in METRICS:
@@ -146,15 +172,21 @@ def main(argv=None) -> int:
         "machine": {"python": platform.python_version(), "platform": platform.platform()},
         "workloads": {},
     }
+    if args.setup_runs:
+        record["setup_command"] = "python3 perfbench/run.py --workload <w> --seed <s> --setup-only"
     log = lambda line: print(line, file=sys.stderr, flush=True)  # noqa: E731
     seed = args.first_seed
     for workload in args.workload:
         seeds = list(range(seed, seed + args.pairs))
         seed += args.pairs
         record["workloads"][workload] = run_pairs(checkouts, workload, seeds, args.seconds, log)
+        if args.setup_runs:
+            setup_seeds = [seeds[index % len(seeds)] for index in range(args.setup_runs)]
+            record["workloads"][workload]["setup_only"] = run_setups(checkouts, workload, setup_seeds, log)
         if args.traced:
             record["workloads"][workload]["traced"] = {
-                side: traced_summary(run_harness(checkouts[side], workload, seeds[0], args.seconds, 1))
+                side: traced_summary(run_harness(checkouts[side], workload, seeds[0],
+                                                 "--seconds", str(args.seconds), "--trace", "1"))
                 for side in SIDES
             }
     if args.claim is not None:

@@ -14,13 +14,17 @@ table:
   steps, and the figure in parentheses one of Picard's divided by its
   slabs;
 * the cost of one source-free reaction evaluation (``_reaction_terms``) on
-  a (2, n) pair and on a (4, 2, n) stack, in microseconds.
+  a (2, n) pair and on a (4, 2, n) stack, in microseconds;
+* the cost of one sine transform (``spectral.to_coeffs``) of a (2, n) pair,
+  as a step transforms it, and of a (3, 2, n) stack, as a later Picard sweep
+  at m = 4 transforms its moving samples, in microseconds: the dense sine
+  matrix at every n here but 255, where the FFT serves.
 
 A step figure is one ``integrators._march`` call over STEPS = 40 steps
 from t = 0, under ``np.errstate`` as ``solve`` runs it, divided by STEPS:
 each step's classifying norm is in it, and so is the march's set-up (its
-weights), about 1% of it.  A source or reaction figure is the mean over a
-batch of calls.  Each figure is the best of ``--repeats`` such timings (15
+weights), about 1% of it.  A source, reaction or transform figure is the mean
+over a batch of calls.  Each figure is the best of ``--repeats`` such timings (15
 by default), taken round-robin over all figures.  BLAS is held to one
 thread, set before numpy is imported, and the package is imported from
 this checkout's ``src/``.
@@ -47,7 +51,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from pdae1d import CoefficientSet, Grid1D, MmsSpec, SolveConfig, build_mms_sources  # noqa: E402
-from pdae1d import integrators, mms_state  # noqa: E402
+from pdae1d import integrators, mms_state, spectral  # noqa: E402
 from pdae1d.nonlinearity import _reaction_terms  # noqa: E402
 
 SIZES = (7, 15, 63, 128, 255, 256)
@@ -108,6 +112,12 @@ def reaction_timer(shape: tuple[int, ...]):
     return calls_timer(lambda: _reaction_terms(values, c))
 
 
+def transform_timer(shape: tuple[int, ...]):
+    """A timer of ``spectral.to_coeffs`` on a random stack."""
+    values = np.random.default_rng(0).standard_normal(shape)
+    return calls_timer(lambda: spectral.to_coeffs(values))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=15, help="timings per figure; the best is kept")
@@ -122,6 +132,8 @@ def main(argv=None) -> int:
             timers[n, key] = sources_timer(n, times, block)
         for shape in ((2, n), (4, 2, n)):
             timers[n, shape] = reaction_timer(shape)
+        for shape in ((2, n), (3, 2, n)):
+            timers[n, "to_coeffs", shape] = transform_timer(shape)
     # round-robin, so each figure's repeats sample the whole run, not one stretch of it
     best = {key: (float("inf"), None) for key in timers}
     for _ in range(args.repeats):
@@ -130,8 +142,8 @@ def main(argv=None) -> int:
     print(f"# python {platform.python_version()}, numpy {np.__version__}, {os.cpu_count()} CPUs, "
           f"one BLAS thread; best of {args.repeats}, {STEPS} steps at dt = {DT}")
     print("| n | exp_euler | imex | picard (sweeps per slab) | mms f, g per step (per slab) "
-          "| reaction (2, n) | reaction (4, 2, n) |")
-    print("|---|---|---|---|---|---|---|")
+          "| reaction (2, n) | reaction (4, 2, n) | to_coeffs (2, n) / (3, 2, n) |")
+    print("|---|---|---|---|---|---|---|---|")
     for n in SIZES:
         cells = [f"{n} (257 prime)" if n == 256 else str(n)]
         for key in [(n, method) for method in METHODS] + [(n, "sources"), (n, (2, n)), (n, (4, 2, n))]:
@@ -141,6 +153,7 @@ def main(argv=None) -> int:
                 cells[-1] += f" ({sweeps:.1f})"
             if key[1] == "sources":
                 cells[-1] += f" ({best[n, 'slab sources'][0] * 1e6:.1f})"
+        cells.append(" / ".join(f"{best[n, 'to_coeffs', shape][0] * 1e6:.1f}" for shape in ((2, n), (3, 2, n))))
         print("| " + " | ".join(cells) + " |")
     return 0
 

@@ -61,15 +61,20 @@ def test_a_claim_names_a_workload_it_runs_and_an_end_to_end_metric():
             bench_pairs.parse_args(argv + ["--claim", claim])
 
 
-def fake_harness(calls, setup_seconds):
+def fake_harness(calls, setup_seconds, traced_seconds=None):
     """A stand-in for ``run_harness``: records each call and answers with synthetic runs."""
     answers = {side: iter(seconds) for side, seconds in setup_seconds.items()}
+    traced = {side: iter(seconds) for side, seconds in (traced_seconds or {}).items()}
 
     def run(checkout, workload, seed, *options):
         side = Path(checkout).name
         calls.append((side, workload, seed, options))
         if options == ("--setup-only",):
             return {"setup_s": next(answers[side])}
+        if options[-2:] == ("--trace", "1"):
+            metrics = {"spectral.dst.calls.n64": {"value": 40, "unit": "count"},
+                       "spectral.dst.self_s.n64": {"value": next(traced[side]), "unit": "s"}}
+            return {"correct": True, "failed": 0, "attempted": 10, "metrics": metrics}
         metrics = {m: {"value": 1.0 if side == "parent" else 0.9} for m in bench_pairs.METRICS}
         return {"correct": True, "failed": 0, "attempted": 10, "metrics": metrics}
 
@@ -81,42 +86,44 @@ def test_setup_runs_alternate_on_the_workload_seeds(monkeypatch):
     setups = {"parent": [0.130, 0.128, 0.135, 0.131, 0.129], "change": [0.120, 0.119, 0.125, 0.118, 0.130]}
     monkeypatch.setattr(bench_pairs, "run_harness", fake_harness(calls, setups))
     checkouts = {"parent": Path("x/parent"), "change": Path("x/change")}
-    seeds = [7, 8, 7, 8, 7]
+    seeds = bench_pairs.cycled([7, 8], 5)
     out = bench_pairs.run_setups(checkouts, "mms_sweep", seeds, lambda line: None)
     assert [(side, seed) for side, _, seed, _ in calls] == [
         ("parent", 7), ("change", 7), ("change", 8), ("parent", 8), ("parent", 7), ("change", 7),
         ("change", 8), ("parent", 8), ("parent", 7), ("change", 7)]
     assert all(call[1:] == ("mms_sweep", call[2], ("--setup-only",)) for call in calls)
-    assert out["seeds"] == seeds and out["first"] == ["parent", "change", "parent", "change", "parent"]
+    assert out["seeds"] == [7, 8, 7, 8, 7] and out["first"] == ["parent", "change", "parent", "change", "parent"]
     for side in bench_pairs.SIDES:
         assert out[side] == {"runs": setups[side], **bench_pairs.spread(setups[side])}
     assert out["comparison"] == bench_pairs.compare(setups["parent"], setups["change"])
     assert out["comparison"]["pairs_change_lower"] == 4 and not out["comparison"]["met"]
 
 
-def test_a_record_holds_the_setup_runs_beside_the_pairs(monkeypatch, tmp_path):
+def test_a_record_holds_the_setup_and_traced_runs_beside_the_pairs(monkeypatch, tmp_path):
     calls = []
-    setups = {"parent": [0.13, 0.12, 0.14, 0.13], "change": [0.12, 0.11, 0.13, 0.12]}
-    monkeypatch.setattr(bench_pairs, "run_harness", fake_harness(calls, setups))
+    pairs = bench_pairs.SETUP_PAIRS
+    setups = {"parent": [0.13 + 0.001 * (i % 3) for i in range(pairs)],
+              "change": [0.12 + 0.001 * (i % 3) for i in range(pairs)]}
+    traced = {"parent": [0.004, 0.006, 0.005], "change": [0.003, 0.002, 0.0035]}
+    monkeypatch.setattr(bench_pairs, "run_harness", fake_harness(calls, setups, traced))
     monkeypatch.chdir(tmp_path)
     argv = ["--parent", "parent", "--change", "change", "--label", "t", "--first-seed", "40",
-            "--workload", "property_checks", "--pairs", "3", "--seconds", "2", "--setup-runs", "4"]
+            "--workload", "property_checks", "--pairs", "2", "--seconds", "2", "--traced"]
     assert bench_pairs.main(argv) == 0
     record = json.loads((tmp_path / "BENCH_t.json").read_text())
     workload = record["workloads"]["property_checks"]
-    assert workload["seeds"] == [40, 41, 42] and workload["setup_only"]["seeds"] == [40, 41, 42, 40]
-    assert workload["setup_only"]["comparison"]["pairs_change_lower"] == 4
-    assert workload["setup_only"]["comparison"]["met"]  # gap 0.01 > parent IQR 0.0025
-    assert workload["comparison"]["wall_ref_s"]["pairs_change_lower"] == 3
+    assert workload["seeds"] == [40, 41] and workload["setup_only"]["seeds"] == bench_pairs.cycled([40, 41], pairs)
+    assert workload["setup_only"]["comparison"]["pairs_change_lower"] == pairs
+    assert workload["setup_only"]["comparison"]["met"]  # gap 0.01 > parent IQR 0.001
+    assert workload["comparison"]["wall_ref_s"]["pairs_change_lower"] == 2
     assert record["setup_command"].endswith("--setup-only")
-    assert [call[3] for call in calls].count(("--setup-only",)) == 8
-    assert [call[3] for call in calls].count(("--seconds", "2.0", "--trace", "0")) == 6
-
-
-def test_setup_runs_are_none_or_two_or_more():
-    argv = ["--parent", "a", "--change", "b", "--label", "x", "--first-seed", "1", "--workload", "mms_sweep"]
-    assert bench_pairs.parse_args(argv).setup_runs == 0
-    assert bench_pairs.parse_args(argv + ["--setup-runs", "12"]).setup_runs == 12
-    for bad in ("1", "-3"):
-        with pytest.raises(SystemExit):
-            bench_pairs.parse_args(argv + ["--setup-runs", bad])
+    assert workload["traced"]["seeds"] == bench_pairs.cycled([40, 41], bench_pairs.TRACED_PAIRS) == [40, 41, 40]
+    for side in bench_pairs.SIDES:
+        runs = workload["traced"][side]["runs"]
+        assert [run["metrics"]["spectral.dst.self_s.n64"] for run in runs] == traced[side]
+        assert workload["traced"][side]["median"] == {"spectral.dst.calls.n64": 40,
+                                                       "spectral.dst.self_s.n64": sorted(traced[side])[1]}
+    options = [call[3] for call in calls]
+    assert options.count(("--setup-only",)) == 2 * pairs
+    assert options.count(("--seconds", "2.0", "--trace", "0")) == 4
+    assert options.count(("--seconds", "2.0", "--trace", "1")) == 2 * bench_pairs.TRACED_PAIRS

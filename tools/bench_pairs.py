@@ -10,7 +10,7 @@ directory.
 
     python tools/bench_pairs.py --parent ../parent --change . --label picard_slabs \\
         --workload scenario_artifacts --claim scenario_artifacts:wall_ref_s \\
-        --pairs 10 --first-seed 3001 --seconds 30 [--traced] [--setup-runs 12]
+        --pairs 10 --first-seed 3001 --seconds 30 [--traced]
 
 ``--workload`` may be repeated; each workload takes the next ``--pairs``
 seeds.  For each workload and side the record holds every run's end-to-end
@@ -19,14 +19,17 @@ inclusive quartiles, the pairs in which the change read better, the median
 gap (parent median - change median, for a lower-is-better metric) and the
 parent's interquartile range.  ``--claim`` names the metric a gain is claimed
 on; its verdict follows the rule "better in at least 9 of 10 pairs, and a
-median gap above the parent's IQR".  ``--traced`` adds one ``--trace 1`` run
-per side and workload, on the first seed, with its per-layer metrics.
-``--setup-runs K`` adds, per workload, K alternating pairs of ``perfbench/run.py
---setup-only`` processes, the set-ups behind ``setup_s``, on the workload's
-seeds in turn: each run's set-up seconds, per side the median and quartiles,
-and the comparison of the K pairs.  A run's ``setup_s`` is the median of only
-seven set-ups, so a few pairs of runs resolve it poorly.  The record goes to
-BENCH_<label>.json in the current directory.
+median gap above the parent's IQR".
+
+Each workload also gets SETUP_PAIRS alternating pairs of ``perfbench/run.py
+--setup-only`` processes, the set-ups behind ``setup_s``, on its seeds in
+turn: each run's set-up seconds, per side the median and quartiles, and the
+comparison of the pairs.  A run's ``setup_s`` is the median of only seven
+set-ups, so a few pairs of runs resolve it poorly; the set-up-only pairs
+take seconds.  ``--traced`` adds TRACED_PAIRS alternating pairs of ``--trace
+1`` runs per workload, on its first seeds: each run's per-layer metrics and,
+per side, their medians, so that a per-layer reading is not one process's.
+The record goes to BENCH_<label>.json in the current directory.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from pathlib import Path
 
 METRICS = ("wall_ref_s", "setup_s", "peak_rss_mb")  # all lower-is-better
 SIDES = ("parent", "change")
+SETUP_PAIRS = 12  # --setup-only pairs per workload
+TRACED_PAIRS = 3  # --trace 1 pairs per workload under --traced
 RULE = "change lower in at least 9 of 10 pairs, and parent median - change median > parent q3 - q1"
 
 
@@ -122,6 +127,11 @@ def run_pairs(checkouts: dict, workload: str, seeds: list[int], seconds: float, 
     return out
 
 
+def cycled(seeds: list[int], count: int) -> list[int]:
+    """``count`` seeds taken from ``seeds`` in turn."""
+    return [seeds[index % len(seeds)] for index in range(count)]
+
+
 def run_setups(checkouts: dict, workload: str, seeds: list[int], log) -> dict:
     """Alternating pairs of ``--setup-only`` runs on ``seeds``; each side's set-up seconds and their comparison."""
     runs = {side: [] for side in SIDES}
@@ -131,6 +141,21 @@ def run_setups(checkouts: dict, workload: str, seeds: list[int], log) -> dict:
     return {"seeds": seeds, "first": first_sides(len(seeds)),
             **{side: {"runs": runs[side], **spread(runs[side])} for side in SIDES},
             "comparison": compare(runs["parent"], runs["change"])}
+
+
+def run_traced(checkouts: dict, workload: str, seeds: list[int], seconds: float, log) -> dict:
+    """Alternating pairs of ``--trace 1`` runs on ``seeds``; each run's per-layer metrics and each side's medians."""
+    passes = {side: [] for side in SIDES}
+    options = ("--seconds", str(seconds), "--trace", "1")
+    for seed, side, result in alternating_runs(checkouts, workload, seeds, options):
+        passes[side].append(traced_summary(result))
+        log(f"{workload} seed {seed} {side}: traced, failed {result['failed']}/{result['attempted']}")
+    out = {"seeds": seeds, "first": first_sides(len(seeds))}
+    for side in SIDES:
+        names = passes[side][0]["metrics"]
+        median = {name: statistics.median(p["metrics"][name] for p in passes[side]) for name in names}
+        out[side] = {"runs": passes[side], "median": median}
+    return out
 
 
 def parse_args(argv=None):
@@ -143,14 +168,11 @@ def parse_args(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--traced", action="store_true", help="one --trace 1 run per side and workload")
-    parser.add_argument("--setup-runs", type=int, default=0, metavar="K",
-                        help="K alternating pairs of --setup-only runs per workload (0: none)")
+    parser.add_argument("--traced", action="store_true",
+                        help=f"{TRACED_PAIRS} alternating pairs of --trace 1 runs per workload")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
-    if args.setup_runs != 0 and args.setup_runs < 2:
-        parser.error("--setup-runs must be 0 or at least 2")
     if args.claim is not None:
         workload, _, metric = args.claim.partition(":")
         if workload not in args.workload or metric not in METRICS:
@@ -170,25 +192,20 @@ def main(argv=None) -> int:
                       "counts pairs in which the change read lower; median_gap = parent median - change "
                       "median; relative = change median / parent median - 1",
         "machine": {"python": platform.python_version(), "platform": platform.platform()},
+        "setup_command": "python3 perfbench/run.py --workload <w> --seed <s> --setup-only",
         "workloads": {},
     }
-    if args.setup_runs:
-        record["setup_command"] = "python3 perfbench/run.py --workload <w> --seed <s> --setup-only"
     log = lambda line: print(line, file=sys.stderr, flush=True)  # noqa: E731
     seed = args.first_seed
     for workload in args.workload:
         seeds = list(range(seed, seed + args.pairs))
         seed += args.pairs
         record["workloads"][workload] = run_pairs(checkouts, workload, seeds, args.seconds, log)
-        if args.setup_runs:
-            setup_seeds = [seeds[index % len(seeds)] for index in range(args.setup_runs)]
-            record["workloads"][workload]["setup_only"] = run_setups(checkouts, workload, setup_seeds, log)
+        record["workloads"][workload]["setup_only"] = run_setups(
+            checkouts, workload, cycled(seeds, SETUP_PAIRS), log)
         if args.traced:
-            record["workloads"][workload]["traced"] = {
-                side: traced_summary(run_harness(checkouts[side], workload, seeds[0],
-                                                 "--seconds", str(args.seconds), "--trace", "1"))
-                for side in SIDES
-            }
+            record["workloads"][workload]["traced"] = run_traced(
+                checkouts, workload, cycled(seeds, TRACED_PAIRS), args.seconds, log)
     if args.claim is not None:
         workload, _, metric = args.claim.partition(":")
         record["claim"] = {"workload": workload, "metric": metric,

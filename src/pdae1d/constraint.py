@@ -45,17 +45,16 @@ class ConstraintReport:
     w_at_1: float
 
 
-def running_integral(full: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+def running_integral(full: np.ndarray, h: float) -> np.ndarray:
     """Composite-trapezoid running integral along the last axis, exactly 0 at x = 0.
 
     ``full`` holds the integrand at all n+2 nodes, both ends included; the
     result has the same shape and holds int_0^{x_j} at every node.  Leading
     axes are a batch; each row is summed in the same order as a single one.
-    The trapezoids (f_{j-1} + f_j)*(h/2) are summed left to right into the
-    result: a new array, or ``out``, whose entries at x = 0 must be zero.
+    The trapezoids (f_{j-1} + f_j)*(h/2) are summed left to right into a
+    new array.
     """
-    if out is None:
-        out = np.zeros(full.shape)
+    out = np.zeros(full.shape)
     trapezoids = full[..., :-1] + full[..., 1:]
     trapezoids *= 0.5 * h
     np.add.accumulate(trapezoids, axis=-1, out=out[..., 1:])
@@ -67,14 +66,13 @@ def running_integral(full: np.ndarray, h: float, out: np.ndarray | None = None) 
 cumulative_integral = running_integral
 
 
-def _mass(values: np.ndarray, p_u: float, p_v: float, out: np.ndarray | None = None) -> np.ndarray:
+def _mass(values: np.ndarray, p_u: float, p_v: float) -> np.ndarray:
     """p_u*u + p_v*v of nodal pairs (..., 2, n) at all n+2 nodes, zero at both ends.
 
-    Written into a new array, or into ``out``, whose end entries must be zero.
     At the default weights p_u = p_v = 1 the products are skipped: 1.0 * x
     is x bit for bit, NaN, -0.0 and subnormals included.
     """
-    full = np.zeros(values.shape[:-2] + (values.shape[-1] + 2,)) if out is None else out
+    full = np.zeros(values.shape[:-2] + (values.shape[-1] + 2,))
     u, v = values[..., 0, :], values[..., 1, :]
     if not (p_u == 1.0 and p_v == 1.0):
         u, v = p_u * u, p_v * v

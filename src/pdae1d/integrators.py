@@ -206,15 +206,14 @@ class PicardConvergenceError(RuntimeError):
         )
 
 
-# one Grid1D per node count, so a step or a slab builds none and keys its caches on the same one
-_grid = lru_cache(maxsize=16)(Grid1D)
-
-
 def _step_inputs(dt: float, values: np.ndarray, coefficients):
-    """The grid of ``values`` (2, n) and the coefficients with their default."""
+    """The node count n >= 1 of ``values`` (2, n) and the coefficients with their default."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    return _grid(values.shape[-1]), coefficients if coefficients is not None else _DEFAULT_COEFFICIENTS
+    n = values.shape[-1]
+    if n < 1:
+        raise ValueError("n_interior must be a positive integer")
+    return n, coefficients if coefficients is not None else _DEFAULT_COEFFICIENTS
 
 
 def _substep_times(t, dt: float, m: int) -> np.ndarray:
@@ -247,7 +246,7 @@ def _stepper(method: str, values: np.ndarray, dt: float, config: SolveConfig | N
     values at its ``_step_times``.  The carry is the sine coefficients of
     ``values`` for exp_euler/imex and None for picard.
     """
-    grid, c = _step_inputs(dt, values, coefficients)
+    n, c = _step_inputs(dt, values, coefficients)
     if method == "picard":
 
         def step(carry, values, t, s):
@@ -256,7 +255,7 @@ def _stepper(method: str, values: np.ndarray, dt: float, config: SolveConfig | N
             return carry, result.values, result.iterations
 
         return step, None
-    a, b = _weights(method, _exponents(grid.n_interior, c.d_u, c.d_v, dt), dt)
+    a, b = _weights(method, _exponents(n, c.d_u, c.d_v, dt), dt)
     return partial(_diagonal_step, a, b, c), to_coeffs(values)
 
 
@@ -283,13 +282,13 @@ def _diagonal_step(a, b, c: CoefficientSet, coeffs, values, t, s):
 
 
 @lru_cache(maxsize=16)
-def _picard_weights(grid: Grid1D, delta: float, m: int, c: CoefficientSet):
-    """Drift E^i and history weight K of a slab with m samples delta apart.
+def _picard_weights(n: int, delta: float, m: int, c: CoefficientSet):
+    """Drift E^i and history weight K of a slab of n nodes with m samples delta apart.
 
     E is the propagator over one substep gap; K[i, q] is the trapezoid
     weight times E^(i - q).  Cached, so a march builds them once.
     """
-    z = _exponents(grid.n_interior, c.d_u, c.d_v, delta)
+    z = _exponents(n, c.d_u, c.d_v, delta)
     drift = _exp(np.arange(m)[:, None, None] * z)
     kernel = np.zeros((m,) + drift.shape)
     for i in range(1, m):
@@ -303,7 +302,7 @@ def _one_step(method, values, t, dt, sources, coefficients) -> np.ndarray:
     """One exp_euler or imex step of nodal values (2, n) from t, its sources evaluated at t."""
     step, coeffs = _stepper(method, values, dt, None, coefficients)
     n = values.shape[-1]
-    src = sources if sources is not None else zero_sources(_grid(n))
+    src = sources if sources is not None else zero_sources(Grid1D(n))
     return step(coeffs, values, t, _source_values(src, np.array([t], dtype=float), n)[0])[1]
 
 
@@ -360,17 +359,14 @@ def picard_slab(
     for none; anything else raises ValueError.  The iterate is held at the
     m samples: sample i is E^i c_0 + sum_q K[i, q] F_q, with F_q the
     reaction-plus-source coefficients at sample q.  E^0 = 1 and K[0] = 0, so
-    sample 0 is c_0 + 0*F in every sweep: the first sweep transforms and
-    moves all m samples, each later one only the m - 1 that move, and
-    records sample 0's change as it reads, 0 while F is finite and NaN
-    once it is not.  A transformed row does not depend on its batch, so
-    each F_q has the bits of a transform of all m, up to the sign of a
-    zero: the swept sample 0 turns a -0.0 of c_0 into +0.0, and F_0 stays
-    the one made from c_0.  Each sweep forms the reaction plus the sources
-    in place, in the nodal values it has just transformed, with mass and
-    integral buffers made once per call.  Sweeping stops
-    when the max-over-samples product-norm change drops below
-    ``picard_tol``, and the end values are returned.  It also stops when
+    sample 0 is c_0 in every sweep, and every sweep moves and measures only
+    samples 1..m-1; F_0 is formed once, from c_0, with the first sweep's
+    F.  Where F is not finite a sweep records its change as NaN, as a
+    sweep over all m samples would, in which sample 0 moves by 0*F.  Each
+    sweep forms the reaction plus the sources in place, in the nodal values
+    it has just transformed.  Sweeping stops when the max-over-samples
+    product-norm change drops below ``picard_tol``, and the end values are
+    returned.  It also stops when
     that change is non-finite (NaN, or a squared change that overflowed):
     end values that are non-finite or whose norm reaches
     ``blowup_threshold`` are returned for the caller to classify, as the
@@ -378,48 +374,48 @@ def picard_slab(
     non-finite change or ``picard_max_iter`` sweeps spent, raises
     :class:`PicardConvergenceError`, so an unconverged slab never passes.
     """
-    grid, c = _step_inputs(dt, values, coefficients)
-    m, n = config.picard_substeps, grid.n_interior
+    n, c = _step_inputs(dt, values, coefficients)
+    m = config.picard_substeps
     if sources is None:
         sources = np.zeros((m, 2, n))
     elif not (isinstance(sources, np.ndarray) and sources.dtype == float and sources.shape == (m, 2, n)):
         got = getattr(sources, "shape", type(sources).__name__)
         raise ValueError(f"slab sources must be a float array of shape {(m, 2, n)}, got {got}")
-    drift, kernel = _picard_weights(grid, dt / (m - 1), m, c)
-    # the mass and its integral of each sample; no sweep writes their zero ends
-    scratch = np.zeros((2, m, n + 2))
+    drift, kernel = _picard_weights(n, dt / (m - 1), m, c)
 
-    def forced(samples, forcing, buffers):
+    def forced(samples, forcing):
         # DST(R(U) + S) of the samples' coefficients, R(U) + S formed in place
         x = to_values(samples)
-        _reaction_terms(x, c, x, buffers)
+        _reaction_terms(x, c, x)
         x += forcing
         return to_coeffs(x)
 
     start = drift * to_coeffs(values)
-    rhs = forced(start, sources, scratch)
-    iterate, swept, tol = start, slice(None), config.picard_tol
+    rhs = forced(start, sources)  # F_0, from c_0, is never formed again
+    iterate, tol = start[1:], config.picard_tol
     diff_norms: list[float] = []
     for sweep in range(config.picard_max_iter):
-        if sweep:  # sample 0 stays start[0], so its rhs[0] stays too
-            rhs[1:] = forced(iterate, sources[1:], scratch[:, 1:])
-        new = start[swept] + np.einsum("iqkn,qkn->ikn", kernel[swept], rhs)
+        if sweep:
+            rhs[1:] = forced(iterate, sources[1:])
+        new = start[1:] + np.einsum("iqkn,qkn->ikn", kernel[1:], rhs)
         # Parseval on the unit interval: ||f||_2^2 = (1/2) sum c_k^2; the
         # reductions are np.sum's and np.max's, called without their wrappers
         moved = new - iterate
         diffs = 0.5 * np.add.reduce(np.square(moved, out=moved), axis=(1, 2))
         change = math.sqrt(np.maximum.reduce(diffs))
         if not math.isfinite(change) and not np.isfinite(rhs).all():
-            change = math.nan  # sample 0 moves by 0*F, NaN where F is not finite
+            # a sweep over all m samples would move sample 0 by 0*F, NaN
+            # where F is not finite, and record that NaN as its change
+            change = math.nan
         diff_norms.append(change)
-        iterate, swept = new[1 - m:], slice(1, None)  # later sweeps move samples 1..m-1
+        iterate = new
         if change < tol:
             return PicardResult(to_values(new[-1]), len(diff_norms), tuple(diff_norms))
         if not math.isfinite(change):
             # the sweeps cannot contract from here: end values that are
             # non-finite or a blow-up candidate go to the caller to classify
             end = to_values(new[-1])
-            if not pair_norm(end, grid.h) < config.blowup_threshold:
+            if not pair_norm(end, 1.0 / (n + 1)) < config.blowup_threshold:
                 return PicardResult(end, len(diff_norms), tuple(diff_norms))
             break
     raise PicardConvergenceError(t, len(diff_norms), tuple(diff_norms))
@@ -507,9 +503,10 @@ def solve(
     float arrays of shape (1, n) raise ValueError before the first step.
     """
     values0 = state0.values
-    grid, c = _step_inputs(config.dt, values0, coefficients)
+    n, c = _step_inputs(config.dt, values0, coefficients)
+    grid = Grid1D(n)
     src = sources if sources is not None else zero_sources(grid)
-    _source_values(src, np.zeros(1), grid.n_interior)
+    _source_values(src, np.zeros(1), n)
     times, snapshots = [0.0], [values0]
     # the march classifies a state that overflows or turns non-finite
     # itself, and its diagnostics are then inf or NaN: numpy's warnings on

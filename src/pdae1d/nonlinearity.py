@@ -205,9 +205,7 @@ def tabulated_sources(grid: Grid1D, path: str) -> SourcePair:
     )
 
 
-def _reaction_terms(
-    values: np.ndarray, c: CoefficientSet, out: np.ndarray | None = None, scratch: np.ndarray | None = None,
-) -> np.ndarray:
+def _reaction_terms(values: np.ndarray, c: CoefficientSet, out: np.ndarray | None = None) -> np.ndarray:
     """Source-free reaction (-u*I, +v*I) of nodal pairs shaped (..., 2, n).
 
     I is the trapezoid running integral of p_u*u + p_v*v over the pair with
@@ -215,13 +213,10 @@ def _reaction_terms(
     ``constraint._mass`` and the integral from ``running_integral``, the
     helpers ``reconstruct_w`` uses.  Leading axes are a batch.  The result
     is a new array, or ``out`` if given: ``values`` itself or an array of its
-    shape that does not overlap it.  ``scratch``, if given, is a zeroed pair
-    of (..., n+2) arrays that take the mass and the integral.  Each gives
-    the same bits.
+    shape that does not overlap it.  Each gives the same bits.
     """
-    mass, integral = (None, None) if scratch is None else scratch
     h = 1.0 / (values.shape[-1] + 1)
-    integral = running_integral(_mass(values, c.p_u, c.p_v, mass), h, integral)
+    integral = running_integral(_mass(values, c.p_u, c.p_v), h)
     if out is None:
         out = np.array(values, dtype=float)
     elif out is not values:

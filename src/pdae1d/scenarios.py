@@ -461,18 +461,24 @@ def run_verification(
 
     The sizes must be distinct and there must be at least one; otherwise
     ValueError, since reports are keyed by size and no check means no pass.
-    The size at position i seeds its checks with ``seed + 100 * i``; each
-    report is the ``asdict`` of its ``PropertyReport``.
+    A bad size, or a sample count that is not an integer of at least 1,
+    raises ValueError before the first check.  The size at position i
+    seeds its checks with ``seed + 100 * i``; each report is the
+    ``asdict`` of its ``PropertyReport``.
     """
     sizes = [_whole(n, "a grid size") for n in grid_sizes]
     if not sizes:
         raise ValueError("verification needs at least one grid size")
     if len(set(sizes)) != len(sizes):
         raise ValueError(f"grid sizes must be distinct, got {sizes}")
+    grids = [Grid1D(n) for n in sizes]
+    for name, count in (("n_samples", n_samples), ("lipschitz_samples", lipschitz_samples)):
+        if _whole(count, name) < 1:
+            raise ValueError(f"{name} must be >= 1")
     payload: dict = {"seed": seed, "grid_sizes": sizes, "reports": {}}
     all_passed = True
-    for index, n in enumerate(sizes):
-        reports = run_checks(Grid1D(n), seed + 100 * index, n_samples, lipschitz_samples)
+    for index, (n, grid) in enumerate(zip(sizes, grids)):
+        reports = run_checks(grid, seed + 100 * index, n_samples, lipschitz_samples)
         payload["reports"][str(n)] = [asdict(r) for r in reports]
         all_passed = all_passed and all(r.passed for r in reports)
     payload["all_passed"] = all_passed

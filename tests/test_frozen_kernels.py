@@ -8,9 +8,9 @@ every sweep transforming all samples.  Outputs must match them bit for
 bit, NaN payloads and infinities included.  Only the sign of a zero may
 differ, from two sources.  The shared mass builder pads with +0.0 where
 the padded pair gave p_u*0 + p_v*0, which is -0.0 when both are negative.
-And a Picard sweep's sample 0 is start + 0*rhs, which turns a -0.0 start
-coefficient into +0.0: the plain loop re-transformed that +0.0, the
-package keeps the right-hand side made from the -0.0.  Any sum with a
+And the plain loop sweeps sample 0 as start + 0*rhs, which turns a -0.0
+start coefficient into +0.0 and re-transforms that +0.0; the package never
+moves sample 0 and keeps the right-hand side made from the -0.0.  Any sum with a
 nonzero term or a +0.0 source erases either difference.
 
 One Picard ending differs by design.  The package ends the sweeps at the
@@ -60,11 +60,21 @@ def frozen_reconstruct_w(values, p_u, p_v):
     return frozen_running_integral(-frozen_running_integral(constraint._mass(values, p_u, p_v), h), h)
 
 
+def frozen_picard_weights(n, delta, m, c):
+    """Drift E^i and history weight K of a slab, built apart from the package's own weights."""
+    drift = np.exp(np.arange(m)[:, None, None] * frozen_exponents(n, c.d_u, c.d_v, delta))
+    kernel = np.zeros((m,) + drift.shape)
+    for i in range(1, m):
+        kernel[i, : i + 1] = delta * drift[i::-1]  # E^(i - q) for q = 0..i
+        kernel[i, [0, i]] *= 0.5
+    return drift, kernel
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def frozen_picard_slab(values, t, dt, config, src, c):
     """(end values, sweeps, diff_norms), or ("no convergence", sweeps, diff_norms)."""
     m = config.picard_substeps
-    drift, kernel = integrators._picard_weights(Grid1D(values.shape[-1]), dt / (m - 1), m, c)
+    drift, kernel = frozen_picard_weights(values.shape[-1], dt / (m - 1), m, c)
     forcing = np.empty(drift.shape)
     for i, s in enumerate(integrators._substep_times(t, dt, m)):
         forcing[i] = at(src, s)
@@ -348,9 +358,8 @@ def previous_pair_norm(values, h):
 
 # A Picard slab takes the (m, 2, n) source values of its substep times from
 # the march, which evaluates them for a block of slabs with one call of each
-# component.  After its first sweep a slab moves and measures only the m - 1
-# samples that can move, and forms each sweep's reaction plus sources in
-# place.  The frozen copy below is the slab's previous form: its own f and g
+# component.  Every sweep of a slab moves and measures only the m - 1
+# samples that can move, and forms its reaction plus sources in place.  The frozen copy below is the slab's previous form: its own f and g
 # call, and every sweep's kernel product and change over all m samples.  The
 # two must agree bit for bit, the sign of a zero included: end values,
 # sweeps, every change, and the time, sweeps and message of a
@@ -359,7 +368,7 @@ def previous_pair_norm(values, h):
 def all_samples_picard_slab(values, t, dt, config, src, c):
     n = values.shape[-1]
     m = config.picard_substeps
-    drift, kernel = integrators._picard_weights(Grid1D(n), dt / (m - 1), m, c)
+    drift, kernel = frozen_picard_weights(n, dt / (m - 1), m, c)
     times = integrators._substep_times(t, dt, m)
     forcing = np.stack((src.f(times), src.g(times)), axis=1)
     start = drift * to_coeffs(values)

@@ -136,6 +136,17 @@ class TestExpEuler:
             step_exp_euler(np.zeros((2, 4)), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_one_step_rejects_a_pair_without_nodes(method):
+    step = {
+        "exp_euler": lambda v: step_exp_euler(v, 0.0, 0.01),
+        "imex": lambda v: step_imex(v, 0.0, 0.01),
+        "picard": lambda v: picard_slab(v, 0.0, 0.01, SolveConfig(dt=0.01, t_end=0.1)),
+    }[method]
+    with pytest.raises(ValueError, match="n_interior must be a positive integer"):
+        step(np.zeros((2, 0)))
+
+
 class TestImex:
     def test_zero_is_fixed_point(self):
         out = step_imex(np.zeros((2, 10)), 0.0, 0.1)

@@ -27,7 +27,7 @@ from pdae1d import (
     run_scenario,
     run_verification,
 )
-from pdae1d import scenarios
+from pdae1d import scenarios, verification
 from pdae1d.cli import build_parser, main
 from pdae1d.fields import _field_types, pair_norm
 from pdae1d.integrators import METHODS
@@ -904,6 +904,26 @@ class TestCli:
         if case in self.MESSAGES:
             assert self.MESSAGES[case] in err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--sizes", "16,64,256,0"], "n_interior must be a positive integer"),
+            (["--sizes", "256,16", "--lipschitz-samples", "0"], "lipschitz_samples must be >= 1"),
+            (["--sizes", "256,16", "--samples", "0"], "n_samples must be >= 1"),
+        ],
+        ids=["last size", "lipschitz samples", "samples"],
+    )
+    def test_verify_rejects_bad_input_before_any_check(self, args, message, tmp_path, monkeypatch, capsys):
+        calls = []
+        for check in ("dissipativity", "maximality", "semigroup", "lipschitz"):
+            monkeypatch.setattr(verification, f"check_{check}", lambda *a, name=check: calls.append(name))
+        report = tmp_path / "verify" / "report.json"
+        assert main(["verify", *args, "--output", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert calls == []
+        assert not report.exists()
+
     def test_run_subcommand(self, tmp_path, capsys):
         code = main(
             [
@@ -1011,6 +1031,19 @@ class TestCli:
         with pytest.raises(ValueError, match=f"grid size must be an integer, got {size!r}"):
             run_verification([8, size], seed=0, n_samples=5, lipschitz_samples=5, output_path=str(out))
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["n_samples", "lipschitz_samples"])
+    @pytest.mark.parametrize("count", [2.5, 5.0, True])
+    def test_verification_rejects_a_sample_count_that_is_not_an_integer_before_any_check(
+        self, name, count, tmp_path, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(verification, "check_dissipativity", lambda *a: calls.append(a))
+        out = tmp_path / "verify.json"
+        counts = {"n_samples": 5, "lipschitz_samples": 5, name: count}
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {count!r}")):
+            run_verification([8], seed=0, output_path=str(out), **counts)
+        assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -24,7 +24,10 @@ at n = 7, 8 at n = 128), so the Picard runs on that table and over 500
 slabs of mms at n = 7 cross block boundaries, growth_probe's Picard
 run at the default n = 128 blows up inside a block, and its run at n = 63
 (16 slabs a block) with at most 7 sweeps a slab ends as a step failure,
-no convergence at t = 0.06, in its fourth block; ``mms-sources`` at
+no convergence at t = 0.06, in its fourth block, and a custom Picard run on
+a source table of f = 1.5e308 sin(pi x), which the tool writes first, ends
+as a step failure, a non-finite state at t = 0, after one sweep whose
+sine transform of the sources overflows; ``mms-sources`` at
 several times, -0 among them, evaluates a vector of times per call.  For each command it prints the
 command, its exit code, and ``sha256  name`` lines for its stdout, its
 stderr and every file it wrote, in path order.  BLAS is held to one
@@ -43,6 +46,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 import tempfile
@@ -82,6 +86,8 @@ COMMANDS = [
     "run --scenario mms --method picard --n-interior 7 --dt 1e-4 --t-end 0.05 --output-dir run-mms-picard-blocks",
     "run --scenario custom --method picard --ic-file custom-ic.txt --source-file custom-sources.txt"
     " --n-interior 7 --output-dir run-custom-n7-picard",
+    "run --scenario custom --method picard --ic-file custom-ic.txt --source-file overflow-sources.txt"
+    " --n-interior 7 --dt 0.01 --t-end 0.1 --output-dir run-custom-overflow-picard",
     "run --scenario custom --ic-file custom-ic.txt --n-interior 7 --t-end 0.05 --output-dir run-custom-zero-sources",
     "run --scenario decay --ic-file custom-ic.txt --n-interior 7 --t-end 0.05 --output-dir run-decay-ic",
     "run --scenario growth_probe --source-file custom-sources.txt --n-interior 7"
@@ -100,13 +106,17 @@ COMMANDS = [
 
 NODES_7 = [j / 8 for j in range(9)]
 # files written before the first command: a config with float fields given as
-# JSON integers, whose "# config:" echo must keep them as written, and the
-# initial profile (interior nodes) and source slabs (all nodes) of the custom run
+# JSON integers, whose "# config:" echo must keep them as written, the initial
+# profile (interior nodes) and source slabs (all nodes) of the custom runs, and
+# the slabs of a source f whose sine transform overflows
 CONFIG_FILES = {
     "int-floats.json": '{"scenario": "decay", "n_interior": 15, "dt": 0.05, "t_end": 1, "d_v": 2}',
     "custom-ic.txt": "".join(f"{x!r} {x * (1 - x)!r} {0.5 * x!r}\n" for x in NODES_7[1:-1]),
     "custom-sources.txt": "".join(
         f"{t!r} {x!r} {t * x * (1 - x)!r} {(1 - t) * x!r}\n" for t in (0.0, 0.25, 0.6) for x in NODES_7
+    ),
+    "overflow-sources.txt": "".join(
+        f"{t!r} {x!r} {1.5e308 * math.sin(math.pi * x)!r} 0.0\n" for t in (0.0, 1.0) for x in NODES_7
     ),
 }
 

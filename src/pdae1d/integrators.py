@@ -361,14 +361,13 @@ def picard_slab(
     reaction-plus-source coefficients at sample q.  E^0 = 1 and K[0] = 0, so
     sample 0 is c_0 in every sweep, and every sweep moves and measures only
     samples 1..m-1; F_0 is formed once, from c_0, with the first sweep's
-    F.  Where F is not finite a sweep records its change as NaN, as a
-    sweep over all m samples would, in which sample 0 moves by 0*F.  Each
-    sweep forms the reaction plus the sources in place, in the nodal values
-    it has just transformed.  Sweeping stops when the max-over-samples
-    product-norm change drops below ``picard_tol``, and the end values are
-    returned.  It also stops when
-    that change is non-finite (NaN, or a squared change that overflowed):
-    end values that are non-finite or whose norm reaches
+    F.  Each sweep forms the reaction plus the sources in place, in the
+    nodal values it has just transformed.  Sweeping stops when the
+    max-over-samples product-norm change drops below ``picard_tol``, and
+    the end values are returned.  It also stops when that change is
+    non-finite (NaN, or a squared change that overflowed), as it is after
+    any sweep with a non-finite F, which makes sample m-1 non-finite: end
+    values that are non-finite or whose norm reaches
     ``blowup_threshold`` are returned for the caller to classify, as the
     other methods' are.  Any other ending, finite end values after a
     non-finite change or ``picard_max_iter`` sweeps spent, raises
@@ -403,10 +402,6 @@ def picard_slab(
         moved = new - iterate
         diffs = 0.5 * np.add.reduce(np.square(moved, out=moved), axis=(1, 2))
         change = math.sqrt(np.maximum.reduce(diffs))
-        if not math.isfinite(change) and not np.isfinite(rhs).all():
-            # a sweep over all m samples would move sample 0 by 0*F, NaN
-            # where F is not finite, and record that NaN as its change
-            change = math.nan
         diff_norms.append(change)
         iterate = new
         if change < tol:

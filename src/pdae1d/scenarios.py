@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -59,7 +59,11 @@ SCENARIOS = ("decay", "mms", "growth_probe", "custom")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One run's worth of knobs; unknown keys in config files are rejected."""
+    """One run's worth of knobs; unknown keys in config files are rejected.
+
+    A ``blowup_threshold`` of None is the scenario's default: 1e3 for
+    growth_probe, 1e6 otherwise.
+    """
 
     scenario: str = "decay"
     n_interior: int = 128
@@ -95,18 +99,12 @@ class ScenarioConfig:
                 "mms scenario starts from the manufactured pair and derives its own sources; "
                 "ic_file and source_file not allowed"
             )
-
-    def resolved(self) -> "ScenarioConfig":
-        """Fill scenario-dependent defaults (currently the blow-up threshold)."""
-        if self.blowup_threshold is not None:
-            return self
-        default = 1e3 if self.scenario == "growth_probe" else 1e6
-        return replace(self, blowup_threshold=default)
+        if self.blowup_threshold is None:
+            object.__setattr__(self, "blowup_threshold", 1e3 if self.scenario == "growth_probe" else 1e6)
 
     def solve_config(self, **overrides) -> SolveConfig:
-        """The marching parameters of the resolved config, with ``overrides`` applied."""
-        cfg = self.resolved()
-        params = {f.name: getattr(cfg, f.name) for f in fields(SolveConfig)}
+        """The marching parameters of the config, with ``overrides`` applied."""
+        params = {f.name: getattr(self, f.name) for f in fields(SolveConfig)}
         return SolveConfig(**{**params, **overrides})
 
     @classmethod
@@ -350,7 +348,6 @@ def run_scenario(cfg: ScenarioConfig) -> int:
 
     0 = completed, 1 = step failure or I/O failure, 2 = blow-up detected.
     """
-    cfg = cfg.resolved()
     try:
         grid = Grid1D(cfg.n_interior)
         state0, sources, coefficients = _march_inputs(cfg, grid)
@@ -411,14 +408,13 @@ def run_convergence(cfg: ScenarioConfig, dt_levels=(), n_levels=()) -> list[dict
     error at the finest dt); ``n_levels`` refines space at the configured
     dt, which must be small enough to saturate.  observed_order is the
     log2 error ratio against the previous row of the same sweep, NaN on
-    the first row.  Every level marches with the resolved blow-up
+    the first row.  Every level marches with the config's blow-up
     threshold; a level that stops early raises RuntimeError, and a sweep
     with no level at all, a level repeated within its sweep, or a level
     whose grid or marching parameters are invalid raises ValueError
     before any march.  Writes convergence.csv under the output
     directory.
     """
-    cfg = cfg.resolved()
     if cfg.scenario != "mms":
         raise ValueError("convergence sweeps require the mms scenario")
     dt_levels = tuple(map(float, dt_levels))

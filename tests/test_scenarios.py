@@ -170,14 +170,9 @@ class TestScenarioConfig:
         assert ScenarioConfig(scenario="custom", ic_file="somewhere.csv").ic_file == "somewhere.csv"
 
     def test_threshold_resolution(self):
-        assert ScenarioConfig(scenario="decay").resolved().blowup_threshold == 1e6
-        assert ScenarioConfig(scenario="growth_probe").resolved().blowup_threshold == 1e3
-        assert (
-            ScenarioConfig(scenario="growth_probe", blowup_threshold=7.0)
-            .resolved()
-            .blowup_threshold
-            == 7.0
-        )
+        assert ScenarioConfig(scenario="decay").blowup_threshold == 1e6
+        assert ScenarioConfig(scenario="growth_probe").blowup_threshold == 1e3
+        assert ScenarioConfig(scenario="growth_probe", blowup_threshold=7.0).blowup_threshold == 7.0
 
     @pytest.mark.parametrize(
         "key, value",

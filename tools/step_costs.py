@@ -33,6 +33,16 @@ this checkout's ``src/``.
 
 To compare two checkouts, copy this file into the other one's tools/ and
 run the two in turn a few times; the host's speed drifts between runs.
+
+The Picard figure at n = 256 (the dense sine kernel) moves with what the
+process timed before it, the heap and cache state the other columns leave.
+On a 2-vCPU host, over five alternating runs a side, the round-robin figure
+read one pair of checkouts at 769.7 and 774.3 µs per slab (medians), while
+the same ``march_timer(256, "picard")`` timed alone in fresh processes
+(best of 30, eight a side) read 774-786 against 755-774 µs, every run of
+the second checkout lower.  So this table cannot resolve a per-slab change
+of a few percent at n = 256; compare such a change with that march timed
+alone, in alternating fresh processes.
 """
 
 from __future__ import annotations

@@ -70,7 +70,9 @@ def _mass(values: np.ndarray, p_u: float, p_v: float) -> np.ndarray:
     """p_u*u + p_v*v of nodal pairs (..., 2, n) at all n+2 nodes, zero at both ends.
 
     At the default weights p_u = p_v = 1 the products are skipped: 1.0 * x
-    is x bit for bit, NaN, -0.0 and subnormals included.
+    is x bit for bit, NaN, -0.0 and subnormals included.  Each row of a stack
+    gives the bits of a single call where no two NaNs meet; where they do,
+    the sign of the NaN may differ.
     """
     full = np.zeros(values.shape[:-2] + (values.shape[-1] + 2,))
     u, v = values[..., 0, :], values[..., 1, :]
@@ -93,7 +95,8 @@ def reconstruct_w(state: StatePair | np.ndarray, p_u: float = 1.0, p_v: float = 
     (..., 2, n), or is a StatePair, which is converted to its (2, n)
     values; the result is w at all n+2 nodes shaped (..., n+2), w(0) first
     and w(1) last.  Each row of a stack equals the single-state profile
-    bit for bit.
+    bit for bit where no two NaNs meet; where they do, the sign of the NaN
+    may differ.
     """
     values = state.values if isinstance(state, StatePair) else state
     h = 1.0 / (values.shape[-1] + 1)

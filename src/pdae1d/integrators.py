@@ -19,10 +19,10 @@ functions take and return such arrays.  Only ``solve`` takes a
 
 Every method has one step contract, ``step(carry, values, t, s) ->
 (carry, values, sweeps)``: t is the step's start and s the source values
-at the step's source times, which ``_step_times`` gives from the starts of
-a block of steps: the start itself for exponential Euler and IMEX, with s
-shaped (2, n), and the m = ``picard_substeps`` substep times of a Picard
-slab, with s shaped (m, 2, n).  An exp_euler or imex step is
+at the step's source times t + offsets.  ``_stepper`` gives each method's
+step, carry and offsets: 0.0 for exponential Euler and IMEX, with s shaped
+(2, n), and the m = ``picard_substeps`` substep offsets of a Picard slab,
+with s shaped (m, 2, n).  An exp_euler or imex step is
 ``_diagonal_step`` on the weights (a, b) that ``_weights`` builds from z
 and carries the (2, n) sine coefficients; a Picard step is one
 ``picard_slab``, which carries nothing and never evaluates the sources.
@@ -216,47 +216,26 @@ def _step_inputs(dt: float, values: np.ndarray, coefficients):
     return n, coefficients if coefficients is not None else _DEFAULT_COEFFICIENTS
 
 
-def _substep_times(t, dt: float, m: int) -> np.ndarray:
-    """The m uniformly spaced samples t + i * (dt / (m - 1)) of the slab [t, t + dt].
-
-    Shaped (m,) for a float t, and (K, m) for a 1-D array of K slab starts.
-    """
-    return np.add.outer(t, np.arange(m) * (dt / (m - 1)))
-
-
-def _step_times(method: str, starts: np.ndarray, dt: float, m: int) -> np.ndarray:
-    """The source times of the steps of length dt from ``starts`` (K,).
-
-    ``starts`` itself for exp_euler and imex, and the (K, m) substep times
-    of each slab for picard.
-    """
-    return _substep_times(starts, dt, m) if method == "picard" else starts
-
-
-def _block_steps(method: str, n: int, m: int) -> int:
-    """The steps of a march block: at most ``_BLOCK_VALUES`` source values, and at least one step."""
-    times_per_step = _step_times(method, np.zeros(1), 1.0, m).size
-    return max(1, _BLOCK_VALUES // (2 * n * times_per_step))
-
-
 def _stepper(method: str, values: np.ndarray, dt: float, config: SolveConfig | None, coefficients):
-    """One method's ``step(carry, values, t, s) -> (carry, values, sweeps)`` and its starting carry.
+    """One method's ``step(carry, values, t, s) -> (carry, values, sweeps)``, starting carry and offsets.
 
     A step advances nodal values (2, n) by dt from t, with s the source
-    values at its ``_step_times``.  The carry is the sine coefficients of
-    ``values`` for exp_euler/imex and None for picard.
+    values at t + offsets: 0.0 for exp_euler/imex, so s is (2, n), and the m
+    substep offsets of a Picard slab, so s is (m, 2, n).  The carry is the
+    sine coefficients of ``values`` for exp_euler/imex and None for picard.
     """
     n, c = _step_inputs(dt, values, coefficients)
     if method == "picard":
+        m = config.picard_substeps
 
         def step(carry, values, t, s):
             # through the module binding, so a tracer of picard_slab sees every slab
             result = picard_slab(values, t, dt, config, s, c)
             return carry, result.values, result.iterations
 
-        return step, None
+        return step, None, np.arange(m) * (dt / (m - 1))
     a, b = _weights(method, _exponents(n, c.d_u, c.d_v, dt), dt)
-    return partial(_diagonal_step, a, b, c), to_coeffs(values)
+    return partial(_diagonal_step, a, b, c), to_coeffs(values), 0.0
 
 
 def _weights(method: str, z: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +279,7 @@ def _picard_weights(n: int, delta: float, m: int, c: CoefficientSet):
 
 def _one_step(method, values, t, dt, sources, coefficients) -> np.ndarray:
     """One exp_euler or imex step of nodal values (2, n) from t, its sources evaluated at t."""
-    step, coeffs = _stepper(method, values, dt, None, coefficients)
+    step, coeffs, _ = _stepper(method, values, dt, None, coefficients)
     n = values.shape[-1]
     src = sources if sources is not None else zero_sources(Grid1D(n))
     return step(coeffs, values, t, _source_values(src, np.array([t], dtype=float), n)[0])[1]
@@ -355,7 +334,7 @@ def picard_slab(
 
     ``values`` are the nodal values (2, n) at t, and ``sources`` the source
     values (f, g) at the slab's m = ``picard_substeps`` substep times
-    ``_substep_times(t, dt, m)``, a float array shaped (m, 2, n), or None
+    t + i * (dt / (m - 1)), a float array shaped (m, 2, n), or None
     for none; anything else raises ValueError.  The iterate is held at the
     m samples: sample i is E^i c_0 + sum_q K[i, q] F_q, with F_q the
     reaction-plus-source coefficients at sample q.  E^0 = 1 and K[0] = 0, so
@@ -436,23 +415,24 @@ def _march(
     """Advance ``values`` (2, n) from t = 0, appending each snapshot's time and values.
 
     One loop for every method; returns the terminal status, the accepted
-    steps and the Picard sweeps.  The steps go in blocks of
-    ``_block_steps``, whose start times ``np.arange(k0, k1) * dt`` are each
-    step's k * dt; a block's source values at their ``_step_times`` come
-    from one f and one g call.  Runs inside ``solve``'s ``np.errstate``, so
-    its norm is the unguarded one.
+    steps and the Picard sweeps.  The steps go in blocks of at most
+    ``_BLOCK_VALUES`` source values and at least one step, whose start times
+    ``np.arange(k0, k1) * dt`` are each step's k * dt; a block's source
+    values at its start times plus the stepper's offsets come from one f and
+    one g call.  Runs inside ``solve``'s ``np.errstate``, so its norm is the
+    unguarded one.
     """
     dt, h, threshold, every = config.dt, grid.h, config.blowup_threshold, config.snapshot_every
     if _pair_norm(values, h) >= threshold:
         return RunStatus.blowup_detected(0.0), 0, 0
-    method, n, m = config.method, grid.n_interior, config.picard_substeps
-    step, carry = _stepper(method, values, dt, config, c)
+    n = grid.n_interior
+    step, carry, offsets = _stepper(config.method, values, dt, config, c)
     sweeps = 0
     n_steps = round(config.t_end / dt)
-    block = _block_steps(method, n, m)
+    block = max(1, _BLOCK_VALUES // (2 * n * np.size(offsets)))
     t_now = 0.0
     for k0 in range(0, n_steps, block):
-        step_times = _step_times(method, np.arange(k0, min(k0 + block, n_steps)) * dt, dt, m)
+        step_times = np.add.outer(np.arange(k0, min(k0 + block, n_steps)) * dt, offsets)
         rows = _source_values(src, step_times.ravel(), n).reshape(step_times.shape + (2, n))
         for k, s, s_times in zip(range(k0 + 1, n_steps + 1), rows, step_times):
             t_prev, t_now = t_now, k * dt

@@ -181,17 +181,18 @@ def tabulated_sources(grid: Grid1D, path: str) -> SourcePair:
     """Sources from a table with columns (t, x, f, g), read by :func:`read_node_table`.
 
     Evaluation interpolates linearly in t and clamps outside the tabulated
-    range.  Values at x = 0 and x = 1, if tabulated, are dropped without a
-    check: a source at a Dirichlet node never enters the interior solve.
+    range; a NaN time gives a NaN row.  Values at x = 0 and x = 1, if
+    tabulated, are dropped without a check: a source at a Dirichlet node
+    never enters the interior solve.
     """
     times, slabs = read_node_table(path, grid, ("t", "x", "f", "g"))
 
     def interpolate(component, ts):
-        out = np.empty((len(ts), slabs.shape[-1]))
+        out = np.full((len(ts), slabs.shape[-1]), np.nan)
         before, after = ts <= times[0], ts >= times[-1]
         out[after] = slabs[-1, component]
         out[before] = slabs[0, component]  # written last: a one-slab table gives slab 0
-        inside = ~(before | after)
+        inside = (ts > times[0]) & (ts < times[-1])  # a NaN time is in none of the three
         s = ts[inside]
         i = np.searchsorted(times, s, side="right") - 1
         theta = ((s - times[i]) / (times[i + 1] - times[i]))[:, None]
@@ -213,7 +214,9 @@ def _reaction_terms(values: np.ndarray, c: CoefficientSet, out: np.ndarray | Non
     ``constraint._mass`` and the integral from ``running_integral``, the
     helpers ``reconstruct_w`` uses.  Leading axes are a batch.  The result
     is a new array, or ``out`` if given: ``values`` itself or an array of its
-    shape that does not overlap it.  Each gives the same bits.
+    shape that does not overlap it.  Each gives the same bits, and each row
+    of a stack those of a single call where no two NaNs meet; where they do,
+    the sign of the NaN may differ.
     """
     h = 1.0 / (values.shape[-1] + 1)
     integral = running_integral(_mass(values, c.p_u, c.p_v), h)

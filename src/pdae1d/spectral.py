@@ -297,15 +297,14 @@ def solve_shifted(g: np.ndarray, lam: float) -> np.ndarray:
     off = -1.0 / (1.0 / (n + 1)) ** 2
     diag = lam - 2.0 * off  # lam + 2/h^2: doubling is exact
     y = np.array(g.reshape(-1, n).T, dtype=float, order="C")
-    rows = list(y)  # row i holds node i of every right-hand side
-    scratch = np.empty(y.shape[1:])
+    rows = list(y)  # row i holds node i of every right-hand side, a view of y
     pivots = [diag]
     for i in range(1, n):
         m = off / pivots[-1]
         pivots.append(diag - m * off)
-        np.subtract(rows[i], np.multiply(rows[i - 1], m, out=scratch), out=rows[i])
-    np.divide(rows[-1], pivots[-1], out=rows[-1])
+        rows[i] -= rows[i - 1] * m
+    rows[-1] /= pivots[-1]
     for i in range(n - 2, -1, -1):
-        np.subtract(rows[i], np.multiply(rows[i + 1], off, out=scratch), out=rows[i])
-        np.divide(rows[i], pivots[i], out=rows[i])
+        rows[i] -= rows[i + 1] * off
+        rows[i] /= pivots[i]
     return y.T.reshape(g.shape)

@@ -251,8 +251,9 @@ def wave_sources(n):
 
 
 def slab_sources(src, t, dt, config, n):
-    """The (m, 2, n) source values of a slab from t, as a march hands them to picard_slab."""
-    return _source_values(src, integrators._substep_times(t, dt, config.picard_substeps), n)
+    """The (m, 2, n) source values of a slab from t at its substep times t + i * (dt / (m - 1))."""
+    m = config.picard_substeps
+    return _source_values(src, np.array([t + i * (dt / (m - 1)) for i in range(m)]), n)
 
 
 def write_table(path, grid, times, rng):
@@ -266,8 +267,11 @@ def write_table(path, grid, times, rng):
 
 
 def march_times(n):
-    """0.0, -0.0, the start times k * dt around the first block boundaries and Picard substep times."""
-    block = integrators._block_steps("exp_euler", n, 4)
+    """0.0, -0.0, the start times k * dt around the first block boundaries and Picard substep times.
+
+    An exp_euler block holds 8192 // (2n) steps, at least one.
+    """
+    block = max(1, 8192 // (2 * n))
     times = [0.0, -0.0]
     for dt in (1e-5, 1e-3, 0.005):
         starts = [k * dt for k in (1, block - 1, block, block + 1, 2 * block, 3 * block - 1)]
@@ -490,7 +494,8 @@ def test_picard_slab_takes_only_its_source_values(n):
 )
 def test_marches_across_source_blocks_equal_a_step_by_step_march(method, n, n_steps, tmp_path):
     grid, dt = Grid1D(n), 1e-3
-    assert n_steps > 2 * integrators._block_steps(method, n, 4)
+    # a block holds 8192 // (2n) steps, or 8192 // (2nm) slabs of m = 4 substeps
+    assert n_steps > 2 * (8192 // (2 * n * (4 if method == "picard" else 1)))
     spec, c = SPECS[1], COEFFICIENTS[1]
     state0 = pdae1d.mms_state(spec, grid, 0.0)
     config = SolveConfig(dt=dt, t_end=n_steps * dt, method=method)

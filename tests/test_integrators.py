@@ -46,8 +46,9 @@ def switched(condition, on, off):
 
 
 def slab_sources(pair, t, cfg, n):
-    """The (m, 2, n) source values of the Picard slab of length cfg.dt from t, as a march hands them over."""
-    return nonlinearity._source_values(pair, integrators._step_times("picard", t, cfg.dt, cfg.picard_substeps), n)
+    """The (m, 2, n) source values of the Picard slab of length cfg.dt from t at its times t + i * (dt / (m - 1))."""
+    dt, m = cfg.dt, cfg.picard_substeps
+    return nonlinearity._source_values(pair, np.array([t + i * (dt / (m - 1)) for i in range(m)]), n)
 
 
 def dense_laplacian(n):
@@ -555,7 +556,7 @@ def planting(monkeypatch, value, t_bad):
     original = integrators._stepper
 
     def stepper(*args):
-        step, carry = original(*args)
+        step, carry, offsets = original(*args)
 
         def planted(carry, values, t, s):
             carry, values, sweeps = step(carry, values, t, s)
@@ -564,7 +565,7 @@ def planting(monkeypatch, value, t_bad):
                 values[1, 5] = value
             return carry, values, sweeps
 
-        return planted, carry
+        return planted, carry, offsets
 
     monkeypatch.setattr(integrators, "_stepper", stepper)
 
@@ -677,23 +678,22 @@ def recording(pair, calls):
 class TestSourceBlocks:
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("n, n_steps", [(7, 1300), (256, 40)])
-    def test_one_call_of_each_component_per_block_or_slab(self, method, n, n_steps):
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_one_call_of_each_component_per_block_or_slab(self, method, n, n_steps, m):
         grid, dt = Grid1D(n), 1e-3
         spec = MmsSpec()
         calls = []
         src = recording(build_mms_sources(spec, grid), calls)
-        cfg = SolveConfig(dt=dt, t_end=n_steps * dt, method=method, snapshot_every=n_steps)
+        cfg = SolveConfig(dt=dt, t_end=n_steps * dt, method=method, picard_substeps=m, snapshot_every=n_steps)
         traj = solve(mms_state(spec, grid, 0.0), cfg, src)
         assert traj.status.kind == "completed" and traj.steps_taken == n_steps
-        m = cfg.picard_substeps
-        block = integrators._block_steps(method, n, m)
         if method == "picard":
-            # the m substep times of each slab of a block of slabs, flattened
-            assert block == 8192 // (2 * n * m) == {7: 146, 256: 4}[n]
+            # the m substep times of each slab of a block of 8192 // (2nm) slabs, flattened
+            block = {(7, 2): 292, (7, 4): 146, (7, 6): 97, (256, 2): 8, (256, 4): 4, (256, 6): 2}[n, m]
             step_times = lambda k: [k * dt + i * (dt / (m - 1)) for i in range(m)]  # noqa: E731
         else:
-            # the start time k * dt of each step of a block of steps
-            assert block == 8192 // (2 * n) == {7: 585, 256: 16}[n]
+            # the start time k * dt of each step of a block of 8192 // (2n) steps, whatever m is
+            block = {7: 585, 256: 16}[n]
             step_times = lambda k: [k * dt]  # noqa: E731
         wanted = [
             [t for k in range(k0, min(k0 + block, n_steps)) for t in step_times(k)]
@@ -734,7 +734,6 @@ class TestSourceBlocks:
         turning, steady = switched(lambda t: t >= 0.0425, nan, zero), held(zero)
         pair = SourcePair(f=turning, g=steady) if component == "f" else SourcePair(f=steady, g=turning)
         cfg = SolveConfig(dt=dt, t_end=0.1, method=method)
-        assert integrators._block_steps(method, n, cfg.picard_substeps) == (4 if method == "picard" else 16)
         traj = solve(as_pair(grid, np.zeros((2, n))), cfg, pair)
         if method == "picard":
             t_prev, first_bad = 42 * dt, 42 * dt + 2 * (dt / 3)

@@ -259,6 +259,19 @@ class TestTabulatedSources:
         sources = tabulated_sources(grid, str(path))
         np.testing.assert_allclose(at(sources, 0.0)[0], grid.nodes, rtol=1e-12)
 
+    @pytest.mark.parametrize("table_times", [(0.5,), (0.0, 1.0)])
+    def test_a_nan_time_gives_a_nan_row_and_leaves_the_other_rows(self, tmp_path, table_times):
+        grid = Grid1D(5)
+        path = tmp_path / "sources.csv"
+        self.write_table(path, grid, table_times, lambda t, x: 1.0 + t * x, lambda t, x: x - t)
+        sources = tabulated_sources(grid, str(path))
+        times = np.array([-1.0, 0.0, 0.25, np.nan, 0.5, 1.0, 2.0])
+        for fn in (sources.f, sources.g):
+            rows = fn(times)
+            assert np.all(np.isnan(rows[3]))
+            kept = np.delete(rows, 3, axis=0)
+            assert np.array_equal(kept.view(np.int64), fn(np.delete(times, 3)).view(np.int64))
+
     def test_misaligned_nodes_rejected(self, tmp_path):
         grid = Grid1D(6)
         path = tmp_path / "sources.csv"

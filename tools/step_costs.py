@@ -7,12 +7,12 @@ table:
 * the cost of one step of an mms march at dt = 0.005 in microseconds, for
   exp_euler, imex and picard, with Picard's mean sweeps per slab;
 * the cost per step of the mms source pair, f and g: a march evaluates
-  the ``integrators._step_times`` of a block of
-  ``integrators._block_steps`` steps in one call of each, the start times
-  of exp_euler and imex steps or the m = 4 substep times of Picard slabs,
-  so the figure is one block evaluation of exp_euler's divided by its
-  steps, and the figure in parentheses one of Picard's divided by its
-  slabs;
+  the source times of a block of steps, at most
+  ``integrators._BLOCK_VALUES`` values, in one call of each, each step's
+  start plus the offsets ``integrators._stepper`` gives, 0.0 for exp_euler
+  and imex steps and the m = 4 substep offsets of Picard slabs, so the
+  figure is one block evaluation of exp_euler's divided by its steps, and
+  the figure in parentheses one of Picard's divided by its slabs;
 * the cost of one source-free reaction evaluation (``_reaction_terms``) on
   a (2, n) pair and on a (4, 2, n) stack, in microseconds;
 * the cost of one sine transform (``spectral.to_coeffs``) of a (2, n) pair,
@@ -137,8 +137,11 @@ def main(argv=None) -> int:
         for method in METHODS:
             timers[n, method] = march_timer(n, method)
         for key, method in (("sources", "exp_euler"), ("slab sources", "picard")):
-            block = integrators._block_steps(method, n, 4)
-            times = integrators._step_times(method, np.arange(block) * DT, DT, 4).ravel()
+            _, values0, _, c = march_inputs(n)
+            config = SolveConfig(dt=DT, t_end=STEPS * DT, method=method)
+            offsets = integrators._stepper(method, values0, DT, config, c)[2]
+            block = max(1, integrators._BLOCK_VALUES // (2 * n * np.size(offsets)))
+            times = np.add.outer(np.arange(block) * DT, offsets).ravel()
             timers[n, key] = sources_timer(n, times, block)
         for shape in ((2, n), (4, 2, n)):
             timers[n, shape] = reaction_timer(shape)

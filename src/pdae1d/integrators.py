@@ -363,8 +363,7 @@ def picard_slab(
 
     def forced(samples, forcing):
         # DST(R(U) + S) of the samples' coefficients, R(U) + S formed in place
-        x = to_values(samples)
-        _reaction_terms(x, c, x)
+        x = _reaction_terms(to_values(samples), c)
         x += forcing
         return to_coeffs(x)
 

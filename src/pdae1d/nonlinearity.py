@@ -15,9 +15,7 @@ read-only float array of shape (K, n), one row per time, so a caller that
 knows its times in advance evaluates them all in one call:
 ``_source_values`` stacks the two components to (K, 2, n), and
 ``eval_reaction`` adds one such (2, n) row, or a stack of them, to R(U),
-in a new array or in ``out=``, which may be the states themselves: that is
-how ``lipschitz_ratio`` forms R(a) and R(b) in the stack of a and b it has
-already made.
+in a new array.
 """
 
 from __future__ import annotations
@@ -206,48 +204,41 @@ def tabulated_sources(grid: Grid1D, path: str) -> SourcePair:
     )
 
 
-def _reaction_terms(values: np.ndarray, c: CoefficientSet, out: np.ndarray | None = None) -> np.ndarray:
-    """Source-free reaction (-u*I, +v*I) of nodal pairs shaped (..., 2, n).
+def _reaction_terms(values: np.ndarray, c: CoefficientSet) -> np.ndarray:
+    """Source-free reaction (-u*I, +v*I) of nodal pairs shaped (..., 2, n), in place.
 
     I is the trapezoid running integral of p_u*u + p_v*v over the pair with
     its Dirichlet zero ends, evaluated at the interior nodes: the mass from
     ``constraint._mass`` and the integral from ``running_integral``, the
-    helpers ``reconstruct_w`` uses.  Leading axes are a batch.  The result
-    is a new array, or ``out`` if given: ``values`` itself or an array of its
-    shape that does not overlap it.  Each gives the same bits, and each row
-    of a stack those of a single call where no two NaNs meet; where they do,
-    the sign of the NaN may differ.
+    helpers ``reconstruct_w`` uses.  Leading axes are a batch.  ``values``,
+    a writable float array the caller owns, is overwritten with the result
+    and returned.  Each row of a stack has the bits of a single call where
+    no two NaNs meet; where they do, the sign of the NaN may differ.
     """
     h = 1.0 / (values.shape[-1] + 1)
     integral = running_integral(_mass(values, c.p_u, c.p_v), h)
-    if out is None:
-        out = np.array(values, dtype=float)
-    elif out is not values:
-        out[...] = values
     # negate u before the product: negating u*I would flip the sign of a NaN in I
-    u = out[..., 0, :]
+    u = values[..., 0, :]
     np.negative(u, out=u)
-    out *= integral[..., None, 1:-1]
-    return out
+    values *= integral[..., None, 1:-1]
+    return values
 
 
 def eval_reaction(
     values: np.ndarray,
     sources: np.ndarray | None = None,
     coefficients: CoefficientSet | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Non-diffusive right-hand side R(U) + S = (-u*I + f, +v*I + g).
+    """Non-diffusive right-hand side R(U) + S = (-u*I + f, +v*I + g), in a new array.
 
     I is the trapezoid running integral of p_u*u + p_v*v evaluated at the
-    interior nodes.  ``values`` are Dirichlet nodal pairs shaped (..., 2, n);
-    ``sources`` are the source values (f, g) shaped (..., 2, n), broadcast
-    against them, or None for none.  The result has the shape of
-    ``values``: a new array, or ``out`` if given, which may be ``values``
-    itself (or else must not overlap it); each gives the same bits.
+    interior nodes.  ``values`` are Dirichlet nodal pairs shaped (..., 2, n),
+    or a sequence of such arrays, which ``np.array`` stacks; they are never
+    written.  ``sources`` are the source values (f, g) shaped (..., 2, n),
+    broadcast against them, or None for none.
     """
     c = coefficients if coefficients is not None else _DEFAULT_COEFFICIENTS
-    out = _reaction_terms(values, c, out)
+    out = _reaction_terms(np.array(values, dtype=float), c)
     if sources is not None:
         out += sources
     return out
@@ -265,10 +256,8 @@ def lipschitz_ratio(a: np.ndarray, b: np.ndarray):
     denom = pair_norm(a - b, h)
     if np.any(denom == 0.0):
         raise ValueError("states coincide; the quotient is undefined")
-    # one call on the stacked pair, which R overwrites: each row reacts as if
-    # evaluated alone
-    stack = np.stack((a, b))
-    ra, rb = eval_reaction(stack, out=stack)
+    # one call on the stacked pair: each row reacts as if evaluated alone
+    ra, rb = eval_reaction((a, b))
     return pair_norm(ra - rb, h) / denom
 
 

@@ -184,27 +184,20 @@ def _mms_source_fns(spec: MmsSpec, c: CoefficientSet, x: np.ndarray):
     # f = gain_u*u + u*(decay*mass) and g = gain_v*v - v*(decay*mass), each
     # product and sum rounded as written, formed in place on fresh arrays;
     # a decay column times a profile row is the product at each time
-    def f(times: np.ndarray) -> np.ndarray:
-        decay = np.exp(-times)[:, None]
-        u = a * decay * sin_1
-        coupling = decay * mass
-        coupling *= u
-        u *= gain_u
-        u += coupling
-        u.flags.writeable = False
-        return u
+    def component(amplitude, profile, gain, couple):
+        def at(times: np.ndarray) -> np.ndarray:
+            decay = np.exp(-times)[:, None]
+            w = amplitude * decay * profile
+            coupling = decay * mass
+            coupling *= w
+            w *= gain
+            couple(w, coupling, out=w)
+            w.flags.writeable = False
+            return w
 
-    def g(times: np.ndarray) -> np.ndarray:
-        decay = np.exp(-times)[:, None]
-        v = b * decay * sin_2
-        coupling = decay * mass
-        coupling *= v
-        v *= gain_v
-        v -= coupling
-        v.flags.writeable = False
-        return v
+        return at
 
-    return f, g
+    return component(a, sin_1, gain_u, np.add), component(b, sin_2, gain_v, np.subtract)
 
 
 def build_mms_sources(

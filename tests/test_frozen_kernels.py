@@ -27,7 +27,7 @@ from pdae1d import CoefficientSet, Grid1D, MmsSpec, PicardConvergenceError, Solv
 from pdae1d import build_mms_sources, constraint, fields, integrators, spectral, step_exp_euler, step_imex
 from pdae1d import tabulated_sources, zero_sources
 from pdae1d.fields import pair_norm
-from pdae1d.nonlinearity import _reaction_terms, _source_values
+from pdae1d.nonlinearity import _reaction_terms, _source_values, eval_reaction
 from pdae1d.scenarios import _mms_source_fns, _mms_values
 from pdae1d.spectral import laplacian_eigenvalues, phi1, to_coeffs, to_values
 
@@ -294,14 +294,18 @@ STATE_KINDS = tuple(kind for kind, _ in states(1, np.random.default_rng(0)))
 def test_reaction_profile_and_norm_equal_their_references(n, kind):
     h = 1.0 / (n + 1)
     values = dict(states(n, np.random.default_rng(n)))[kind]
+    original = values.copy()
     for p_u, p_v in P_PAIRS:
         c, case = CoefficientSet(p_u=p_u, p_v=p_v), (p_u, p_v)
         with np.errstate(over="ignore", invalid="ignore"):
             mass = ref_mass(values, p_u, p_v)
             assert same(constraint._mass(values, p_u, p_v), mass), case
             assert same(constraint.running_integral(mass, h), ref_running_integral(mass, h)), case
-            assert same(_reaction_terms(values, c), ref_reaction(values, c)), case
+            reaction = ref_reaction(values, c)
+            assert same(eval_reaction(values, None, c), reaction), case
+            assert same(_reaction_terms(values.copy(), c), reaction), case
             assert same(constraint.reconstruct_w(values, p_u, p_v), ref_profile(values, p_u, p_v)), case
+    assert same(values, original)
     assert same(pair_norm(values, h), ref_pair_norm(values, h))
     if values.ndim == 2:
         with np.errstate(over="ignore", invalid="ignore"):

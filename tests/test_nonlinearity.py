@@ -22,6 +22,7 @@ from pdae1d import (
     zero_sources,
 )
 from pdae1d.fields import pair_norm
+from pdae1d.nonlinearity import _reaction_terms
 
 BOUND = 4.0 * np.sqrt(3.0)
 
@@ -122,21 +123,34 @@ class TestEvalReaction:
             assert np.array_equal(row, eval_reaction(s, at(sources, t), c))
 
     @pytest.mark.parametrize("p", [(1.0, 1.0), (0.7, -1.3)])
-    def test_out_gives_the_allocating_call_bit_for_bit(self, p):
+    def test_in_place_reaction_gives_the_allocating_call_bit_for_bit(self, p):
         grid = Grid1D(20)
         rng = np.random.default_rng(31)
         c = CoefficientSet(p_u=p[0], p_v=p[1])
         stack = rng.uniform(-1.0, 1.0, (4, 2, grid.n_interior))
         stack[0, 1, 3] = -0.0
         stack[1, 0, 5] = 5e-324
-        for sources in (None, rng.uniform(-1.0, 1.0, stack.shape), stack[0]):
-            expected = eval_reaction(stack, sources, c)
-            into = np.full(stack.shape, np.nan)
-            assert eval_reaction(stack, sources, c, out=into) is into
-            in_place = stack.copy()
-            assert eval_reaction(in_place, sources, c, out=in_place) is in_place
-            for got in (into, in_place):
-                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        original = stack.copy()
+        expected = eval_reaction(original, None, c)
+        assert _reaction_terms(stack, c) is stack
+        assert np.array_equal(stack.view(np.int64), expected.view(np.int64))
+
+    def test_never_writes_its_input(self):
+        grid = Grid1D(20)
+        rng = np.random.default_rng(37)
+        c = CoefficientSet(p_u=0.7, p_v=-1.3)
+        frozen = rng.uniform(-1.0, 1.0, (2, grid.n_interior))
+        frozen.flags.writeable = False
+        kept = frozen.copy()
+        out = eval_reaction(frozen, None, c)
+        assert out is not frozen and out.flags.writeable
+        assert np.array_equal(frozen.view(np.int64), kept.view(np.int64))
+        # a sequence of pairs is stacked: the call reacts the stack
+        a, b = random_state(grid, rng), random_state(grid, rng)
+        a0, b0 = a.copy(), b.copy()
+        got = eval_reaction((a, b), None, c)
+        assert np.array_equal(got.view(np.int64), eval_reaction(np.stack((a, b)), None, c).view(np.int64))
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
     def test_running_integral_is_the_cumulative_integral(self):
         grid = Grid1D(20)
